@@ -14,11 +14,9 @@ import numpy as np
 from mshe.noise import Mollifier
 from mshe.renorm import c11_eps, c12_eps, c_eps, pam_green, she_green
 
-tabs = Mollifier(epsilon=1.0).tables
-
 print("inverse-scaling of c_eps (c_eps * eps is constant):")
 for name, green in (("pam3d", pam_green()), ("she1d", she_green())):
-    prods = [float(c_eps(Mollifier(epsilon=e, _tabs=tabs), green)) * e
+    prods = [float(c_eps(Mollifier(epsilon=e), green)) * e
              for e in (0.1, 0.05, 0.025)]
     print(f"  {name}: c_eps*eps = {[round(p, 6) for p in prods]}")
 
@@ -26,7 +24,7 @@ print("\npam3d c11(eps): log divergence")
 green = pam_green()
 vals = {}
 for e in (0.2, 0.1, 0.05, 0.025):
-    r = c11_eps(Mollifier(epsilon=e, _tabs=tabs), green, n_samples=1 << 16, seed=3)
+    r = c11_eps(Mollifier(epsilon=e), green, n_samples=1 << 16, seed=3)
     vals[e] = r["value"]
     print(f"  eps={e:5}: c11 = {r['value']:.6f} +- {r['stderr']:.6f}")
 es = sorted(vals, reverse=True)
@@ -37,7 +35,7 @@ print(f"  fitted log-slope {np.mean(slopes):.6f}  vs  -1/(16 pi^2) = "
 print("\nshe1d constants (eps-independent by exact self-similarity):")
 green = she_green()
 for e in (0.2, 0.05):
-    m = Mollifier(epsilon=e, _tabs=tabs)
+    m = Mollifier(epsilon=e)
     c = c_eps(m, green)
     r11 = c11_eps(m, green, n_samples=1 << 15, seed=1)
     r12 = c12_eps(m, green, c, n_samples=1 << 15, seed=2)

@@ -188,14 +188,11 @@ def cmd_noise_regularity(args, outdir: Path):
 
 
 def cmd_renorm(args, outdir: Path):
-    from .noise import Mollifier
     from .renorm import compute_constants
 
-    moll = Mollifier(epsilon=1.0)
     rows = []
-    for i, e in enumerate(args.eps):
-        rc = compute_constants(args.equation, e, moll=Mollifier(epsilon=e, _tabs=moll.tables),
-                               n_samples=args.samples, seed=args.seed,
+    for e in args.eps:
+        rc = compute_constants(args.equation, e, n_samples=args.samples, seed=args.seed,
                                threads=_threads(args), R_G=args.green_radius)
         rows.append((e, rc.c_eps, rc.c11_eps, rc.c11_err, rc.c12_eps, rc.c12_err,
                      rc.C_eps))
@@ -230,10 +227,11 @@ def cmd_reconstruct(args, outdir: Path):
 
 def cmd_solve(args, outdir: Path):
     from .noise import Grid, write_field, Field, read_field
-    from .solver import SolverConfig, solve_renormalised, weighted_norm_diag
+    from .solver import EQUATIONS, SolverConfig, solve_renormalised, weighted_norm_diag
 
     N, M, L, T = _parse_grid(args.grid)
-    d = args.d or {"pam2d": 2, "pam3d": 3, "she1d": 1}[args.equation]
+    d, eq, _ = EQUATIONS[args.equation]
+    d = args.d or d
     grid = Grid(d=d, L=L, N=N, T=T, M=M)
     if args.u0.startswith("const:"):
         u0 = ("const", float(args.u0.split(":", 1)[1]))
@@ -244,10 +242,8 @@ def cmd_solve(args, outdir: Path):
     else:
         raise ValueError(f"unknown initial condition {args.u0!r}")
     if args.ceps == "auto":
-        from .noise import Mollifier
         from .renorm import compute_constants
 
-        eq = {"pam2d": None, "pam3d": "pam3d", "she1d": "she1d"}[args.equation]
         C = 0.0 if eq is None else compute_constants(
             eq, args.eps, n_samples=args.samples, seed=args.seed,
             threads=_threads(args), R_G=8.0 * args.eps).C_eps
@@ -255,7 +251,7 @@ def cmd_solve(args, outdir: Path):
         C = float(args.ceps)
     cfg = SolverConfig(equation=args.equation, grid=grid, eps=args.eps, C_eps=C,
                        u0=u0, T=args.T or T, seed=args.seed,
-                       snapshots=args.snapshots, ell=args.ell)
+                       snapshots=args.snapshots)
     traj = solve_renormalised(cfg)
     diag = weighted_norm_diag(traj, p=2.0, ell=args.ell)
     rows = []
@@ -270,10 +266,10 @@ def cmd_solve(args, outdir: Path):
 
 def cmd_converge(args, outdir: Path):
     from .noise import Grid
-    from .solver import convergence_study
+    from .solver import EQUATIONS, convergence_study
 
     N, M, L, T = _parse_grid(args.grid)
-    d = args.d or {"pam2d": 2, "pam3d": 3, "she1d": 1}[args.equation]
+    d = args.d or EQUATIONS[args.equation][0]
     grid = Grid(d=d, L=L, N=N, T=T, M=M)
     u0 = ("const", float(args.u0.split(":", 1)[1])) if args.u0.startswith("const:") \
         else args.u0
@@ -431,6 +427,8 @@ def _apply_config_file(argv):
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
+    if i + 1 == len(argv):
+        raise ValueError("--config needs a file path")
     path = argv[i + 1]
     rest = argv[:i] + argv[i + 2:]
     extra = []
@@ -447,7 +445,11 @@ def _apply_config_file(argv):
 
 
 def main(argv=None) -> int:
-    argv = _apply_config_file(list(sys.argv[1:] if argv is None else argv))
+    try:
+        argv = _apply_config_file(list(sys.argv[1:] if argv is None else argv))
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     ap = _build_parser()
     try:
         args = ap.parse_args(argv)

@@ -18,8 +18,9 @@ table (used by the renormalisation-constant integrals).
 
 from __future__ import annotations
 
+import functools
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,13 +63,6 @@ class Grid:
         if not self.M:
             raise ValueError("grid has no time axis")
         return self.T / self.M
-
-    @property
-    def parabolic_compatible(self) -> bool:
-        """Whether dt is within a factor 2 of dx^2."""
-        if not self.M:
-            return False
-        return 0.5 <= self.dt / self.dx ** 2 <= 2.0
 
     @property
     def xs(self) -> np.ndarray:
@@ -122,12 +116,14 @@ def sample_white_noise(grid: Grid, kind: str = "spatial", seed: int = 0) -> Fiel
 # -- mollifier ---------------------------------------------------------------
 
 
+@functools.cache
 def bump_profile(n_tab: int = 8193, profile: str = "exp"):
     """Normalized 1-d bump b on (-1,1) and its self-convolution table on (-2,2).
 
     profile 'exp' is the standard exp(-1/(1-u^2)) bump; 'poly4' the polynomial
     (1-u^2)^4 alternative (used to demonstrate mollifier dependence).
-    Returns (grid_b, b, grid_bb, bb); both tables integrate to one.
+    Returns (grid_b, b, grid_bb, bb); both tables integrate to one.  Tables
+    are built once per (n_tab, profile) and shared, so they are read-only.
     """
     u = np.linspace(-1.0, 1.0, n_tab)
     if profile == "exp":
@@ -143,28 +139,24 @@ def bump_profile(n_tab: int = 8193, profile: str = "exp"):
     bb = np.convolve(b, b) * h
     s = np.linspace(-2.0, 2.0, 2 * n_tab - 1)
     bb /= np.trapezoid(bb, s)
+    for a in (u, b, s, bb):
+        a.setflags(write=False)
     return u, b, s, bb
 
 
 @dataclass
 class Mollifier:
-    """Product bump at scale eps with precomputed 1-d tables."""
+    """Product bump at scale eps over the shared 1-d tables of its profile."""
 
     epsilon: float
     flip_x: bool = False  # reflected copy (identical for the even bump)
     profile: str = "exp"
-    _tabs: tuple = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self._tabs is None:
-            object.__setattr__(self, "_tabs", bump_profile(profile=self.profile))
-
-    @property
-    def tables(self):
-        return self._tabs
+        bump_profile(profile=self.profile)  # rejects an unknown profile
 
     def _b(self, u):
-        gu, b, _, _ = self._tabs
+        gu, b, _, _ = bump_profile(profile=self.profile)
         sgn = -1.0 if self.flip_x else 1.0
         return np.interp(sgn * np.asarray(u), gu, b, left=0.0, right=0.0)
 
@@ -184,11 +176,11 @@ class Mollifier:
 
     def bb(self, s):
         """1-d self-convolution (b*b)(s), unit scale."""
-        _, _, gs, bb = self._tabs
+        _, _, gs, bb = bump_profile(profile=self.profile)
         return np.interp(np.asarray(s, dtype=float), gs, bb, left=0.0, right=0.0)
 
     def bb_cdf(self):
-        _, _, gs, bb = self._tabs
+        _, _, gs, bb = bump_profile(profile=self.profile)
         h = gs[1] - gs[0]
         cdf = np.concatenate([[0.0], np.cumsum((bb[1:] + bb[:-1]) * h / 2)])
         return gs, cdf / cdf[-1]

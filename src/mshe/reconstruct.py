@@ -34,7 +34,7 @@ import numpy as np
 from scipy import ndimage
 
 from .noise import Field, Grid
-from .wavelet import WaveletBasis, _adjoint_axis, _axis_taps, _correlate_axis, _int_stride
+from .wavelet import LevelTransform, WaveletBasis
 
 __all__ = [
     "SYMBOLS",
@@ -186,17 +186,6 @@ def canonical_model(xi_eps: Field, dec, kappa: float = 0.05) -> Model:
 # -- reconstruction ------------------------------------------------------------
 
 
-def _phi_transform(values: np.ndarray, basis: WaveletBasis, n: int, g: Grid):
-    """All-phi coefficients <values, phi^n_{t,x}> over Lambda_n (wrapped)."""
-    stride_t = _int_stride(4.0 ** -n / g.dt, "time")
-    stride_x = _int_stride(2.0 ** -n / g.dx, "space")
-    taps_t, offs_t = _axis_taps(basis, "phi", 2 * n, g.dt, 2.0 ** n)
-    taps_x, offs_x = _axis_taps(basis, "phi", n, g.dx, 2.0 ** (n / 2.0))
-    out = _correlate_axis(values, 0, taps_t, offs_t, stride_t)
-    out = _correlate_axis(out, 1, taps_x, offs_x, stride_x)
-    return out * g.dt * g.dx
-
-
 def _box_average(values: np.ndarray, half_width_cells: int) -> np.ndarray:
     size = 2 * half_width_cells + 1
     return ndimage.uniform_filter1d(values, size=size, axis=1, mode="wrap")
@@ -209,19 +198,6 @@ def time_shift_cells(basis: WaveletBasis, n: int, g: Grid) -> int:
     return int(round(C * 4.0 ** -n / g.dt))
 
 
-def _displacement_transform(values: np.ndarray, basis: WaveletBasis, n: int,
-                            g: Grid) -> np.ndarray:
-    """<(y - x_lattice) * values, phi^n_{t,x}> with the displacement measured
-    locally from the lattice point (periodic-wrap consistent)."""
-    stride_t = _int_stride(4.0 ** -n / g.dt, "time")
-    stride_x = _int_stride(2.0 ** -n / g.dx, "space")
-    taps_t, offs_t = _axis_taps(basis, "phi", 2 * n, g.dt, 2.0 ** n)
-    taps_x, offs_x = _axis_taps(basis, "phi", n, g.dx, 2.0 ** (n / 2.0))
-    out = _correlate_axis(values, 0, taps_t, offs_t, stride_t)
-    out = _correlate_axis(out, 1, taps_x * (offs_x * g.dx), offs_x, stride_x)
-    return out * g.dt * g.dx
-
-
 def _linear_box_average(values: np.ndarray, half: int) -> np.ndarray:
     """avg over the ball of c(y) * (y - x), via a linear-weighted filter."""
     offs = np.arange(-half, half + 1)
@@ -232,28 +208,28 @@ def _linear_box_average(values: np.ndarray, half: int) -> np.ndarray:
 def _level_A(f: ModelledDistribution, model: Model, basis: WaveletBasis,
              n: int) -> np.ndarray:
     g = model.grid
-    T1 = _phi_transform(np.ones_like(model.xi), basis, n, g)
-    Txi = _phi_transform(model.xi, basis, n, g)
-    TPhi = _phi_transform(model.phi_field, basis, n, g)
-    TxiPhi = _phi_transform(model.xi * model.phi_field, basis, n, g)
-    D1 = _displacement_transform(np.ones_like(model.xi), basis, n, g)
-    Dxi = _displacement_transform(model.xi, basis, n, g)
+    eng = LevelTransform(basis, n, g.dx, g.dt)
+    T, D = ("phi", "phi"), ("phi", "disp")  # phi^n and phi^n times (y - x)
 
-    stride_t = _int_stride(4.0 ** -n / g.dt, "time")
-    stride_x = _int_stride(2.0 ** -n / g.dx, "space")
+    def transform(values, combos):
+        return [c * g.dt * g.dx for c in eng.forward(values, combos).values()]
+
+    T1, D1 = transform(np.ones_like(model.xi), (T, D))
+    Txi, Dxi = transform(model.xi, (T, D))
+    TPhi, = transform(model.phi_field, (T,))
+    TxiPhi, = transform(model.xi * model.phi_field, (T,))
+
     half = max(1, int(round(2.0 ** -n / g.dx)))
     shift = time_shift_cells(basis, n, g)
-    nt = g.M // stride_t
-    t_rows = (np.arange(nt) * stride_t - shift) % g.M
-    x_cols = np.arange(g.N // stride_x) * stride_x
-    sel = np.ix_(t_rows, x_cols)
+    # the box filters act along space only, so the lattice rows are picked first
+    t_rows = (np.arange(g.M // eng.stride_t) * eng.stride_t - shift) % g.M
 
     def avg(arr):
-        return _box_average(arr, half)[sel]
+        return _box_average(arr[t_rows], half)[:, ::eng.stride_x]
 
     def avg_disp(arr):
         # avg over y in the ball of arr(y) * (y - x_lattice) * dx-steps
-        return _linear_box_average(arr, half)[sel] * g.dx
+        return _linear_box_average(arr[t_rows], half)[:, ::eng.stride_x] * g.dx
 
     A = (T1 * (avg(f.get("1") - f.get("I(Xi)") * model.phi_field)
                - avg_disp(f.get("X")))
@@ -313,13 +289,7 @@ def reconstruct(f: ModelledDistribution, model: Model, basis: WaveletBasis,
 
 
 def _adjoint_level(A: np.ndarray, basis: WaveletBasis, n: int, g: Grid) -> np.ndarray:
-    stride_t = _int_stride(4.0 ** -n / g.dt, "time")
-    stride_x = _int_stride(2.0 ** -n / g.dx, "space")
-    taps_t, offs_t = _axis_taps(basis, "phi", 2 * n, g.dt, 2.0 ** n)
-    taps_x, offs_x = _axis_taps(basis, "phi", n, g.dx, 2.0 ** (n / 2.0))
-    out = _adjoint_axis(A, 0, taps_t, offs_t, stride_t, g.M)
-    out = _adjoint_axis(out, 1, taps_x, offs_x, stride_x, g.N)
-    return out
+    return LevelTransform(basis, n, g.dx, g.dt).adjoint(A, ("phi", "phi"), (g.M, g.N))
 
 
 def sewing_check(result: dict, alpha: float, gamma: float, p: float = 2.0,

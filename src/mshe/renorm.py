@@ -333,7 +333,7 @@ class RenormConstants:
         return self.c_eps + self.c11_eps + self.c12_eps
 
 
-def compute_constants(equation: str, eps: float, moll: Mollifier = None,
+def compute_constants(equation: str, eps: float,
                       n_samples: int = 1 << 16, seed: int = 0,
                       replicates: int = 16, threads: int = 1,
                       R_G: float = 1.0) -> RenormConstants:
@@ -344,8 +344,7 @@ def compute_constants(equation: str, eps: float, moll: Mollifier = None,
         green = she_green()
     else:
         raise ValueError(f"unknown equation {equation!r}")
-    if moll is None or moll.epsilon != eps:
-        moll = Mollifier(epsilon=eps, _tabs=moll.tables if moll else None)
+    moll = Mollifier(epsilon=eps)
     c = c_eps(moll, green)
     r11 = c11_eps(moll, green, n_samples, seed, replicates, threads)
     r12 = c12_eps(moll, green, c, n_samples, seed + 7919, replicates, threads)

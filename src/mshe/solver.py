@@ -45,9 +45,13 @@ __all__ = [
     "weighted_distance",
     "convergence_study",
     "weighted_norm_diag",
+    "EQUATIONS",
 ]
 
-_EQ_DIMS = {"pam2d": 2, "pam3d": 3, "she1d": 1}
+#: equation -> (space dimension, equation of its renormalisation constants
+#: or None where no constant is computed, kind of its driving noise)
+EQUATIONS = {"pam2d": (2, None, "spatial"), "pam3d": (3, "pam3d", "spatial"),
+             "she1d": (1, "she1d", "spacetime")}
 _GUARD = 1e12
 
 
@@ -69,16 +73,19 @@ class SolverConfig:
     seed: int = 0
     snapshots: int = 8
     snapshot_t0: float = None   # first snapshot time; defaults to T/snapshots
-    ell: float = 0.0
 
     def __post_init__(self):
-        if self.equation not in _EQ_DIMS:
+        if self.equation not in EQUATIONS:
             raise ValueError(f"unknown equation {self.equation!r}")
-        if _EQ_DIMS[self.equation] != self.grid.d:
-            raise ValueError(
-                f"{self.equation} needs d={_EQ_DIMS[self.equation]}, grid has d={self.grid.d}")
+        d = EQUATIONS[self.equation][0]
+        if d != self.grid.d:
+            raise ValueError(f"{self.equation} needs d={d}, grid has d={self.grid.d}")
         if self.T is None:
             self.T = self.grid.T
+        if self.noise_kind == "spacetime" and self.T > self.grid.T * (1 + 1e-9):
+            # the solver would step on past the last noise slice
+            raise ValueError(f"T = {self.T} exceeds the noise's time horizon "
+                             f"grid.T = {self.grid.T}")
         if self.dt is None:
             self.dt = self.grid.dx ** 2 / 4.0
         if self.eps < 2 * self.grid.dx - 1e-12:
@@ -87,7 +94,7 @@ class SolverConfig:
 
     @property
     def noise_kind(self) -> str:
-        return "spacetime" if self.equation == "she1d" else "spatial"
+        return EQUATIONS[self.equation][2]
 
 
 @dataclass
@@ -103,15 +110,14 @@ class Trajectory:
 
 def _heat_symbol(grid: Grid, dt: float) -> np.ndarray:
     """exp(dt Lap) multiplier on the rfftn grid (spectral Laplacian)."""
-    k2 = _lap_symbol_spectral(grid)
+    k2 = sum(m ** 2 for m in _spectral_mesh(grid))
     return np.exp(-dt * k2)
 
 
-def _lap_symbol_spectral(grid: Grid) -> np.ndarray:
+def _spectral_mesh(grid: Grid) -> tuple:
     freqs = [2.0 * np.pi * np.fft.fftfreq(grid.N, d=grid.dx) for _ in range(grid.d - 1)]
     freqs.append(2.0 * np.pi * np.fft.rfftfreq(grid.N, d=grid.dx))
-    mesh = np.meshgrid(*freqs, indexing="ij")
-    return sum(m ** 2 for m in mesh)
+    return np.meshgrid(*freqs, indexing="ij")
 
 
 def _initial_field(cfg: SolverConfig) -> np.ndarray:
@@ -255,9 +261,7 @@ def solve_pam_transformed(cfg: SolverConfig, xi_eps: np.ndarray, C: float) -> Tr
     g = cfg.grid
     rhs = xi_eps - C
     rhs = rhs - rhs.mean()
-    freqs = [2.0 * np.pi * np.fft.fftfreq(g.N, d=g.dx) for _ in range(g.d - 1)]
-    freqs.append(2.0 * np.pi * np.fft.rfftfreq(g.N, d=g.dx))
-    mesh = np.meshgrid(*freqs, indexing="ij")
+    mesh = _spectral_mesh(g)
     k2 = sum(mm ** 2 for mm in mesh)
     k2flat = k2.copy()
     k2flat[(0,) * g.d] = 1.0
@@ -325,7 +329,7 @@ def convergence_study(equation: str, grid: Grid, eps_list, T: float,
     """
     from .renorm import compute_constants
 
-    eq_renorm = {"pam2d": None, "pam3d": "pam3d", "she1d": "she1d"}[equation]
+    _, eq_renorm, kind = EQUATIONS[equation]
     if constants is None:
         constants = {}
         R_G = 8.0 * max(eps_list)  # keep every eps inside the exact-Green region
@@ -337,7 +341,6 @@ def convergence_study(equation: str, grid: Grid, eps_list, T: float,
                                        seed=1000, threads=threads, R_G=R_G)
                 constants[e] = rc.C_eps
 
-    kind = "spacetime" if equation == "she1d" else "spatial"
     # pad the time axis so each mollification is a clean linear convolution
     # on [0, T]: all epsilons then share one noise realization with no
     # wrap-around pollution near the time endpoints
@@ -352,7 +355,7 @@ def convergence_study(equation: str, grid: Grid, eps_list, T: float,
                 SolverConfig(equation=equation, grid=grid, eps=e,
                              C_eps=constants[e], u0=u0, T=T, seed=seed,
                              snapshots=snapshots, snapshot_t0=snapshot_t0,
-                             ell=ell, dt=dt), noise=noise)
+                             dt=dt), noise=noise)
                 for e in eps_list}
         else:
             rng = np.random.Generator(np.random.Philox(key=(seed, 1)))
@@ -366,7 +369,7 @@ def convergence_study(equation: str, grid: Grid, eps_list, T: float,
                 cfg = SolverConfig(equation=equation, grid=grid, eps=e,
                                    C_eps=constants[e], u0=u0, T=T,
                                    seed=seed, snapshots=snapshots,
-                                   snapshot_t0=snapshot_t0, ell=ell, dt=dt)
+                                   snapshot_t0=snapshot_t0, dt=dt)
                 trajs[e] = solve_renormalised(cfg, xi_eps=xi)
         dists = [weighted_distance(trajs[a], trajs[b], p=p, ell=ell)
                  for a, b in zip(eps_list, eps_list[1:])]
@@ -375,7 +378,7 @@ def convergence_study(equation: str, grid: Grid, eps_list, T: float,
             cfg = SolverConfig(equation=equation, grid=grid, eps=eps_list[-1],
                                C_eps=0.0, u0=u0, T=T, seed=seed,
                                snapshots=snapshots, snapshot_t0=snapshot_t0,
-                               ell=ell, dt=grid.dt)
+                               dt=grid.dt)
             ito = solve_ito_reference(cfg, noise=interior)
             out["to_ito"] = [weighted_distance(trajs[e], ito, p=p, ell=ell)
                              for e in eps_list]
@@ -391,14 +394,9 @@ def convergence_study(equation: str, grid: Grid, eps_list, T: float,
 
 
 def weighted_norm_diag(traj: Trajectory, p: float = 2.0, ell: float = 0.0,
-                       alpha: float = None, basis=None,
-                       weight_time_shift: bool = False) -> list:
+                       alpha: float = None, basis=None) -> list:
     """Per-snapshot diagnostics: the e^{-(t+ell)(1+|x|)}-weighted L^p norm,
-    and optionally a spatial Besov norm of the weighted snapshot.
-
-    weight_time_shift uses the weight at time t + lambda^2 per wavelet level
-    lambda = 2^-n instead of t (the convention matching time-averaged
-    estimates)."""
+    and optionally a spatial Besov norm of the weighted snapshot."""
     g = traj.grid
     r = _radius(g)
     out = []
@@ -416,19 +414,7 @@ def weighted_norm_diag(traj: Trajectory, p: float = 2.0, ell: float = 0.0,
             from .wavelet import analyze_spatial
 
             n_max = int(np.log2(g.N / g.L / 4))
-            vals = f if not weight_time_shift else f
-            pyr = analyze_spatial(vals * wgt, basis, 0, n_max, g.L)
-            if weight_time_shift:
-                # recompute per level with the time-shifted weight
-                norm = 0.0
-                for n in sorted(pyr.levels):
-                    wl = np.exp(-(t + 4.0 ** -n + ell) * (1.0 + r))
-                    pyr_n = analyze_spatial(f * wl, basis, n, n, g.L)
-                    from .besov import level_aggregate
-                    norm = max(norm, level_aggregate(pyr_n, n, p=p)
-                               / 2.0 ** (-n * g.d / 2.0 - n * alpha))
-                row["besov"] = norm
-            else:
-                row["besov"] = besov_norm(pyr, alpha, p=p)
+            pyr = analyze_spatial(f * wgt, basis, 0, n_max, g.L)
+            row["besov"] = besov_norm(pyr, alpha, p=p)
         out.append(row)
     return out

@@ -33,7 +33,7 @@ __all__ = [
     "CoeffPyramid",
     "analyze",
     "analyze_spatial",
-    "synthesize_level",
+    "LevelTransform",
 ]
 
 # Hoelder regularity of the Daubechies-N scaling functions (N = vanishing
@@ -369,14 +369,6 @@ class CoeffPyramid:
             s += float(sum(np.sum(a ** 2) for a in lev.values()))
         return s
 
-    def scale(self, factor: float) -> "CoeffPyramid":
-        out = CoeffPyramid(d=self.d, T=self.T, L=self.L, n_min=self.n_min,
-                           n_max=self.n_max, spacetime=self.spacetime)
-        out.phi_level = factor * self.phi_level
-        out.levels = {n: {c: factor * a for c, a in lev.items()}
-                      for n, lev in self.levels.items()}
-        return out
-
 
 # Time-axis atom codes at level n.  The parabolic step V_n -> V_{n+1}
 # refines time by a factor 4, so the orthogonal complement carries the time
@@ -408,20 +400,35 @@ def _axis_taps(basis: WaveletBasis, kind: str, scale_pow: int, h: float, amp: fl
     return taps, offs
 
 
-def _time_taps(basis: WaveletBasis, code: str, n: int, dt: float):
-    kind, extra, off_half, amp_pow = _TIME_CODES[code]
-    taps, offs = _axis_taps(basis, kind, 2 * n + extra, dt, 2.0 ** (n + amp_pow))
-    return taps, offs, off_half
-
-
 def _correlate_axis(arr: np.ndarray, axis: int, taps: np.ndarray, offs: np.ndarray,
-                    stride: int, lat0: int = 0) -> np.ndarray:
-    """out[j] = sum_m taps[m] arr[(lat0 + j*stride + offs[m]) mod n], periodic."""
+                    stride: int) -> np.ndarray:
+    """out[j] = sum_m taps[m] arr[(j*stride + offs[m]) mod n], periodic."""
     n = arr.shape[axis]
-    idx = lat0 + np.arange(0, n // stride) * stride
+    idx = np.arange(0, n // stride) * stride
     take = (idx[:, None] + offs[None, :]) % n
     moved = np.moveaxis(arr, axis, 0)
     res = np.tensordot(taps, moved[take.T], axes=(0, 0))
+    return np.moveaxis(res, 0, axis)
+
+
+def _adjoint_axis(arr: np.ndarray, axis: int, taps: np.ndarray, offs: np.ndarray,
+                  stride: int, n_out: int) -> np.ndarray:
+    """out[i] = sum_m taps[m] arr[j] over lattice j with j*stride + offs[m] = i
+    (mod n_out); gather formulation grouped by residue class for speed."""
+    moved = np.moveaxis(arr, axis, 0)
+    n_lat = moved.shape[0]
+    res = np.zeros((n_out,) + moved.shape[1:])
+    out_base = np.arange(n_out // stride)
+    for r in range(stride):
+        sel = np.where((offs % stride) == (r % stride))[0]
+        if sel.size == 0:
+            continue
+        # i = q*stride + r: contributing lattice index j = q - (offs - r)/stride
+        shifts = (offs[sel] - r) // stride
+        block = np.zeros((n_out // stride,) + moved.shape[1:])
+        for m, sh in zip(sel, shifts):
+            block += taps[m] * moved[(out_base - sh) % n_lat]
+        res[r::stride] = block
     return np.moveaxis(res, 0, axis)
 
 
@@ -432,12 +439,64 @@ def _int_stride(v: float, what: str) -> int:
     return s
 
 
-def _check_resolution(dx: float, dt, n_max: int, spacetime: bool):
+class LevelTransform:
+    """The separable level-n transform between a periodic grid field and the
+    lattice Lambda_n.
+
+    A combo names one factor code per array axis.  With dt given, axis 0 is
+    time and takes the codes of ``_TIME_CODES``; every other axis is space
+    and takes 'phi', 'psi', or 'disp': phi times the displacement y - x from
+    the lattice point.  ``forward`` samples <values, factor> on Lambda_n
+    without the cell volume; ``adjoint`` is its transpose.
+    """
+
+    def __init__(self, basis: WaveletBasis, n: int, dx: float, dt: float = None):
+        self.basis, self.n, self.dx, self.dt = basis, n, dx, dt
+        self.stride_t = None if dt is None else _int_stride(4.0 ** -n / dt, "time")
+        self.stride_x = _int_stride(2.0 ** -n / dx, "space")
+
+    def _factor(self, axis: int, code: str):
+        """(taps, offs, stride) of one axis factor; offs include the lattice
+        offset of the time code."""
+        n = self.n
+        if axis == 0 and self.dt is not None:
+            kind, extra, off_half, amp_pow = _TIME_CODES[code]
+            taps, offs = _axis_taps(self.basis, kind, 2 * n + extra, self.dt,
+                                    2.0 ** (n + amp_pow))
+            return taps, offs + off_half * self.stride_t // 2, self.stride_t
+        kind = "phi" if code == "disp" else code
+        taps, offs = _axis_taps(self.basis, kind, n, self.dx, 2.0 ** (n / 2.0))
+        if code == "disp":
+            taps = taps * (offs * self.dx)
+        return taps, offs, self.stride_x
+
+    def forward(self, values: np.ndarray, combos) -> dict:
+        """{combo: coefficients over Lambda_n} in the order of combos.
+
+        The passes run axis by axis and each distinct prefix of factor codes
+        is correlated once, from its parent prefix.
+        """
+        arrays = {(): values}
+        for k in range(values.ndim):
+            prefixes = dict.fromkeys(c[:k + 1] for c in combos)
+            arrays = {p: _correlate_axis(arrays[p[:-1]], k, *self._factor(k, p[-1]))
+                      for p in prefixes}
+        return {c: arrays[c] for c in combos}
+
+    def adjoint(self, coeffs: np.ndarray, combo, shape) -> np.ndarray:
+        """Sum over Lambda_n of coeffs times the combo's tensor factor, sampled
+        on a grid of the given shape."""
+        for k, code in enumerate(combo):
+            coeffs = _adjoint_axis(coeffs, k, *self._factor(k, code), shape[k])
+        return coeffs
+
+
+def _check_resolution(dx: float, dt, n_max: int):
     if 2.0 ** -n_max / dx < 4 - 1e-9:
         raise ValueError(
             f"resolution too coarse: need dx <= {2.0 ** -n_max / 4:.4g} "
             f"(4x finer than level {n_max}), got dx = {dx:.4g}")
-    if spacetime and 4.0 ** -n_max / dt < 4 - 1e-9:
+    if dt is not None and 4.0 ** -n_max / dt < 4 - 1e-9:
         raise ValueError(
             f"resolution too coarse: need dt <= {4.0 ** -n_max / 4:.4g} "
             f"(4x finer than level {n_max}), got dt = {dt:.4g}")
@@ -464,6 +523,19 @@ def spacetime_combos(d: int):
     return out
 
 
+def _analyze_levels(pyr: CoeffPyramid, values: np.ndarray, basis: WaveletBasis,
+                    dx: float, dt, combos: list, cell: float) -> CoeffPyramid:
+    _check_resolution(dx, dt, pyr.n_max)
+    all_phi = ("phi",) * values.ndim
+    for n in range(pyr.n_min, pyr.n_max + 1):
+        coeffs = LevelTransform(basis, n, dx, dt).forward(
+            values, combos + [all_phi] * (n == pyr.n_min))
+        pyr.levels[n] = {c: coeffs[c] * cell for c in combos}
+        if n == pyr.n_min:
+            pyr.phi_level = coeffs[all_phi] * cell
+    return pyr
+
+
 def analyze(values: np.ndarray, basis: WaveletBasis, n_min: int, n_max: int,
             T: float, L: float) -> CoeffPyramid:
     """Space-time wavelet coefficients of a grid field on the periodic box.
@@ -475,30 +547,8 @@ def analyze(values: np.ndarray, basis: WaveletBasis, n_min: int, n_max: int,
     d = values.ndim - 1
     M, N = values.shape[0], values.shape[1]
     dt, dx = T / M, L / N
-    _check_resolution(dx, dt, n_max, True)
-    cell = dt * dx ** d
     pyr = CoeffPyramid(d=d, T=T, L=L, n_min=n_min, n_max=n_max, spacetime=True)
-
-    combos = spacetime_combos(d)
-    for n in range(n_min, n_max + 1):
-        stride_t = _int_stride(4.0 ** -n / dt, "time")
-        stride_x = _int_stride(2.0 ** -n / dx, "space")
-        tcache = {c: _time_taps(basis, c, n, dt) for c in _TIME_CODES}
-        xcache = {k: _axis_taps(basis, k, n, dx, 2.0 ** (n / 2.0)) for k in ("phi", "psi")}
-        lev = {}
-        for combo in combos + [("phi",) * (d + 1)] * (n == n_min):
-            taps, offs, off_half = tcache[combo[0]]
-            lat0 = off_half * stride_t // 2
-            arr = _correlate_axis(values, 0, taps, offs, stride_t, lat0=lat0)
-            for ax in range(1, d + 1):
-                taps, offs = xcache[combo[ax]]
-                arr = _correlate_axis(arr, ax, taps, offs, stride_x)
-            if combo in combos:
-                lev[combo] = arr * cell
-            else:
-                pyr.phi_level = arr * cell
-        pyr.levels[n] = lev
-    return pyr
+    return _analyze_levels(pyr, values, basis, dx, dt, spacetime_combos(d), dt * dx ** d)
 
 
 def analyze_spatial(values: np.ndarray, basis: WaveletBasis, n_min: int, n_max: int,
@@ -507,61 +557,6 @@ def analyze_spatial(values: np.ndarray, basis: WaveletBasis, n_min: int, n_max: 
     d = values.ndim
     N = values.shape[0]
     dx = L / N
-    _check_resolution(dx, None, n_max, False)
-    cell = dx ** d
     pyr = CoeffPyramid(d=d, T=0.0, L=L, n_min=n_min, n_max=n_max, spacetime=False)
     combos = [c for c in _iter_combos(d) if "psi" in c]
-    for n in range(n_min, n_max + 1):
-        stride = _int_stride(2.0 ** -n / dx, "space")
-        cache = {k: _axis_taps(basis, k, n, dx, 2.0 ** (n / 2.0)) for k in ("phi", "psi")}
-        lev = {}
-        for combo in combos + [("phi",) * d] * (n == n_min):
-            arr = values
-            for ax in range(d):
-                taps, offs = cache[combo[ax]]
-                arr = _correlate_axis(arr, ax, taps, offs, stride)
-            if combo in combos:
-                lev[combo] = arr * cell
-            else:
-                pyr.phi_level = arr * cell
-        pyr.levels[n] = lev
-    return pyr
-
-
-def synthesize_level(coeffs: np.ndarray, basis: WaveletBasis, n: int, combo,
-                     shape, T: float, L: float) -> np.ndarray:
-    """Adjoint of one ``analyze`` level without the cell-volume factor:
-    sum over lattice points of coeff * tensor factor, sampled on the grid."""
-    d = len(shape) - 1
-    M, N = shape[0], shape[1]
-    dt, dx = T / M, L / N
-    stride_t = _int_stride(4.0 ** -n / dt, "time")
-    stride_x = _int_stride(2.0 ** -n / dx, "space")
-    out = coeffs
-    taps, offs, off_half = _time_taps(basis, {"psi": "psi0"}.get(combo[0], combo[0]), n, dt)
-    out = _adjoint_axis(out, 0, taps, offs + off_half * stride_t // 2, stride_t, M)
-    for ax in range(1, d + 1):
-        taps, offs = _axis_taps(basis, combo[ax], n, dx, 2.0 ** (n / 2.0))
-        out = _adjoint_axis(out, ax, taps, offs, stride_x, N)
-    return out
-
-
-def _adjoint_axis(arr: np.ndarray, axis: int, taps: np.ndarray, offs: np.ndarray,
-                  stride: int, n_out: int) -> np.ndarray:
-    """out[i] = sum_m taps[m] arr[j] over lattice j with j*stride + offs[m] = i
-    (mod n_out); gather formulation grouped by residue class for speed."""
-    moved = np.moveaxis(arr, axis, 0)
-    n_lat = moved.shape[0]
-    res = np.zeros((n_out,) + moved.shape[1:])
-    out_base = np.arange(n_out // stride)
-    for r in range(stride):
-        sel = np.where((offs % stride) == (r % stride))[0]
-        if sel.size == 0:
-            continue
-        # i = q*stride + r: contributing lattice index j = q - (offs - r)/stride
-        shifts = (offs[sel] - r) // stride
-        block = np.zeros((n_out // stride,) + moved.shape[1:])
-        for m, sh in zip(sel, shifts):
-            block += taps[m] * moved[(out_base - sh) % n_lat]
-        res[r::stride] = block
-    return np.moveaxis(res, 0, axis)
+    return _analyze_levels(pyr, values, basis, dx, None, combos, dx ** d)

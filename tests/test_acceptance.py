@@ -169,16 +169,11 @@ def test_05_dirac_membership_boundary():
                    " ".join(details) + f", p_max {p_max:.3f}, {elapsed:.0f}s")
 
 
-@pytest.fixture(scope="module")
-def moll_tables():
-    return Mollifier(epsilon=1.0).tables
-
-
-def test_06a_c_eps_inverse_scaling(moll_tables):
+def test_06a_c_eps_inverse_scaling():
     t0 = time.time()
     spreads = {}
     for name, green in (("pam", pam_green()), ("she", she_green())):
-        prods = [c_eps(Mollifier(epsilon=e, _tabs=moll_tables), green) * e
+        prods = [c_eps(Mollifier(epsilon=e), green) * e
                  for e in (0.1, 0.05, 0.025)]
         spreads[name] = (max(prods) - min(prods)) / abs(np.mean(prods))
     elapsed = time.time() - t0
@@ -188,7 +183,7 @@ def test_06a_c_eps_inverse_scaling(moll_tables):
                    f"{elapsed:.0f}s")
 
 
-def test_06b_pam_c11_log_slope(moll_tables):
+def test_06b_pam_c11_log_slope():
     # As eps -> 0, rho2 tends to a delta, so z1 = z3 = -z2 and c11 reduces to
     # the shell integral of G^3 with G = 1/(4 pi |x|):
     #   int_{eps<|x|<R} (4 pi |x|)^-3 dx = 4 pi (4 pi)^-3 log(R/eps),
@@ -198,7 +193,7 @@ def test_06b_pam_c11_log_slope(moll_tables):
     green = pam_green()
     vals = {}
     for e in (0.2, 0.1, 0.05, 0.025):
-        vals[e] = c11_eps(Mollifier(epsilon=e, _tabs=moll_tables), green,
+        vals[e] = c11_eps(Mollifier(epsilon=e), green,
                           n_samples=1 << 17, seed=3)
     es = sorted(vals, reverse=True)
     slopes = [(vals[b]["value"] - vals[a]["value"]) / (np.log(b) - np.log(a))
@@ -217,12 +212,12 @@ def test_06b_pam_c11_log_slope(moll_tables):
         f"(10% tolerance), stderr ok={stderr_ok}")
 
 
-def test_06c_she_constants_cauchy(moll_tables):
+def test_06c_she_constants_cauchy():
     t0 = time.time()
     green = she_green()
     res = {}
     for i, e in enumerate((0.2, 0.1, 0.05, 0.025)):
-        m = Mollifier(epsilon=e, _tabs=moll_tables)
+        m = Mollifier(epsilon=e)
         c = c_eps(m, green)
         res[e] = (c11_eps(m, green, n_samples=1 << 16, seed=20 + i),
                   c12_eps(m, green, c, n_samples=1 << 16, seed=40 + i))
@@ -243,12 +238,12 @@ def test_06c_she_constants_cauchy(moll_tables):
                    f"{elapsed:.0f}s")
 
 
-def test_06d_pam_c12_bounded(moll_tables):
+def test_06d_pam_c12_bounded():
     t0 = time.time()
     green = pam_green()
     out11, out12 = {}, {}
     for e in (0.05, 0.025):
-        m = Mollifier(epsilon=e, _tabs=moll_tables)
+        m = Mollifier(epsilon=e)
         c = c_eps(m, green)
         out11[e] = c11_eps(m, green, n_samples=1 << 17, seed=6)
         out12[e] = c12_eps(m, green, c, n_samples=1 << 17, seed=5)

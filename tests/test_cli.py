@@ -67,6 +67,10 @@ def test_validation_exit_code(tmp_path):
     code, _ = run_cli(["solve", "--equation", "she1d", "--eps", "0.01",
                        "--ceps", "0", "--grid", "64,64,4,0.25"], tmp_path, "d")
     assert code == 1
+    # T past the time horizon of the space-time noise (grid T = 0.1)
+    code, _ = run_cli(["solve", "--equation", "she1d", "--eps", "0.25", "--ceps", "0",
+                       "--grid", "64,64,4,0.1", "--T", "0.5"], tmp_path, "d2")
+    assert code == 1
 
 
 def test_unknown_flag_rejected(tmp_path):
@@ -122,6 +126,20 @@ def test_config_file(tmp_path):
     code, out = run_cli(["structure", "table", "--config", str(cfg)], tmp_path, "k")
     assert code == 0
     assert (out / "structure-table.csv").exists()
+
+
+def test_config_without_value(tmp_path, capsys):
+    code = main(["structure", "table", "--kappa", "0.01", "--out", str(tmp_path),
+                 "--config"])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_config_missing_file(tmp_path, capsys):
+    code, _ = run_cli(["structure", "table", "--config", str(tmp_path / "absent.cfg")],
+                      tmp_path, "k2")
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_solve_writes_snapshots(tmp_path):

@@ -14,17 +14,12 @@ from mshe.renorm import (
 )
 
 
-@pytest.fixture(scope="module")
-def tabs():
-    return Mollifier(epsilon=1.0).tables
+def _moll(eps, flip=False):
+    return Mollifier(epsilon=eps, flip_x=flip)
 
 
-def _moll(eps, tabs, flip=False):
-    return Mollifier(epsilon=eps, flip_x=flip, _tabs=tabs)
-
-
-def test_rho_sq_mass_and_evenness(tabs):
-    m = _moll(0.2, tabs)
+def test_rho_sq_mass_and_evenness():
+    m = _moll(0.2)
     f = rho_sq(m, she_green())
     t = np.linspace(-0.1, 0.1, 401)
     x = np.linspace(-0.45, 0.45, 401)
@@ -35,27 +30,27 @@ def test_rho_sq_mass_and_evenness(tabs):
     assert np.allclose(vals, vals[:, ::-1], atol=1e-14)
 
 
-def test_c_eps_inverse_scaling(tabs):
+def test_c_eps_inverse_scaling():
     for green in (pam_green(), she_green()):
         prods = []
         for e in (0.1, 0.05, 0.025):
-            prods.append(c_eps(_moll(e, tabs), green) * e)
+            prods.append(c_eps(_moll(e), green) * e)
         spread = (max(prods) - min(prods)) / abs(np.mean(prods))
         assert spread < 0.02
 
 
-def test_c_eps_depends_on_mollifier_shape(tabs):
+def test_c_eps_depends_on_mollifier_shape():
     # a differently shaped bump gives a different proportionality constant
     e = 0.1
-    base = c_eps(_moll(e, tabs), she_green()) * e
+    base = c_eps(_moll(e), she_green()) * e
     other = c_eps(Mollifier(epsilon=e, profile="poly4"), she_green()) * e
     assert abs(base - other) / abs(base) > 0.01
 
 
-def test_c_eps_pam_against_brute_force(tabs):
+def test_c_eps_pam_against_brute_force():
     # independent midpoint Riemann oracle on a fine tensor grid
     e = 0.1
-    m = _moll(e, tabs)
+    m = _moll(e)
     n = 220
     g = (np.arange(n) + 0.5) / n * 4 * e - 2 * e
     X = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1)
@@ -67,9 +62,9 @@ def test_c_eps_pam_against_brute_force(tabs):
     assert val == pytest.approx(oracle, rel=1e-3)
 
 
-def test_c_eps_she_against_brute_force(tabs):
+def test_c_eps_she_against_brute_force():
     e = 0.1
-    m = _moll(e, tabs)
+    m = _moll(e)
     ntau, nx = 3000, 3000
     tau = (np.arange(ntau) + 0.5) / ntau * 2 * e
     xs = (np.arange(nx) + 0.5) / nx * 4 * e - 2 * e
@@ -81,17 +76,17 @@ def test_c_eps_she_against_brute_force(tabs):
     assert val == pytest.approx(oracle, rel=1e-3)
 
 
-def test_c_eps_pam_requires_small_eps(tabs):
+def test_c_eps_pam_requires_small_eps():
     with pytest.raises(ValueError, match="too large"):
-        c_eps(_moll(0.2, tabs), pam_green(R_G=1.0))
+        c_eps(_moll(0.2), pam_green(R_G=1.0))
 
 
-def test_c11_pam_log_slope(tabs):
+def test_c11_pam_log_slope():
     # log-divergence with coefficient -1/(16 pi^2) (shell integral of G^3)
     green = pam_green()
     vals = {}
     for e in (0.2, 0.1, 0.05, 0.025):
-        vals[e] = c11_eps(_moll(e, tabs), green, n_samples=1 << 17, seed=3)
+        vals[e] = c11_eps(_moll(e), green, n_samples=1 << 17, seed=3)
     es = sorted(vals, reverse=True)
     slopes = [(vals[b]["value"] - vals[a]["value"]) / (np.log(b) - np.log(a))
               for a, b in zip(es, es[1:])]
@@ -99,20 +94,20 @@ def test_c11_pam_log_slope(tabs):
     assert np.mean(slopes) == pytest.approx(target, rel=0.10)
 
 
-def test_c11_zero_green(tabs):
+def test_c11_zero_green():
     zero = smooth_test_green(lambda z: np.zeros(z.shape[:-1]), ((-1, 1), (-1, 1)))
-    r = c11_eps(_moll(0.1, tabs), zero, n_samples=1 << 12, seed=0)
+    r = c11_eps(_moll(0.1), zero, n_samples=1 << 12, seed=0)
     assert r["value"] == 0.0
 
 
-def test_she_constants_scale_invariant(tabs):
+def test_she_constants_scale_invariant():
     # the untruncated heat kernel is exactly parabolic self-similar, so the
     # SHE constants have no epsilon dependence at all: the dyadic increments
     # vanish within QMC noise (the strongest form of the Cauchy property)
     green = she_green()
     res = {}
     for i, e in enumerate((0.2, 0.1, 0.05)):
-        m = _moll(e, tabs)
+        m = _moll(e)
         c = c_eps(m, green)
         res[e] = (c11_eps(m, green, n_samples=1 << 15, seed=20 + i),
                   c12_eps(m, green, c, n_samples=1 << 15, seed=40 + i))
@@ -126,47 +121,47 @@ def test_she_constants_scale_invariant(tabs):
         assert d12 <= tol12
 
 
-def test_c12_pam_bounded(tabs):
+def test_c12_pam_bounded():
     green = pam_green()
     out = {}
     for e in (0.05, 0.025):
-        m = _moll(e, tabs)
+        m = _moll(e)
         c = c_eps(m, green)
         out[e] = c12_eps(m, green, c, n_samples=1 << 16, seed=5)
-    c11s = {e: c11_eps(_moll(e, tabs), green, n_samples=1 << 16, seed=6)
+    c11s = {e: c11_eps(_moll(e), green, n_samples=1 << 16, seed=6)
             for e in (0.05, 0.025)}
     inc12 = abs(out[0.025]["value"] - out[0.05]["value"])
     inc11 = abs(c11s[0.025]["value"] - c11s[0.05]["value"])
     assert inc12 < inc11
 
 
-def test_c12_narrow_spike_cancellation(tabs):
+def test_c12_narrow_spike_cancellation():
     # smooth Green at the origin: rho2(z3) acts like delta_0, the two split
     # pieces nearly cancel
     gs = smooth_test_green(lambda z: np.exp(-(z[..., 0] ** 2 + z[..., 1] ** 2)),
                            ((-0.5, 0.5), (-1.0, 1.0)))
     e = 0.01
-    m = _moll(e, tabs)
+    m = _moll(e)
     c = c_eps(m, gs)
     r = c12_eps(m, gs, c, n_samples=1 << 15, seed=17)
     assert abs(r["value"]) < 1e-2 * abs(r["piece_product"])
 
 
-def test_even_reflection_invariance(tabs):
+def test_even_reflection_invariance():
     # reflecting the (even) bump in x changes nothing, bit for bit
     e = 0.1
     green = she_green()
-    a = c11_eps(_moll(e, tabs), green, n_samples=1 << 13, seed=9)
-    b = c11_eps(_moll(e, tabs, flip=True), green, n_samples=1 << 13, seed=9)
+    a = c11_eps(_moll(e), green, n_samples=1 << 13, seed=9)
+    b = c11_eps(_moll(e, flip=True), green, n_samples=1 << 13, seed=9)
     assert a["value"] == b["value"]
 
 
-def test_qmc_rate_on_smooth_integrand(tabs):
+def test_qmc_rate_on_smooth_integrand():
     # randomized-QMC error should beat the Monte Carlo 1/sqrt(N) rate
     # markedly on a smooth integrand: fit stderr ~ N^rate, rate < -0.7
     gs = smooth_test_green(lambda z: np.exp(-(2 * z[..., 0] ** 2 + z[..., 1] ** 2)),
                            ((-0.5, 0.5), (-1.0, 1.0)))
-    m = _moll(0.1, tabs)
+    m = _moll(0.1)
     errs = []
     ns = [1 << 12, 1 << 14, 1 << 16]
     for n in ns:
@@ -175,17 +170,16 @@ def test_qmc_rate_on_smooth_integrand(tabs):
     assert rate < -0.7
 
 
-def test_compute_constants_consistency(tabs):
-    rc = compute_constants("she1d", 0.1, moll=_moll(0.1, tabs),
-                           n_samples=1 << 13, seed=1)
+def test_compute_constants_consistency():
+    rc = compute_constants("she1d", 0.1, n_samples=1 << 13, seed=1)
     assert rc.C_eps == rc.c_eps + rc.c11_eps + rc.c12_eps
     assert rc.c11_err >= 0 and rc.c12_err >= 0
     with pytest.raises(ValueError, match="unknown equation"):
         compute_constants("kpz", 0.1)
 
 
-def test_determinism_across_threads(tabs):
-    m = _moll(0.1, tabs)
+def test_determinism_across_threads():
+    m = _moll(0.1)
     green = pam_green()
     a = c11_eps(m, green, n_samples=1 << 13, seed=4, threads=1)
     b = c11_eps(m, green, n_samples=1 << 13, seed=4, threads=4)

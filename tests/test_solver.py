@@ -186,6 +186,16 @@ def test_ito_requires_grid_dt():
         solve_ito_reference(cfg)
 
 
+def test_spacetime_noise_bounds_T():
+    g = Grid(d=1, L=4.0, N=64, T=0.1, M=64)
+    SolverConfig(equation="she1d", grid=g, eps=0.25, T=0.1)
+    with pytest.raises(ValueError, match="time horizon"):
+        SolverConfig(equation="she1d", grid=g, eps=0.25, T=0.5)
+    # spatial noise is constant in time, so any T is fine
+    g2 = Grid(d=2, L=2.0, N=32)
+    SolverConfig(equation="pam2d", grid=g2, eps=4 * g2.dx, T=0.5)
+
+
 def test_determinism_same_config():
     g = Grid(d=1, L=4.0, N=128, T=0.05, M=256)
     cfg = SolverConfig(equation="she1d", grid=g, eps=4 * g.dx, seed=21,

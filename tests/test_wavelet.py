@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mshe.wavelet import (
+    LevelTransform,
     analyze,
     analyze_spatial,
     build_basis,
@@ -218,3 +221,29 @@ def test_unsupported_order():
 def test_combo_count():
     assert len(spacetime_combos(1)) == 4 * 2 - 1
     assert len(spacetime_combos(3)) == 4 * 8 - 1
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(n=st.integers(0, 2), kt=st.integers(0, 3), kx=st.integers(0, 3),
+       tcode=st.sampled_from(["phi", "psi0", "psi1a", "psi1b", None]),
+       xcodes=st.tuples(*[st.sampled_from(["phi", "psi", "disp"])] * 2),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_forward_adjoint_duality(basis2, n, kt, kx, tcode, xcodes, seed):
+    # <forward(f), c> = <f, adjoint(c)>: on a (time, space) field when tcode
+    # is given, else on a two-axis spatial field; strides 2^kt and 2^kx
+    N = 2 ** (n + kx)
+    if tcode is None:
+        eng = LevelTransform(basis2, n, 1.0 / N)
+        combo, shape = xcodes, (N, N)
+    else:
+        M = 4 ** n * 2 ** kt
+        eng = LevelTransform(basis2, n, 1.0 / N, 1.0 / M)
+        combo, shape = (tcode, xcodes[0]), (M, N)
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(shape)
+    fwd = eng.forward(f, [combo])[combo]
+    c = rng.standard_normal(fwd.shape)
+    adj = eng.adjoint(c, combo, shape)
+    assert adj.shape == f.shape
+    err = abs(np.sum(fwd * c) - np.sum(f * adj))
+    assert err <= 1e-12 * np.linalg.norm(fwd) * np.linalg.norm(c)
