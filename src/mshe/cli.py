@@ -254,12 +254,11 @@ def cmd_solve(args, outdir: Path):
                        snapshots=args.snapshots)
     traj = solve_renormalised(cfg)
     diag = weighted_norm_diag(traj, p=2.0, ell=args.ell)
-    rows = []
-    for i, (t, fld, dd) in enumerate(zip(traj.times, traj.fields, diag)):
+    for i, fld in enumerate(traj.fields):
         write_field(outdir / f"snapshot-{i:03d}.shef",
                     Field(grid=grid, values=fld, kind="spatial"))
-        rows.append((t, float(np.abs(fld).max()), float(fld.mean()) * L ** d,
-                     dd["weighted_lp"]))
+    rows = list(zip(traj.times, traj.diagnostics["max"], traj.diagnostics["mass"],
+                    [dd["weighted_lp"] for dd in diag]))
     _write_csv(outdir / "solve-diag.csv", ["t", "sup", "mass", "weighted_l2"], rows)
     return EXIT_OK
 

@@ -33,6 +33,8 @@ from itertools import product as _iproduct
 
 import numpy as np
 
+from .noise import exp_bump
+
 __all__ = ["heat_kernel", "KernelDecomposition", "decompose"]
 
 
@@ -73,11 +75,7 @@ def _gauge(t, x):
 
 def _bump(u, lo, hi):
     """Smooth bump on (lo, hi), unnormalized."""
-    u = np.asarray(u, dtype=float)
-    s = (2.0 * u - (lo + hi)) / (hi - lo)
-    with np.errstate(divide="ignore", over="ignore"):
-        v = np.where(np.abs(s) < 1.0, np.exp(-1.0 / np.maximum(1.0 - s ** 2, 1e-300)), 0.0)
-    return v
+    return exp_bump((2.0 * np.asarray(u, dtype=float) - (lo + hi)) / (hi - lo))
 
 
 class _DualAxis:

@@ -28,6 +28,7 @@ __all__ = [
     "Grid",
     "Field",
     "Mollifier",
+    "exp_bump",
     "bump_profile",
     "sample_white_noise",
     "mollify",
@@ -116,6 +117,12 @@ def sample_white_noise(grid: Grid, kind: str = "spatial", seed: int = 0) -> Fiel
 # -- mollifier ---------------------------------------------------------------
 
 
+def exp_bump(u):
+    """The unnormalized bump exp(-1/(1-u^2)) on (-1, 1), zero outside."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.where(np.abs(u) < 1.0, np.exp(-1.0 / np.maximum(1e-300, 1.0 - u ** 2)), 0.0)
+
+
 @functools.cache
 def bump_profile(n_tab: int = 8193, profile: str = "exp"):
     """Normalized 1-d bump b on (-1,1) and its self-convolution table on (-2,2).
@@ -127,9 +134,7 @@ def bump_profile(n_tab: int = 8193, profile: str = "exp"):
     """
     u = np.linspace(-1.0, 1.0, n_tab)
     if profile == "exp":
-        with np.errstate(divide="ignore", over="ignore"):
-            b = np.where(np.abs(u) < 1.0,
-                         np.exp(-1.0 / np.maximum(1e-300, 1.0 - u ** 2)), 0.0)
+        b = exp_bump(u)
     elif profile == "poly4":
         b = np.maximum(0.0, 1.0 - u ** 2) ** 4
     else:
@@ -205,37 +210,42 @@ class Mollifier:
         return out
 
     def grid_kernel(self, grid: Grid, kind: str) -> np.ndarray:
-        """rho_eps sampled on the periodic grid, normalized to discrete mass 1.
+        """rho_eps sampled on the periodic grid of a field of this kind."""
+        return self.kernel(grid.shape(kind), grid.dx, grid.dt if kind == "spacetime" else None)
+
+    def kernel(self, shape: tuple, dx: float, dt: float = None) -> np.ndarray:
+        """rho_eps sampled on a periodic array of this shape (time first when dt
+        is given; any length, e.g. a time-padded noise), normalized to discrete
+        mass 1.
 
         Normalizing the sampled kernel makes discrete convolution exactly
         mass preserving (constants map to constants).
         """
         e = self.epsilon
-        if e < 2 * grid.dx - 1e-12:
-            raise ValueError(f"mollifier under-resolved: eps = {e} < 2 dx = {2 * grid.dx}")
-        ax = []
-        if kind == "spacetime":
-            tfreq = np.fft.fftfreq(grid.M, d=1.0 / grid.M) * grid.dt  # signed offsets
-            ax.append(self._b(tfreq / e ** 2))
-        for _ in range(grid.d):
-            xfreq = np.fft.fftfreq(grid.N, d=1.0 / grid.N) * grid.dx
-            ax.append(self._b(xfreq / e))
-        kern = ax[0]
-        for a in ax[1:]:
-            kern = np.multiply.outer(kern, a)
+        if e < 2 * dx - 1e-12:
+            raise ValueError(f"mollifier under-resolved: eps = {e} < 2 dx = {2 * dx}")
+        steps = [(dt, e ** 2)] if dt is not None else []
+        steps += [(dx, e)] * (len(shape) - len(steps))
+        # one profile per axis at the signed periodic offsets, then their product
+        kern = functools.reduce(np.multiply.outer, [
+            self._b(np.fft.fftfreq(n, d=1.0 / n) * h / scale)
+            for n, (h, scale) in zip(shape, steps)])
         tot = kern.sum()
         if tot <= 0:
             raise ValueError("mollifier kernel vanished on the grid")
         return kern / tot
 
+    def convolve(self, F: np.ndarray, shape: tuple, dx: float, dt: float = None) -> np.ndarray:
+        """rho_eps * f, circular on an array of this shape, from F = rfftn(f)."""
+        K = np.fft.rfftn(self.kernel(shape, dx, dt))
+        return np.fft.irfftn(np.multiply(F, K, out=K), s=shape, axes=tuple(range(len(shape))))
+
 
 def mollify(noise: Field, moll: Mollifier) -> Field:
     """Circular convolution rho_eps * xi on the periodic box via FFT."""
-    kern = moll.grid_kernel(noise.grid, noise.kind)
-    F = np.fft.rfftn(noise.values)
-    K = np.fft.rfftn(kern)
-    out = np.fft.irfftn(F * K, s=noise.values.shape, axes=tuple(range(noise.values.ndim)))
-    return noise.copy_with(out)
+    g = noise.grid
+    return noise.copy_with(moll.convolve(np.fft.rfftn(noise.values), noise.values.shape,
+                                         g.dx, g.dt if noise.kind == "spacetime" else None))
 
 
 # -- field file format -------------------------------------------------------

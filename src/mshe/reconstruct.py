@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .noise import Field, Grid
+from .noise import Field, Grid, exp_bump
 from .wavelet import LevelTransform, WaveletBasis
 
 __all__ = [
@@ -122,13 +122,7 @@ class Model:
         t0 = g.ts[it] if center is None else center[0]
         x0 = g.xs[ix] if center is None else center[1]
         tt, xx = self._mesh()
-
-        def bump(u):
-            with np.errstate(divide="ignore", over="ignore"):
-                return np.where(np.abs(u) < 1.0,
-                                np.exp(-1.0 / np.maximum(1e-300, 1.0 - u ** 2)), 0.0)
-
-        eta = bump((tt - t0) / lam ** 2) * bump((xx - x0) / lam)
+        eta = exp_bump((tt - t0) / lam ** 2) * exp_bump((xx - x0) / lam)
         mass = eta.sum() * g.dt * g.dx
         if mass == 0.0:
             raise ValueError("test function support misses the grid")
@@ -254,7 +248,7 @@ def _delta_A(A_n: np.ndarray, A_n1: np.ndarray, basis: WaveletBasis) -> np.ndarr
     """delta A^n_{t,x} = sum_k a_k A^{n+1}_{(t,x) + k 2^-(n+1)} - A^n_{t,x}."""
     a_t, a_x = _refine_coeffs(basis)
     nt1, nx1 = A_n1.shape
-    out = np.zeros_like(A_n)
+    out = np.zeros(A_n.shape)
     base_t = 4 * np.arange(A_n.shape[0])
     base_x = 2 * np.arange(A_n.shape[1])
     for k0, at in enumerate(a_t):
@@ -307,7 +301,8 @@ def sewing_check(result: dict, alpha: float, gamma: float, p: float = 2.0,
         raise ValueError("need at least 4 levels for the sewing check")
 
     def level_norm(arr, n, expo):
-        scaled = np.abs(arr) / 2.0 ** (-n * s_norm / 2.0 - n * expo)
+        # row sums round by memory layout: sum over C-ordered rows
+        scaled = np.abs(np.ascontiguousarray(arr)) / 2.0 ** (-n * s_norm / 2.0 - n * expo)
         agg = (2.0 ** (-n * d) * np.sum(scaled ** p, axis=1)) ** (1.0 / p)
         return float(np.max(agg))
 

@@ -10,7 +10,8 @@ potential step is the exact ODE flow,
 so both the zero-potential dynamics (spectrally exact) and the
 space-independent-potential dynamics (exact exponential growth) are
 reproduced to round-off, and every observed epsilon-effect comes from the
-noise's spatial structure.
+noise's spatial structure.  All solvers share this split-step loop, each
+with its own reaction step and Fourier multiplier.
 
 For the 1-d space-time equation a classical Ito (Walsh) reference is provided:
 semi-implicit Euler with the finite-difference Laplacian and discrete noise
@@ -19,9 +20,9 @@ noise field as the mollified solver so that distances between the two are
 low-variance.
 
 Convergence studies fix one noise realization per seed at the finest grid,
-mollify it at each epsilon of a dyadic list (with the renormalisation
-constant computed per epsilon for the same mollifier), and report pairwise
-distances in the exponentially weighted norm
+Fourier-transform it once, mollify it at each epsilon of a dyadic list
+(with the renormalisation constant computed per epsilon for the same
+mollifier), and report pairwise distances in the exponentially weighted norm
 
     d(u, v) = max_snapshots || (u - v)(t, .) e^{-(t + ell)(1 + |x|)} ||_p.
 """
@@ -29,7 +30,7 @@ distances in the exponentially weighted norm
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -103,6 +104,7 @@ class Trajectory:
     fields: list
     grid: Grid
     diagnostics: dict = field(default_factory=dict)
+    dt: float = 0.0   # the step the snapshots were taken at
 
     def final(self) -> np.ndarray:
         return self.fields[-1]
@@ -136,15 +138,38 @@ def _initial_field(cfg: SolverConfig) -> np.ndarray:
     raise ValueError(f"unsupported initial condition {cfg.u0!r}")
 
 
-def _snapshot_indices(n_steps: int, n_snap: int, T: float, dt: float,
-                      t0: float = None) -> np.ndarray:
-    """Steps closest to shared target times linspace(t0, T, n_snap), so
-    trajectories from solvers with different dt are comparable."""
-    n = min(n_snap, n_steps)
-    if t0 is None:
-        t0 = T / n
-    targets = np.linspace(t0, T, n)
-    return np.unique(np.clip(np.round(targets / dt).astype(int), 1, n_steps))
+def _split_step(cfg: SolverConfig, u: np.ndarray, react, symbol: np.ndarray) -> Trajectory:
+    """The time-stepping loop of every solver: for k < T/dt,
+
+        u <- irfftn(rfftn(react(k, u)) * symbol),
+
+    stopped by the overflow guard.  Snapshots are taken at the steps closest
+    to the target times linspace(t0, T, snapshots), which every solver shares,
+    so trajectories from solvers with different dt are comparable."""
+    n_steps = int(round(cfg.T / cfg.dt))
+    n = min(cfg.snapshots, n_steps)
+    targets = np.linspace(cfg.T / n if cfg.snapshot_t0 is None else cfg.snapshot_t0, cfg.T, n)
+    snaps = np.unique(np.clip(np.round(targets / cfg.dt).astype(int), 1, n_steps))
+    axes = tuple(range(u.ndim))
+    times, fields = [], []
+    for k in range(n_steps):
+        u = np.fft.irfftn(np.fft.rfftn(react(k, u)) * symbol, s=u.shape, axes=axes)
+        if not np.all(np.abs(u) < _GUARD):
+            raise BlowUpError((k + 1) * cfg.dt)
+        if (k + 1) in snaps:
+            times.append((k + 1) * cfg.dt)
+            fields.append(u.copy())
+    g = cfg.grid
+    traj = Trajectory(times=np.asarray(times), fields=fields, grid=g, dt=cfg.dt)
+    traj.diagnostics["mass"] = [float(f.mean()) * g.L ** g.d for f in fields]
+    traj.diagnostics["max"] = [float(np.abs(f).max()) for f in fields]
+    return traj
+
+
+def _time_slices(cfg: SolverConfig, values: np.ndarray):
+    """Step k -> the left-point time slice of space-time noise values."""
+    ratio = cfg.dt / cfg.grid.dt
+    return lambda k: values[min(int(k * ratio + 1e-9), cfg.grid.M - 1)]
 
 
 def mollified_noise(cfg: SolverConfig, noise: Field = None) -> Field:
@@ -155,59 +180,20 @@ def mollified_noise(cfg: SolverConfig, noise: Field = None) -> Field:
     return mollify(noise, Mollifier(epsilon=cfg.eps))
 
 
-def _mollify_extended(ext_values: np.ndarray, grid: Grid, eps: float,
-                      pad: int) -> Field:
-    """Mollify a time-padded space-time noise array and return the interior
-    [0, T] slab: a clean linear convolution in time (no wrap), circular in
-    the periodic space directions."""
-    moll = Mollifier(epsilon=eps)
-    M_ext = ext_values.shape[0]
-    toffs = np.fft.fftfreq(M_ext, d=1.0 / M_ext) * grid.dt
-    ax = [moll._b(toffs / eps ** 2)]
-    for _ in range(grid.d):
-        xoffs = np.fft.fftfreq(grid.N, d=1.0 / grid.N) * grid.dx
-        ax.append(moll._b(xoffs / eps))
-    kern = ax[0]
-    for a in ax[1:]:
-        kern = np.multiply.outer(kern, a)
-    kern = kern / kern.sum()
-    out = np.fft.irfftn(np.fft.rfftn(ext_values) * np.fft.rfftn(kern),
-                        s=ext_values.shape, axes=tuple(range(ext_values.ndim)))
-    return Field(grid=grid, values=out[pad:pad + grid.M].copy(), kind="spacetime")
-
-
 def solve_renormalised(cfg: SolverConfig, noise: Field = None,
                        xi_eps: Field = None) -> Trajectory:
     """Exponential-splitting integration of the renormalised equation.
 
     Either supply the raw noise (mollified here) or a pre-mollified xi_eps.
     """
-    g = cfg.grid
     xi = xi_eps if xi_eps is not None else mollified_noise(cfg, noise)
-    u = _initial_field(cfg)
-    n_steps = int(round(cfg.T / cfg.dt))
-    semigroup = _heat_symbol(g, cfg.dt)
-    snaps = _snapshot_indices(n_steps, cfg.snapshots, cfg.T, cfg.dt, cfg.snapshot_t0)
-    times, fields = [], []
     if xi.kind == "spatial":
-        react = np.exp(cfg.dt * (xi.values - cfg.C_eps))
-    ratio = cfg.dt / g.dt if g.M else 0.0
-    for k in range(n_steps):
-        if xi.kind == "spacetime":
-            # left-point time slice of the mollified space-time noise
-            tid = min(int(k * ratio + 1e-9), g.M - 1)
-            react = np.exp(cfg.dt * (xi.values[tid] - cfg.C_eps))
-        u = u * react
-        u = np.fft.irfftn(np.fft.rfftn(u) * semigroup, s=u.shape, axes=tuple(range(u.ndim)))
-        if not np.all(np.abs(u) < _GUARD):
-            raise BlowUpError((k + 1) * cfg.dt)
-        if (k + 1) in snaps:
-            times.append((k + 1) * cfg.dt)
-            fields.append(u.copy())
-    traj = Trajectory(times=np.asarray(times), fields=fields, grid=g)
-    traj.diagnostics["mass"] = [float(f.mean()) * g.L ** g.d for f in fields]
-    traj.diagnostics["max"] = [float(np.abs(f).max()) for f in fields]
-    return traj
+        factor = np.exp(cfg.dt * (xi.values - cfg.C_eps))
+        react = lambda k, u: u * factor
+    else:
+        xi_k = _time_slices(cfg, xi.values)
+        react = lambda k, u: u * np.exp(cfg.dt * (xi_k(k) - cfg.C_eps))
+    return _split_step(cfg, _initial_field(cfg), react, _heat_symbol(cfg.grid, cfg.dt))
 
 
 def solve_ito_reference(cfg: SolverConfig, noise: Field = None) -> Trajectory:
@@ -225,28 +211,12 @@ def solve_ito_reference(cfg: SolverConfig, noise: Field = None) -> Trajectory:
                          f"step: set dt = grid.dt = {g.dt}")
     if noise is None:
         noise = sample_white_noise(g, "spacetime", seed=cfg.seed)
-    u = _initial_field(cfg)
-    n_steps = int(round(cfg.T / cfg.dt))
     # finite-difference symbol of the periodic second difference
     m = np.fft.rfftfreq(g.N, d=1.0 / g.N)
     lam = 4.0 * np.sin(np.pi * m / g.N) ** 2 / g.dx ** 2
-    inv = 1.0 / (1.0 + cfg.dt * lam)
-    snaps = _snapshot_indices(n_steps, cfg.snapshots, cfg.T, cfg.dt, cfg.snapshot_t0)
-    times, fields = [], []
-    ratio = cfg.dt / g.dt
-    for k in range(n_steps):
-        tid = min(int(k * ratio + 1e-9), g.M - 1)
-        eta = cfg.dt * noise.values[tid]
-        u = u + u * eta
-        u = np.fft.irfft(np.fft.rfft(u) * inv, n=g.N)
-        if not np.all(np.abs(u) < _GUARD):
-            raise BlowUpError((k + 1) * cfg.dt)
-        if (k + 1) in snaps:
-            times.append((k + 1) * cfg.dt)
-            fields.append(u.copy())
-    traj = Trajectory(times=np.asarray(times), fields=fields, grid=g)
-    traj.diagnostics["mass"] = [float(f.mean()) * g.L for f in fields]
-    return traj
+    xi_k = _time_slices(cfg, noise.values)
+    return _split_step(cfg, _initial_field(cfg), lambda k, u: u + u * (cfg.dt * xi_k(k)),
+                       1.0 / (1.0 + cfg.dt * lam))
 
 
 def solve_pam_transformed(cfg: SolverConfig, xi_eps: np.ndarray, C: float) -> Trajectory:
@@ -267,51 +237,55 @@ def solve_pam_transformed(cfg: SolverConfig, xi_eps: np.ndarray, C: float) -> Tr
     k2flat[(0,) * g.d] = 1.0
     w_hat = -np.fft.rfftn(rhs) / k2flat
     w_hat[(0,) * g.d] = 0.0
-    w = np.fft.irfftn(w_hat, s=rhs.shape, axes=tuple(range(rhs.ndim)))
-    grads = [np.fft.irfftn(1j * mesh[i] * w_hat, s=rhs.shape, axes=tuple(range(rhs.ndim))) for i in range(g.d)]
+    axes = tuple(range(g.d))
+    w = np.fft.irfftn(w_hat, s=rhs.shape, axes=axes)
+    grads = [np.fft.irfftn(1j * mesh[i] * w_hat, s=rhs.shape, axes=axes) for i in range(g.d)]
     grad2 = sum(gr ** 2 for gr in grads)
 
-    v = _initial_field(cfg) * np.exp(w)
-    n_steps = int(round(cfg.T / cfg.dt))
-    semigroup = _heat_symbol(g, cfg.dt)
-    snaps = _snapshot_indices(n_steps, cfg.snapshots, cfg.T, cfg.dt, cfg.snapshot_t0)
-    times, fields = [], []
-    for k in range(n_steps):
+    def drift_step(k, v):
         v_hat = np.fft.rfftn(v)
-        gv = [np.fft.irfftn(1j * mesh[i] * v_hat, s=v.shape, axes=tuple(range(v.ndim))) for i in range(g.d)]
+        gv = [np.fft.irfftn(1j * mesh[i] * v_hat, s=v.shape, axes=axes) for i in range(g.d)]
         drift = -2.0 * sum(gw * gvi for gw, gvi in zip(grads, gv)) + v * grad2
-        v = v + cfg.dt * drift
-        v = np.fft.irfftn(np.fft.rfftn(v) * semigroup, s=v.shape, axes=tuple(range(v.ndim)))
-        if (k + 1) in snaps:
-            times.append((k + 1) * cfg.dt)
-            fields.append(v * np.exp(-w))
-    return Trajectory(times=np.asarray(times), fields=fields, grid=g)
+        return v + cfg.dt * drift
+
+    vt = _split_step(cfg, _initial_field(cfg) * np.exp(w), drift_step, _heat_symbol(g, cfg.dt))
+    return Trajectory(times=vt.times, fields=[v * np.exp(-w) for v in vt.fields], grid=g,
+                      dt=cfg.dt)
 
 
 # -- distances and studies -----------------------------------------------------
 
 
-def _radius(grid: Grid) -> np.ndarray:
-    mesh = np.meshgrid(*([grid.xs] * grid.d), indexing="ij")
-    return np.sqrt(sum(m ** 2 for m in mesh))
+def _weighted_lp(grid: Grid, times, fields, p: float, ell: float):
+    """Per snapshot: the weight e^{-(t+ell)(1+|x|)} and the weighted L^p norm
+    of the field."""
+    r = np.sqrt(sum(m ** 2 for m in np.meshgrid(*([grid.xs] * grid.d), indexing="ij")))
+    for t, f in zip(times, fields):
+        wgt = np.exp(-(t + ell) * (1.0 + r))
+        a = np.abs(f) * wgt
+        if np.isinf(p):
+            yield wgt, float(a.max())
+        else:
+            yield wgt, float((np.sum(a ** p) * grid.dx ** grid.d) ** (1.0 / p))
 
 
 def weighted_distance(t1: Trajectory, t2: Trajectory, p: float = 2.0,
                       ell: float = 0.0) -> float:
     """sup over common snapshot times of the e^{-(t+ell)(1+|x|)}-weighted
-    L^p distance between the snapshot fields."""
-    g = t1.grid
-    r = _radius(g)
-    best = 0.0
-    for t, f1, f2 in zip(t1.times, t1.fields, t2.fields):
-        wgt = np.exp(-(t + ell) * (1.0 + r))
-        diff = np.abs(f1 - f2) * wgt
-        if np.isinf(p):
-            val = float(diff.max())
-        else:
-            val = float((np.sum(diff ** p) * g.dx ** g.d) ** (1.0 / p))
-        best = max(best, val)
-    return best
+    L^p distance between the snapshot fields.
+
+    The snapshot lists must line up: the same length, and times that differ
+    by no more than the two solvers' rounding of shared target times to their
+    own steps, (dt1 + dt2) / 2.
+    """
+    if len(t1.times) != len(t2.times):
+        raise ValueError(f"snapshot lists differ in length: {len(t1.times)} != {len(t2.times)}")
+    off = np.abs(np.asarray(t1.times) - np.asarray(t2.times))
+    if off.size and off.max() > (t1.dt + t2.dt) * (0.5 + 1e-9):
+        raise ValueError(f"snapshot times differ by {off.max():.6g}, more than half "
+                         f"the sum of the steps {t1.dt:.6g} and {t2.dt:.6g}")
+    diffs = (f1 - f2 for f1, f2 in zip(t1.fields, t2.fields))
+    return max([0.0] + [val for _, val in _weighted_lp(t1.grid, t1.times, diffs, p, ell)])
 
 
 def convergence_study(equation: str, grid: Grid, eps_list, T: float,
@@ -344,42 +318,37 @@ def convergence_study(equation: str, grid: Grid, eps_list, T: float,
     # pad the time axis so each mollification is a clean linear convolution
     # on [0, T]: all epsilons then share one noise realization with no
     # wrap-around pollution near the time endpoints
-    pad = 0
+    pad, noise_dt = 0, None
     if kind == "spacetime":
-        pad = int(np.ceil(2.0 * max(eps_list) ** 2 / grid.dt)) + 1
+        pad, noise_dt = int(np.ceil(2.0 * max(eps_list) ** 2 / grid.dt)) + 1, grid.dt
 
     def run_seed(seed):
         if kind == "spatial":
-            noise = sample_white_noise(grid, kind, seed=seed)
-            trajs = {e: solve_renormalised(
-                SolverConfig(equation=equation, grid=grid, eps=e,
-                             C_eps=constants[e], u0=u0, T=T, seed=seed,
-                             snapshots=snapshots, snapshot_t0=snapshot_t0,
-                             dt=dt), noise=noise)
-                for e in eps_list}
+            noise = sample_white_noise(grid, kind, seed=seed).values
         else:
             rng = np.random.Generator(np.random.Philox(key=(seed, 1)))
-            shape = (grid.M + 2 * pad,) + grid.space_shape()
-            ext = rng.standard_normal(shape) / np.sqrt(grid.dt * grid.dx ** grid.d)
-            interior = Field(grid=grid, values=ext[pad:pad + grid.M].copy(),
+            noise = rng.standard_normal((grid.M + 2 * pad,) + grid.space_shape()) \
+                / np.sqrt(grid.dt * grid.dx ** grid.d)
+            interior = Field(grid=grid, values=noise[pad:pad + grid.M].copy(),
                              kind="spacetime")
-            trajs = {}
-            for e in eps_list:
-                xi = _mollify_extended(ext, grid, e, pad)
-                cfg = SolverConfig(equation=equation, grid=grid, eps=e,
-                                   C_eps=constants[e], u0=u0, T=T,
-                                   seed=seed, snapshots=snapshots,
-                                   snapshot_t0=snapshot_t0, dt=dt)
-                trajs[e] = solve_renormalised(cfg, xi_eps=xi)
+        shape = noise.shape
+        F = np.fft.rfftn(noise)
+        del noise  # only the spectrum is needed from here on
+        trajs = {}
+        for e in eps_list:
+            cfg = SolverConfig(equation=equation, grid=grid, eps=e,
+                               C_eps=constants[e], u0=u0, T=T, seed=seed,
+                               snapshots=snapshots, snapshot_t0=snapshot_t0, dt=dt)
+            xi = Mollifier(epsilon=e).convolve(F, shape, grid.dx, noise_dt)
+            if kind == "spacetime":
+                xi = xi[pad:pad + grid.M].copy()  # the [0, T] slab
+            trajs[e] = solve_renormalised(cfg, xi_eps=Field(grid=grid, values=xi, kind=kind))
         dists = [weighted_distance(trajs[a], trajs[b], p=p, ell=ell)
                  for a, b in zip(eps_list, eps_list[1:])]
         out = {"pairwise": dists}
         if include_ito and equation == "she1d":
-            cfg = SolverConfig(equation=equation, grid=grid, eps=eps_list[-1],
-                               C_eps=0.0, u0=u0, T=T, seed=seed,
-                               snapshots=snapshots, snapshot_t0=snapshot_t0,
-                               dt=grid.dt)
-            ito = solve_ito_reference(cfg, noise=interior)
+            # the finest epsilon's config, stepped at the noise's own dt
+            ito = solve_ito_reference(replace(cfg, C_eps=0.0, dt=grid.dt), noise=interior)
             out["to_ito"] = [weighted_distance(trajs[e], ito, p=p, ell=ell)
                              for e in eps_list]
         return out
@@ -398,17 +367,10 @@ def weighted_norm_diag(traj: Trajectory, p: float = 2.0, ell: float = 0.0,
     """Per-snapshot diagnostics: the e^{-(t+ell)(1+|x|)}-weighted L^p norm,
     and optionally a spatial Besov norm of the weighted snapshot."""
     g = traj.grid
-    r = _radius(g)
     out = []
-    for t, f in zip(traj.times, traj.fields):
-        row = {"t": float(t)}
-        wgt = np.exp(-(t + ell) * (1.0 + r))
-        if np.isinf(p):
-            row["weighted_lp"] = float(np.abs(f * wgt).max())
-        else:
-            row["weighted_lp"] = float((np.sum(np.abs(f * wgt) ** p) * g.dx ** g.d)
-                                       ** (1.0 / p))
-        row["unweighted_sup"] = float(np.abs(f).max())
+    norms = _weighted_lp(g, traj.times, traj.fields, p, ell)
+    for t, f, (wgt, val) in zip(traj.times, traj.fields, norms):
+        row = {"t": float(t), "weighted_lp": val, "unweighted_sup": float(np.abs(f).max())}
         if alpha is not None and basis is not None:
             from .besov import besov_norm
             from .wavelet import analyze_spatial

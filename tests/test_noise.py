@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from mshe.noise import (
@@ -207,3 +209,26 @@ def test_mollification_error_decays(basis):
         pyr = analyze(diff, basis, 1, 5, grid.T, grid.L)
         norms.append(besov.besov_norm(pyr, alpha, p=2.0, weight=w))
     assert norms[0] > norms[1] > norms[2]
+
+
+@settings(max_examples=40)
+@given(d=st.integers(1, 2), log_n=st.integers(3, 5),
+       log_m=st.sampled_from([None, 3, 4, 5]), L=st.floats(1.0, 8.0),
+       T=st.floats(0.1, 2.0), cells=st.floats(2.0, 6.0), c=st.floats(-5.0, 5.0),
+       a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 31))
+def test_mollify_mass_and_linearity(d, log_n, log_m, L, T, cells, c, a, b, seed):
+    # constants map to constants, and rho_eps * (a f + b g) = a rho_eps * f +
+    # b rho_eps * g, on spatial and space-time grids at any eps >= 2 dx
+    if log_m is None:
+        grid, kind = Grid(d=d, L=L, N=2 ** log_n), "spatial"
+    else:
+        grid, kind = Grid(d=d, L=L, N=2 ** log_n, T=T, M=2 ** log_m), "spacetime"
+    moll = Mollifier(epsilon=cells * grid.dx)
+    const = Field(grid=grid, values=np.full(grid.shape(kind), c), kind=kind)
+    assert np.abs(mollify(const, moll).values - c).max() <= 1e-12 * max(1.0, abs(c))
+    f = sample_white_noise(grid, kind, seed=seed)
+    g = sample_white_noise(grid, kind, seed=seed + 1)
+    lhs = mollify(f.copy_with(a * f.values + b * g.values), moll).values
+    rhs = a * mollify(f, moll).values + b * mollify(g, moll).values
+    scale = abs(a) * np.abs(f.values).max() + abs(b) * np.abs(g.values).max()
+    assert np.abs(lhs - rhs).max() <= 1e-12 * max(scale, 1.0)

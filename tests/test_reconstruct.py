@@ -284,3 +284,24 @@ def test_modelled_roundtrip(tmp_path, setup):
     assert np.array_equal(h.get("1"), gf)
     assert np.array_equal(h.get("X*Xi"), gx)
     assert np.all(h.get("Xi") == 0.0)
+
+
+def test_reconstruct_norms_independent_of_layout(setup, monkeypatch):
+    # the same level values, C- or Fortran-ordered, give the same deltas and
+    # the same sewing norms bit for bit
+    import mshe.reconstruct as rec
+
+    basis, g, model, _ = setup
+    gf, gx = _smooth_pair(g)
+    f = ModelledDistribution(grid=g, coeffs={"1": gf, "X": gx})
+    res = reconstruct(f, model, basis, 3, 6)
+    level_A = rec._level_A
+    monkeypatch.setattr(rec, "_level_A", lambda *a: np.asfortranarray(level_A(*a)))
+    res_f = reconstruct(f, model, basis, 3, 6)
+    assert all(A.flags.f_contiguous and not A.flags.c_contiguous
+               for A in res_f["levels"].values())
+    for n in res["levels"]:
+        assert np.array_equal(res_f["levels"][n], res["levels"][n])
+    for n in res["deltas"]:
+        assert np.array_equal(res_f["deltas"][n], res["deltas"][n])
+    assert sewing_check(res_f, alpha=0.0, gamma=2.0) == sewing_check(res, alpha=0.0, gamma=2.0)

@@ -10,6 +10,7 @@ from mshe.solver import (
     solve_ito_reference,
     solve_pam_transformed,
     solve_renormalised,
+    weighted_distance,
     weighted_norm_diag,
 )
 
@@ -143,6 +144,20 @@ def test_blowup_detected():
     assert exc.value.time > 0
 
 
+def test_blowup_detected_by_every_solver():
+    # the overflow guard is part of the shared step loop
+    g = Grid(d=1, L=4.0, N=128, T=0.1, M=256)
+    cfg = SolverConfig(equation="she1d", grid=g, eps=4 * g.dx, u0=("const", 1e13),
+                       T=0.1, snapshots=2, dt=g.dt)
+    with pytest.raises(BlowUpError):
+        solve_ito_reference(cfg, noise=_zero_noise(g, "spacetime"))
+    g2 = Grid(d=2, L=2.0, N=32)
+    cfg2 = SolverConfig(equation="pam2d", grid=g2, eps=4 * g2.dx, u0=("const", 1e13),
+                        T=0.01, snapshots=2)
+    with pytest.raises(BlowUpError):
+        solve_pam_transformed(cfg2, np.zeros(g2.space_shape()), 0.0)
+
+
 def test_ito_mean_preservation():
     g = Grid(d=1, L=4.0, N=128, T=0.1, M=1024)
     means = []
@@ -243,3 +258,42 @@ def test_convergence_study_small_she():
     assert len(r["pairwise"]) == 2
     assert len(r["to_ito"]) == 3
     assert all(v > 0 for v in r["pairwise"])
+
+
+def test_weighted_distance_rejects_misaligned_snapshots():
+    g = Grid(d=1, L=4.0, N=128, T=0.1, M=256)
+
+    def run(**kw):
+        cfg = SolverConfig(equation="she1d", grid=g, eps=4 * g.dx, u0=("const", 1.0),
+                           **{"T": 0.1, **kw})
+        return solve_renormalised(cfg, noise=_zero_noise(g, "spacetime"))
+
+    base = run(snapshots=3)
+    # the same targets at another step line up
+    assert weighted_distance(base, run(snapshots=3, dt=g.dt)) < 1e-10
+    # steps 1e-3 and 7e-4 round the target 0.00248 to 0.002 and 0.0028: more
+    # than half the larger step apart, but within (dt1 + dt2) / 2
+    a, b = (run(T=0.01, snapshots=2, snapshot_t0=0.00248, dt=dt) for dt in (1e-3, 7e-4))
+    assert abs(a.times[0] - b.times[0]) > 0.5 * 1e-3
+    assert weighted_distance(a, b) < 1e-10
+    with pytest.raises(ValueError, match="length"):
+        weighted_distance(base, run(snapshots=4))
+    with pytest.raises(ValueError, match="times differ"):
+        weighted_distance(base, run(snapshots=3, snapshot_t0=0.01))
+
+
+def test_convergence_study_pam3d_equals_direct_solves():
+    # transforming each seed's noise once gives, bit for bit, the distances
+    # of solving every epsilon from the sampled noise
+    g = Grid(d=3, L=2.0, N=16)
+    eps = [1.0, 0.5, 0.25]
+    constants = {1.0: 0.1, 0.5: 0.4, 0.25: 1.2}
+    res = convergence_study("pam3d", g, eps, T=0.05, seeds=(0, 3),
+                            constants=constants, snapshot_t0=0.01)
+    for seed, r in zip(res["seeds"], res["results"]):
+        noise = sample_white_noise(g, "spatial", seed)
+        trajs = [solve_renormalised(
+            SolverConfig(equation="pam3d", grid=g, eps=e, C_eps=constants[e],
+                         u0=("const", 1.0), T=0.05, seed=seed, snapshots=6,
+                         snapshot_t0=0.01), noise=noise) for e in eps]
+        assert r["pairwise"] == [weighted_distance(a, b) for a, b in zip(trajs, trajs[1:])]

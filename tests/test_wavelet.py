@@ -223,7 +223,7 @@ def test_combo_count():
     assert len(spacetime_combos(3)) == 4 * 8 - 1
 
 
-@settings(deadline=None, derandomize=True, max_examples=60)
+@settings(max_examples=60)
 @given(n=st.integers(0, 2), kt=st.integers(0, 3), kx=st.integers(0, 3),
        tcode=st.sampled_from(["phi", "psi0", "psi1a", "psi1b", None]),
        xcodes=st.tuples(*[st.sampled_from(["phi", "psi", "disp"])] * 2),
