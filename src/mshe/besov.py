@@ -39,6 +39,7 @@ __all__ = [
     "SolutionWeights",
     "besov_norm",
     "level_aggregate",
+    "row_aggregate",
     "check_weight",
     "check_assumption_w",
     "dirac_membership",
@@ -91,12 +92,6 @@ class SolutionWeights:
         r = np.asarray(r, dtype=float)
         return power * np.log1p(r) + (np.asarray(t) + self.ell) * (1.0 + r)
 
-    def w(self, i: int, t, r, zeta):
-        return np.exp(self.log_w(i, t, r, zeta))
-
-    def w_pi(self, r):
-        return model_weight(self.c, self.kappa)(r)
-
     def log_w_pi(self, r):
         return model_weight(self.c, self.kappa).log(r)
 
@@ -122,8 +117,8 @@ def _lattice_radii(pyr, n) -> np.ndarray:
     return np.sqrt(sum(g ** 2 for g in grids))
 
 
-def _row_aggregate(arr, wvals, n, d, p, reduce="max"):
-    """l^p-in-x aggregate with volume factor 2^{-nd}, weight divided out.
+def row_aggregate(arr, wvals, vol, p, reduce="max"):
+    """l^p-in-x aggregate with cell volume vol, weight divided out.
 
     arr has the time axis first for space-time pyramids (absent for spatial).
     reduce='max' takes the sup over time rows (norm semantics); 'mean'
@@ -134,7 +129,7 @@ def _row_aggregate(arr, wvals, n, d, p, reduce="max"):
     if math.isinf(p):
         return float(np.max(scaled))
     axes = tuple(range(arr.ndim - wvals.ndim, arr.ndim))
-    agg_p = 2.0 ** (-n * d) * np.sum(scaled ** p, axis=axes)
+    agg_p = vol * np.sum(scaled ** p, axis=axes)
     if reduce == "mean":
         return float(np.mean(agg_p) ** (1.0 / p))
     return float(np.max(agg_p) ** (1.0 / p))
@@ -151,7 +146,7 @@ def level_aggregate(pyr, n: int, p: float = 2.0, weight: Weight = None,
     """
     r = _lattice_radii(pyr, n)
     wvals = weight(r) if weight is not None else np.ones_like(r)
-    per = [_row_aggregate(arr, wvals, n, pyr.d, p, reduce=reduce)
+    per = [row_aggregate(arr, wvals, 2.0 ** (-n * pyr.d), p, reduce=reduce)
            for arr in pyr.levels[n].values()]
     if reduce == "mean" and not math.isinf(p):
         return float(np.mean(np.asarray(per) ** p) ** (1.0 / p))
@@ -172,7 +167,8 @@ def besov_norm(pyr, alpha: float, p: float = 2.0, weight: Weight = None) -> floa
     r = _lattice_radii(pyr, n0)
     wvals = weight(r) if weight is not None else np.ones_like(r)
     normalizer = 2.0 ** (-n0 * s_norm / 2.0 - n0 * alpha)
-    best = max(best, _row_aggregate(pyr.phi_level, wvals, n0, pyr.d, p) / normalizer)
+    best = max(best, row_aggregate(pyr.phi_level, wvals, 2.0 ** (-n0 * pyr.d), p)
+               / normalizer)
     return best
 
 

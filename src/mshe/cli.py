@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import shlex
 import sys
 from pathlib import Path
 
@@ -34,10 +35,20 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _write_resolved(outdir: Path, args: argparse.Namespace) -> None:
-    skip = {"func", "config"}
-    items = sorted((k, v) for k, v in vars(args).items() if k not in skip)
-    text = "\n".join(f"{k}={_fmt(v)}" for k, v in items)
-    (outdir / "resolved-config.txt").write_text(text + "\n")
+    """The flags of this run in the form --config reads: flag=value, list
+    items separated by spaces (shell-quoted), a set store_true flag bare."""
+    skip = {"func", "config", "command", "sub", "out"}
+    lines = []
+    for k, v in sorted(vars(args).items()):
+        if k in skip or v is None or v is False:
+            continue
+        flag = k.replace("_", "-")
+        if v is True:
+            lines.append(flag)
+        else:
+            vals = v if isinstance(v, list) else [v]
+            lines.append(f"{flag}={' '.join(shlex.quote(_fmt(x)) for x in vals)}")
+    (outdir / "resolved-config.txt").write_text("\n".join(lines) + "\n")
 
 
 def _parse_grid(spec: str):
@@ -231,7 +242,6 @@ def cmd_solve(args, outdir: Path):
 
     N, M, L, T = _parse_grid(args.grid)
     d, eq, _ = EQUATIONS[args.equation]
-    d = args.d or d
     grid = Grid(d=d, L=L, N=N, T=T, M=M)
     if args.u0.startswith("const:"):
         u0 = ("const", float(args.u0.split(":", 1)[1]))
@@ -268,8 +278,7 @@ def cmd_converge(args, outdir: Path):
     from .solver import EQUATIONS, convergence_study
 
     N, M, L, T = _parse_grid(args.grid)
-    d = args.d or EQUATIONS[args.equation][0]
-    grid = Grid(d=d, L=L, N=N, T=T, M=M)
+    grid = Grid(d=EQUATIONS[args.equation][0], L=L, N=N, T=T, M=M)
     u0 = ("const", float(args.u0.split(":", 1)[1])) if args.u0.startswith("const:") \
         else args.u0
     res = convergence_study(args.equation, grid, args.eps_list, T=args.T or T,
@@ -293,6 +302,9 @@ def cmd_converge(args, outdir: Path):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from .solver import EQUATIONS
+
+    renormalised = sorted({eq for _, eq, _ in EQUATIONS.values() if eq})
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value file; flags override it")
     common.add_argument("--out", default=".", help="output directory")
@@ -368,7 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_noise_regularity)
 
     q = sub.add_parser("renorm", parents=[common], help="renormalisation constants")
-    q.add_argument("--equation", choices=["pam3d", "she1d"], required=True)
+    q.add_argument("--equation", choices=renormalised, required=True)
     q.add_argument("--eps", type=float, nargs="+", required=True)
     q.add_argument("--samples", type=int, default=1 << 16)
     q.add_argument("--seed", type=int, default=0)
@@ -387,8 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_reconstruct)
 
     q = sub.add_parser("solve", parents=[common], help="renormalised-equation solver")
-    q.add_argument("--equation", choices=["pam2d", "pam3d", "she1d"], required=True)
-    q.add_argument("--d", type=int, default=None)
+    q.add_argument("--equation", choices=sorted(EQUATIONS), required=True)
     q.add_argument("--eps", type=float, required=True)
     q.add_argument("--ceps", default="auto")
     q.add_argument("--u0", default="dirac")
@@ -401,8 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_solve)
 
     q = sub.add_parser("converge", parents=[common], help="coupled-noise dyadic epsilon study")
-    q.add_argument("--equation", choices=["pam2d", "pam3d", "she1d"], required=True)
-    q.add_argument("--d", type=int, default=None)
+    q.add_argument("--equation", choices=sorted(EQUATIONS), required=True)
     q.add_argument("--eps-list", type=float, nargs="+", required=True)
     q.add_argument("--grid", required=True)
     q.add_argument("--T", type=float, default=None)
@@ -436,7 +446,7 @@ def _apply_config_file(argv):
         if not line or line.startswith("#"):
             continue
         key, _, val = line.partition("=")
-        extra.extend([f"--{key.strip()}"] + ([val.strip()] if val.strip() else []))
+        extra.extend([f"--{key.strip()}"] + shlex.split(val))
     n_head = 0
     if rest and not rest[0].startswith("-"):
         n_head = 2 if rest[0] in _NESTED else 1

@@ -190,7 +190,6 @@ class KernelDecomposition:
         def rec(axis, tt, xx):
             if axis > self.d:
                 return fn(tt, xx)
-            m = k[axis - 1] if axis >= 1 else 0
             m = k[0] if axis == 0 else k[axis]
             if m == 0:
                 return rec(axis + 1, tt, xx)

@@ -209,10 +209,6 @@ class Mollifier:
             out = out * self.bb(x[..., i] / e) / e
         return out
 
-    def grid_kernel(self, grid: Grid, kind: str) -> np.ndarray:
-        """rho_eps sampled on the periodic grid of a field of this kind."""
-        return self.kernel(grid.shape(kind), grid.dx, grid.dt if kind == "spacetime" else None)
-
     def kernel(self, shape: tuple, dx: float, dt: float = None) -> np.ndarray:
         """rho_eps sampled on a periodic array of this shape (time first when dt
         is given; any length, e.g. a time-padded noise), normalized to discrete

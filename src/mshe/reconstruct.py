@@ -22,7 +22,7 @@ with the one-sided time shift t_dn = t - (7 M^2 + 1) 2^{-2n}, M the support
 diameter bound of the wavelet family.  Pairings are Riemann sums on the
 field's grid; every A^n reduces to transforms of six fixed base fields
 (1, y, xi, Phi, y xi, xi Phi), so levels cost a handful of separable
-correlations plus box filters.
+correlations plus ball averages along space.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .noise import Field, Grid, exp_bump
-from .wavelet import LevelTransform, WaveletBasis
+from .besov import row_aggregate
+from .wavelet import LevelTransform, WaveletBasis, correlate_axis
 
 __all__ = [
     "SYMBOLS",
@@ -180,23 +180,11 @@ def canonical_model(xi_eps: Field, dec, kappa: float = 0.05) -> Model:
 # -- reconstruction ------------------------------------------------------------
 
 
-def _box_average(values: np.ndarray, half_width_cells: int) -> np.ndarray:
-    size = 2 * half_width_cells + 1
-    return ndimage.uniform_filter1d(values, size=size, axis=1, mode="wrap")
-
-
 def time_shift_cells(basis: WaveletBasis, n: int, g: Grid) -> int:
     """The one-sided evaluation shift t_dn = t - (7 M^2 + 1) 2^{-2n} in grid
     steps (M = support diameter bound)."""
     C = 7 * basis.support_radius ** 2 + 1
     return int(round(C * 4.0 ** -n / g.dt))
-
-
-def _linear_box_average(values: np.ndarray, half: int) -> np.ndarray:
-    """avg over the ball of c(y) * (y - x), via a linear-weighted filter."""
-    offs = np.arange(-half, half + 1)
-    w = offs / (2 * half + 1.0)
-    return ndimage.correlate1d(values, w, axis=1, mode="wrap")
 
 
 def _level_A(f: ModelledDistribution, model: Model, basis: WaveletBasis,
@@ -215,15 +203,16 @@ def _level_A(f: ModelledDistribution, model: Model, basis: WaveletBasis,
 
     half = max(1, int(round(2.0 ** -n / g.dx)))
     shift = time_shift_cells(basis, n, g)
-    # the box filters act along space only, so the lattice rows are picked first
+    # the ball averages act along space only, so the lattice rows are picked first
     t_rows = (np.arange(g.M // eng.stride_t) * eng.stride_t - shift) % g.M
+    offs = np.arange(-half, half + 1)
 
-    def avg(arr):
-        return _box_average(arr[t_rows], half)[:, ::eng.stride_x]
+    def avg(arr, taps=np.full(offs.size, 1.0 / offs.size)):
+        return correlate_axis(arr[t_rows], 1, taps, offs, eng.stride_x)
 
     def avg_disp(arr):
         # avg over y in the ball of arr(y) * (y - x_lattice) * dx-steps
-        return _linear_box_average(arr[t_rows], half)[:, ::eng.stride_x] * g.dx
+        return avg(arr, offs / offs.size) * g.dx
 
     A = (T1 * (avg(f.get("1") - f.get("I(Xi)") * model.phi_field)
                - avg_disp(f.get("X")))
@@ -247,19 +236,8 @@ def _refine_coeffs(basis: WaveletBasis):
 def _delta_A(A_n: np.ndarray, A_n1: np.ndarray, basis: WaveletBasis) -> np.ndarray:
     """delta A^n_{t,x} = sum_k a_k A^{n+1}_{(t,x) + k 2^-(n+1)} - A^n_{t,x}."""
     a_t, a_x = _refine_coeffs(basis)
-    nt1, nx1 = A_n1.shape
-    out = np.zeros(A_n.shape)
-    base_t = 4 * np.arange(A_n.shape[0])
-    base_x = 2 * np.arange(A_n.shape[1])
-    for k0, at in enumerate(a_t):
-        if at == 0.0:
-            continue
-        rows = (base_t + k0) % nt1
-        row_slice = A_n1[rows]
-        for k1, ax in enumerate(a_x):
-            cols = (base_x + k1) % nx1
-            out += at * ax * row_slice[:, cols]
-    return out - A_n
+    rows = correlate_axis(A_n1, 0, a_t, np.arange(a_t.size), 4)
+    return correlate_axis(rows, 1, a_x, np.arange(a_x.size), 2) - A_n
 
 
 def reconstruct(f: ModelledDistribution, model: Model, basis: WaveletBasis,
@@ -302,9 +280,8 @@ def sewing_check(result: dict, alpha: float, gamma: float, p: float = 2.0,
 
     def level_norm(arr, n, expo):
         # row sums round by memory layout: sum over C-ordered rows
-        scaled = np.abs(np.ascontiguousarray(arr)) / 2.0 ** (-n * s_norm / 2.0 - n * expo)
-        agg = (2.0 ** (-n * d) * np.sum(scaled ** p, axis=1)) ** (1.0 / p)
-        return float(np.max(agg))
+        normaliser = np.full(arr.shape[1:], 2.0 ** (-n * s_norm / 2.0 - n * expo))
+        return row_aggregate(np.ascontiguousarray(arr), normaliser, 2.0 ** (-n * d), p)
 
     a_norms = {n: level_norm(levels[n], n, alpha) for n in ns}
     d_norms = {n: level_norm(deltas[n], n, gamma) for n in sorted(deltas)}
@@ -388,9 +365,7 @@ def dgamma_norm(f: ModelledDistribution, model: Model, gamma: float = None,
     best = 0.0
 
     def lp_over_x(arr):
-        if np.isinf(p):
-            return float(np.max(arr))
-        return float(np.max((np.sum(arr ** p, axis=1) * g.dx) ** (1.0 / p)))
+        return row_aggregate(arr, np.ones(g.N), g.dx, p)
 
     for zeta, syms in groups.items():
         point = sum(np.abs(f.get(s)) for s in syms)

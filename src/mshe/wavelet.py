@@ -34,6 +34,7 @@ __all__ = [
     "analyze",
     "analyze_spatial",
     "LevelTransform",
+    "correlate_axis",
 ]
 
 # Hoelder regularity of the Daubechies-N scaling functions (N = vanishing
@@ -400,35 +401,32 @@ def _axis_taps(basis: WaveletBasis, kind: str, scale_pow: int, h: float, amp: fl
     return taps, offs
 
 
-def _correlate_axis(arr: np.ndarray, axis: int, taps: np.ndarray, offs: np.ndarray,
-                    stride: int) -> np.ndarray:
-    """out[j] = sum_m taps[m] arr[(j*stride + offs[m]) mod n], periodic."""
+def correlate_axis(arr: np.ndarray, axis: int, taps: np.ndarray, offs: np.ndarray,
+                   stride: int) -> np.ndarray:
+    """out[j] = sum_m taps[m] arr[(j*stride + offs[m]) mod n], periodic.
+
+    Each tap adds a strided view of one periodic extension of the axis.
+    """
     n = arr.shape[axis]
-    idx = np.arange(0, n // stride) * stride
-    take = (idx[:, None] + offs[None, :]) % n
-    moved = np.moveaxis(arr, axis, 0)
-    res = np.tensordot(taps, moved[take.T], axes=(0, 0))
-    return np.moveaxis(res, 0, axis)
+    n_out = n // stride
+    lo, span = int(np.min(offs)), (n_out - 1) * stride + 1
+    ext = np.take(arr, np.arange(lo, int(np.max(offs)) + span), axis=axis, mode="wrap")
+    out = np.zeros(arr.shape[:axis] + (n_out,) + arr.shape[axis + 1:])
+    head = (slice(None),) * axis
+    for t, o in zip(taps, offs):
+        out += t * ext[head + (slice(o - lo, o - lo + span, stride),)]
+    return out
 
 
 def _adjoint_axis(arr: np.ndarray, axis: int, taps: np.ndarray, offs: np.ndarray,
                   stride: int, n_out: int) -> np.ndarray:
     """out[i] = sum_m taps[m] arr[j] over lattice j with j*stride + offs[m] = i
-    (mod n_out); gather formulation grouped by residue class for speed."""
+    (mod n_out): one scatter-add per tap."""
     moved = np.moveaxis(arr, axis, 0)
-    n_lat = moved.shape[0]
+    idx = np.arange(moved.shape[0]) * stride
     res = np.zeros((n_out,) + moved.shape[1:])
-    out_base = np.arange(n_out // stride)
-    for r in range(stride):
-        sel = np.where((offs % stride) == (r % stride))[0]
-        if sel.size == 0:
-            continue
-        # i = q*stride + r: contributing lattice index j = q - (offs - r)/stride
-        shifts = (offs[sel] - r) // stride
-        block = np.zeros((n_out // stride,) + moved.shape[1:])
-        for m, sh in zip(sel, shifts):
-            block += taps[m] * moved[(out_base - sh) % n_lat]
-        res[r::stride] = block
+    for t, o in zip(taps, offs):
+        res[(idx + o) % n_out] += t * moved
     return np.moveaxis(res, 0, axis)
 
 
@@ -479,7 +477,7 @@ class LevelTransform:
         arrays = {(): values}
         for k in range(values.ndim):
             prefixes = dict.fromkeys(c[:k + 1] for c in combos)
-            arrays = {p: _correlate_axis(arrays[p[:-1]], k, *self._factor(k, p[-1]))
+            arrays = {p: correlate_axis(arrays[p[:-1]], k, *self._factor(k, p[-1]))
                       for p in prefixes}
         return {c: arrays[c] for c in combos}
 

@@ -11,10 +11,12 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mshe
 from mshe import besov
 from mshe.kernel import decompose, heat_kernel
 from mshe.noise import Field, Grid, Mollifier, mollify, regularity_study, sample_white_noise
@@ -383,8 +385,12 @@ def test_10_determinism_across_threads(tmp_path):
 
     t0 = time.time()
     outputs = {}
+    # the children import the same mshe package as this process
+    package_parent = str(Path(mshe.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_parent,
+                                               os.environ.get("PYTHONPATH")]))
     for threads in (1, 4):
-        env = dict(os.environ, SHE_THREADS=str(threads))
+        env = dict(os.environ, SHE_THREADS=str(threads), PYTHONPATH=pythonpath)
         out = tmp_path / f"t{threads}"
         cmds = [
             ["renorm", "--equation", "pam3d", "--eps", "0.1", "0.05",

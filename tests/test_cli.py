@@ -1,16 +1,23 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mshe
 from mshe.cli import main
+
+#: the directory that holds the mshe package, for child processes
+PACKAGE_PARENT = str(Path(mshe.__file__).resolve().parents[1])
 
 
 def run_cli(args, tmp_path, name, env_threads=None):
     out = tmp_path / name
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_PARENT,
+                                                      env.get("PYTHONPATH")]))
     if env_threads is not None:
         env["SHE_THREADS"] = str(env_threads)
         proc = subprocess.run([sys.executable, "-m", "mshe.cli"] + args +
@@ -151,3 +158,27 @@ def test_solve_writes_snapshots(tmp_path):
     assert (out / "snapshot-000.shef").exists()
     lines = (out / "solve-diag.csv").read_text().splitlines()
     assert lines[0] == "t,sup,mass,weighted_l2"
+
+
+def test_resolved_config_reruns(tmp_path):
+    # a resolved config re-run into a new --out reproduces every CSV; list
+    # values, a set switch and a path with a space survive the round trip
+    code, noise = run_cli(["noise", "sample", "--grid", "64,64,4,1"], tmp_path, "a b")
+    assert code == 0
+    runs = [["renorm", "--equation", "she1d", "--eps", "0.2", "0.1",
+             "--samples", "4096", "--seed", "7", "--green-radius", "2"],
+            ["converge", "--equation", "she1d", "--eps-list", "0.4", "0.2",
+             "--grid", "64,512,4,0.25", "--seeds", "1", "--samples", "4096", "--ito"],
+            ["noise", "mollify", "--input", str(noise / "noise.shef"), "--eps", "0.25"]]
+    for argv in runs:
+        head = argv[:2] if argv[0] == "noise" else argv[:1]
+        code, out = run_cli(argv, tmp_path, head[-1])
+        assert code == 0
+        config = out / "resolved-config.txt"
+        code, again = run_cli(head + ["--config", str(config)], tmp_path, head[-1] + "-2")
+        assert code == 0
+        csvs = sorted(p.name for p in out.glob("*.csv"))
+        assert csvs and csvs == sorted(p.name for p in again.glob("*.csv"))
+        for name in csvs:
+            assert (out / name).read_bytes() == (again / name).read_bytes(), name
+        assert (again / "resolved-config.txt").read_bytes() == config.read_bytes()

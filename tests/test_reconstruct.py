@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
+import mshe.reconstruct as rec
 from mshe.kernel import decompose
 from mshe.noise import Grid, Mollifier, mollify, sample_white_noise
 from mshe.reconstruct import (
     SYMBOLS,
+    Model,
     ModelledDistribution,
     canonical_model,
     dgamma_norm,
@@ -15,7 +18,7 @@ from mshe.reconstruct import (
     time_shift_cells,
     write_modelled,
 )
-from mshe.wavelet import build_family
+from mshe.wavelet import LevelTransform, build_family
 
 
 @pytest.fixture(scope="module")
@@ -289,8 +292,6 @@ def test_modelled_roundtrip(tmp_path, setup):
 def test_reconstruct_norms_independent_of_layout(setup, monkeypatch):
     # the same level values, C- or Fortran-ordered, give the same deltas and
     # the same sewing norms bit for bit
-    import mshe.reconstruct as rec
-
     basis, g, model, _ = setup
     gf, gx = _smooth_pair(g)
     f = ModelledDistribution(grid=g, coeffs={"1": gf, "X": gx})
@@ -305,3 +306,59 @@ def test_reconstruct_norms_independent_of_layout(setup, monkeypatch):
     for n in res["deltas"]:
         assert np.array_equal(res_f["deltas"][n], res["deltas"][n])
     assert sewing_check(res_f, alpha=0.0, gamma=2.0) == sewing_check(res, alpha=0.0, gamma=2.0)
+
+
+def test_sewing_sup_norm():
+    # p = infinity: each level norm is max |A^n| / 2^{-n|s|/2 - n alpha}
+    rng = np.random.default_rng(4)
+    levels = {n: rng.standard_normal((4 ** n // 4, 2 ** n)) for n in range(2, 7)}
+    deltas = {n: rng.standard_normal(levels[n].shape) for n in range(2, 6)}
+    outputs = {n: np.full((64, 64), 2.0 ** -n) for n in levels}
+    res = {"levels": levels, "deltas": deltas, "outputs": outputs, "field": outputs[6]}
+    rep = sewing_check(res, alpha=0.3, gamma=1.5, p=np.inf)
+    for norms, arrays, expo in ((rep["A_norms"], levels, 0.3),
+                                (rep["delta_norms"], deltas, 1.5)):
+        for n, arr in arrays.items():
+            want = np.max(np.abs(arr)) / 2.0 ** (-n * 3 / 2.0 - n * expo)
+            assert norms[n] == pytest.approx(want, rel=1e-15)
+
+
+def test_delta_A_explicit_double_sum(setup):
+    basis = setup[0]
+    rng = np.random.default_rng(5)
+    A_n, A_n1 = rng.standard_normal((8, 6)), rng.standard_normal((32, 12))
+    a_t, a_x = rec._refine_coeffs(basis)
+    want = -A_n
+    for t in range(8):
+        for x in range(6):
+            for k0, at in enumerate(a_t):
+                for k1, ax in enumerate(a_x):
+                    want[t, x] += at * ax * A_n1[(4 * t + k0) % 32, (2 * x + k1) % 12]
+    got = rec._delta_A(A_n, A_n1, basis)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_level_A_ball_averages(setup):
+    # a lift with one coefficient c gives T1 * avg(c) for symbol 1, and
+    # D1 * avg(c) - T1 * avg(c(y) (y - x)) for X; the ball averages agree
+    # with scipy's wrapped filters subsampled at the lattice columns
+    basis = setup[0]
+    g = Grid(d=1, L=2.0, N=64, T=1.0, M=1024)
+    rng = np.random.default_rng(6)
+    model = Model(grid=g, xi=rng.standard_normal((g.M, g.N)),
+                  phi_field=rng.standard_normal((g.M, g.N)))
+    c = rng.standard_normal((g.M, g.N))
+    n = 2
+    eng = LevelTransform(basis, n, g.dx, g.dt)
+    T1, D1 = (v * g.dt * g.dx for v in
+              eng.forward(np.ones((g.M, g.N)), [("phi", "phi"), ("phi", "disp")]).values())
+    half, cols = eng.stride_x, slice(None, None, eng.stride_x)
+    rows = c[(np.arange(g.M // eng.stride_t) * eng.stride_t
+              - time_shift_cells(basis, n, g)) % g.M]
+    box = ndimage.uniform_filter1d(rows, 2 * half + 1, axis=1, mode="wrap")[:, cols]
+    lin = ndimage.correlate1d(rows, np.arange(-half, half + 1) / (2 * half + 1.0),
+                              axis=1, mode="wrap")[:, cols] * g.dx
+    for sym, want in (("1", T1 * box), ("X", D1 * box - T1 * lin)):
+        got = rec._level_A(ModelledDistribution(grid=g, coeffs={sym: c}), model, basis, n)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), sym

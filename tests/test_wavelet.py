@@ -8,6 +8,7 @@ from mshe.wavelet import (
     analyze,
     analyze_spatial,
     build_basis,
+    correlate_axis,
     daubechies_coefficients,
     rescale_phi,
     spacetime_combos,
@@ -247,3 +248,33 @@ def test_forward_adjoint_duality(basis2, n, kt, kx, tcode, xcodes, seed):
     assert adj.shape == f.shape
     err = abs(np.sum(fwd * c) - np.sum(f * adj))
     assert err <= 1e-12 * np.linalg.norm(fwd) * np.linalg.norm(c)
+
+
+def _explicit_correlation(arr, axis, taps, offs, stride):
+    moved = np.moveaxis(arr, axis, 0)
+    n = moved.shape[0]
+    out = np.zeros((n // stride,) + moved.shape[1:])
+    for j in range(n // stride):
+        for t, o in zip(taps, offs):
+            out[j] += t * moved[(j * stride + o) % n]
+    return np.moveaxis(out, 0, axis)
+
+
+@pytest.mark.parametrize("stride", range(1, 9))
+def test_correlate_axis_explicit_sum(stride):
+    # out[j] = sum_m taps[m] arr[(j*stride + offs[m]) mod n] on every axis of
+    # a 3-d array, C- and Fortran-ordered, with offsets wrapping the axis
+    # more than twice and repeated offsets
+    rng = np.random.default_rng(stride)
+    for axis in range(3):
+        shape = [3, 4, 5]
+        shape[axis] = n = 3 * stride
+        offs = np.concatenate([[-2 * n - 1, 2 * n + 1, 0, 0],
+                               rng.integers(-2 * n, 2 * n + 1, size=6)])
+        taps = rng.standard_normal(offs.size)
+        for order in "CF":
+            arr = np.asarray(rng.standard_normal(shape), order=order)
+            got = correlate_axis(arr, axis, taps, offs, stride)
+            want = _explicit_correlation(arr, axis, taps, offs, stride)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
