@@ -58,6 +58,14 @@ def _parse_grid(spec: str):
     return int(parts[0]), int(parts[1]), float(parts[2]), float(parts[3])
 
 
+def _nonnegative_int(text: str) -> int:
+    # Philox keys are unsigned: a negative seed goes through an invalid cast
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _threads(args) -> int:
     if getattr(args, "threads", 0):
         return args.threads
@@ -190,7 +198,8 @@ def cmd_noise_regularity(args, outdir: Path):
     N, M, L, T = _parse_grid(args.grid)
     grid = Grid(d=args.d, L=L, N=N, T=T, M=M)
     basis = build_basis(args.r)
-    res = regularity_study(grid, args.kind, basis, seeds=range(args.seeds),
+    res = regularity_study(grid, args.kind, basis,
+                           seeds=range(args.first_seed, args.first_seed + args.seeds),
                            n_min=args.nmin, n_max=args.nmax or None)
     _write_csv(outdir / "noise-regularity.csv",
                ["kind", "seeds", "alpha_hat", "ci_halfwidth"],
@@ -282,7 +291,8 @@ def cmd_converge(args, outdir: Path):
     u0 = ("const", float(args.u0.split(":", 1)[1])) if args.u0.startswith("const:") \
         else args.u0
     res = convergence_study(args.equation, grid, args.eps_list, T=args.T or T,
-                            seeds=tuple(range(args.seeds)), n_qmc=args.samples,
+                            seeds=tuple(range(args.first_seed, args.first_seed + args.seeds)),
+                            n_qmc=args.samples,
                             include_ito=args.ito, threads=_threads(args),
                             snapshot_t0=args.snapshot_t0, u0=u0, dt=args.dt,
                             ell=args.ell)
@@ -374,6 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--grid", required=True)
     q.add_argument("--kind", choices=["spatial", "spacetime"], default="spacetime")
     q.add_argument("--seeds", type=int, default=20)
+    q.add_argument("--first-seed", type=_nonnegative_int, default=0)
     q.add_argument("--r", type=int, default=2)
     q.add_argument("--nmin", type=int, default=1)
     q.add_argument("--nmax", type=int, default=0)
@@ -417,6 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--grid", required=True)
     q.add_argument("--T", type=float, default=None)
     q.add_argument("--seeds", type=int, default=5)
+    q.add_argument("--first-seed", type=_nonnegative_int, default=0)
     q.add_argument("--samples", type=int, default=1 << 13)
     q.add_argument("--ito", action="store_true")
     q.add_argument("--snapshot-t0", type=float, default=None)

@@ -13,7 +13,8 @@ The mollifier is a smooth, compactly supported, even product bump
 parabolic-rescaled as rho_eps(t,x) = eps^-|s| rho(t/eps^2, x/eps), |s| = 2+d,
 so supp rho_eps lies in the parabolic ball of radius eps.  The product form
 keeps the self-convolution rho_eps * rho_eps computable from a single 1-d
-table (used by the renormalisation-constant integrals).
+table (used by the renormalisation-constant integrals), and makes the
+spectrum of the sampled kernel the outer product of 1-d transforms.
 """
 
 from __future__ import annotations
@@ -209,31 +210,39 @@ class Mollifier:
             out = out * self.bb(x[..., i] / e) / e
         return out
 
-    def kernel(self, shape: tuple, dx: float, dt: float = None) -> np.ndarray:
-        """rho_eps sampled on a periodic array of this shape (time first when dt
-        is given; any length, e.g. a time-padded noise), normalized to discrete
-        mass 1.
+    def kernel(self, shape: tuple, dx: float, dt: float = None) -> list:
+        """Per-axis factors of rho_eps sampled on a periodic array of this
+        shape (time first when dt is given; any length, e.g. a time-padded
+        noise): one 1-d profile per axis at the signed periodic offsets, each
+        normalized to discrete mass 1.
 
-        Normalizing the sampled kernel makes discrete convolution exactly
-        mass preserving (constants map to constants).
+        Their outer product is the sampled product kernel normalized to mass
+        1, which makes discrete convolution exactly mass preserving
+        (constants map to constants).
         """
         e = self.epsilon
         if e < 2 * dx - 1e-12:
             raise ValueError(f"mollifier under-resolved: eps = {e} < 2 dx = {2 * dx}")
         steps = [(dt, e ** 2)] if dt is not None else []
         steps += [(dx, e)] * (len(shape) - len(steps))
-        # one profile per axis at the signed periodic offsets, then their product
-        kern = functools.reduce(np.multiply.outer, [
-            self._b(np.fft.fftfreq(n, d=1.0 / n) * h / scale)
-            for n, (h, scale) in zip(shape, steps)])
-        tot = kern.sum()
-        if tot <= 0:
-            raise ValueError("mollifier kernel vanished on the grid")
-        return kern / tot
+        factors = []
+        for n, (h, scale) in zip(shape, steps):
+            b = self._b(np.fft.fftfreq(n, d=1.0 / n) * h / scale)
+            tot = b.sum()
+            if tot <= 0:
+                raise ValueError("mollifier kernel vanished on the grid")
+            factors.append(b / tot)
+        return factors
 
     def convolve(self, F: np.ndarray, shape: tuple, dx: float, dt: float = None) -> np.ndarray:
-        """rho_eps * f, circular on an array of this shape, from F = rfftn(f)."""
-        K = np.fft.rfftn(self.kernel(shape, dx, dt))
+        """rho_eps * f, circular on an array of this shape, from F = rfftn(f).
+
+        The kernel is a product, so its rfftn is the outer product of the
+        fft of each leading axis's factor and the rfft of the last axis's.
+        """
+        *lead, last = self.kernel(shape, dx, dt)
+        K = functools.reduce(np.multiply.outer,
+                             [np.fft.fft(b) for b in lead] + [np.fft.rfft(last)])
         return np.fft.irfftn(np.multiply(F, K, out=K), s=shape, axes=tuple(range(len(shape))))
 
 

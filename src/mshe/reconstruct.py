@@ -270,7 +270,7 @@ def sewing_check(result: dict, alpha: float, gamma: float, p: float = 2.0,
 
     A-norm: sup_n sup_t (sum_x 2^{-nd} |A^n / 2^{-n|s|/2 - n alpha}|^p)^{1/p},
     delta-norm: the same with gamma in place of alpha for delta A^n; the rate
-    is fitted from ||R_{n_max} f - R_n f||_p ~ 2^{-n rate}.
+    is fitted from ||R_{n_max} f - R_n f||_p ~ 2^{-n rate} (the sup at p = inf).
     """
     levels = result["levels"]
     deltas = result["deltas"]
@@ -286,11 +286,17 @@ def sewing_check(result: dict, alpha: float, gamma: float, p: float = 2.0,
     a_norms = {n: level_norm(levels[n], n, alpha) for n in ns}
     d_norms = {n: level_norm(deltas[n], n, gamma) for n in sorted(deltas)}
     fine = result["outputs"][ns[-1]]
-    errs, ens = [], []
-    for n in ns[:-1]:
-        diff = result["outputs"][n] - fine
-        errs.append(np.sqrt(np.mean(diff ** 2)))
-        ens.append(n)
+
+    def lp_error(diff):
+        # the mean over cells: the L^p norm up to a constant, which the fit ignores
+        if np.isinf(p):
+            return np.max(np.abs(diff))
+        if p == 2:
+            return np.sqrt(np.mean(diff ** 2))  # not ** 0.5, which rounds differently
+        return np.mean(np.abs(diff) ** p) ** (1.0 / p)
+
+    ens = ns[:-1]
+    errs = [lp_error(result["outputs"][n] - fine) for n in ens]
     rate = float(-np.polyfit(ens, np.log2(np.maximum(errs, 1e-300)), 1)[0])
     a_sup = max(a_norms.values())
     d_sup = max(d_norms.values())

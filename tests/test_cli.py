@@ -8,6 +8,8 @@ import pytest
 
 import mshe
 from mshe.cli import main
+from mshe.noise import Grid, regularity_study
+from mshe.wavelet import build_basis
 
 #: the directory that holds the mshe package, for child processes
 PACKAGE_PARENT = str(Path(mshe.__file__).resolve().parents[1])
@@ -168,7 +170,8 @@ def test_resolved_config_reruns(tmp_path):
     runs = [["renorm", "--equation", "she1d", "--eps", "0.2", "0.1",
              "--samples", "4096", "--seed", "7", "--green-radius", "2"],
             ["converge", "--equation", "she1d", "--eps-list", "0.4", "0.2",
-             "--grid", "64,512,4,0.25", "--seeds", "1", "--samples", "4096", "--ito"],
+             "--grid", "64,512,4,0.25", "--seeds", "1", "--first-seed", "2",
+             "--samples", "4096", "--ito"],
             ["noise", "mollify", "--input", str(noise / "noise.shef"), "--eps", "0.25"]]
     for argv in runs:
         head = argv[:2] if argv[0] == "noise" else argv[:1]
@@ -182,3 +185,28 @@ def test_resolved_config_reruns(tmp_path):
         for name in csvs:
             assert (out / name).read_bytes() == (again / name).read_bytes(), name
         assert (again / "resolved-config.txt").read_bytes() == config.read_bytes()
+
+
+def test_first_seed(tmp_path):
+    # --first-seed S draws the seeds S .. S + n - 1: its rows are those of the
+    # same seeds in a run from seed 0
+    common = ["converge", "--equation", "she1d", "--eps-list", "0.4", "0.2",
+              "--grid", "64,512,4,0.25", "--samples", "4096", "--ito"]
+    code, both = run_cli(common + ["--seeds", "2"], tmp_path, "both")
+    assert code == 0
+    code, one = run_cli(common + ["--seeds", "1", "--first-seed", "1"], tmp_path, "one")
+    assert code == 0
+    head, *rows = (both / "converge.csv").read_text().splitlines()
+    got = (one / "converge.csv").read_text().splitlines()
+    assert got[0] == head and got[1:] == [r for r in rows if r.startswith("1,")]
+    assert len(got) == 4
+    code, _ = run_cli(common + ["--first-seed", "-1"], tmp_path, "negative")
+    assert code == 1
+    # noise regularity averages alpha_hat over the seeds it draws
+    code, out = run_cli(["noise", "regularity", "--grid", "64,2048,1,1", "--seeds", "2",
+                         "--first-seed", "3", "--nmax", "4"], tmp_path, "reg")
+    assert code == 0
+    want = regularity_study(Grid(d=1, L=1.0, N=64, T=1.0, M=2048), "spacetime",
+                            build_basis(2), seeds=(3, 4), n_max=4)["alpha_hat"]
+    row = (out / "noise-regularity.csv").read_text().splitlines()[1].split(",")
+    assert float(row[2]) == want

@@ -232,3 +232,27 @@ def test_mollify_mass_and_linearity(d, log_n, log_m, L, T, cells, c, a, b, seed)
     rhs = a * mollify(f, moll).values + b * mollify(g, moll).values
     scale = abs(a) * np.abs(f.values).max() + abs(b) * np.abs(g.values).max()
     assert np.abs(lhs - rhs).max() <= 1e-12 * max(scale, 1.0)
+
+
+@pytest.mark.parametrize("shape, dx, dt, eps", [
+    ((37,), 0.1, None, 0.35),              # an odd prime length
+    ((24, 37), 0.1, None, 0.25),
+    ((12, 10, 9), 0.1, None, 0.3),
+    ((7294, 20), 0.1, 0.02, 0.25),         # space-time, 2*7*521 rows
+])
+def test_convolve_explicit_circular_sum(shape, dx, dt, eps):
+    # the spectrum from per-axis factors gives the explicit circular sum
+    # sum_j k[j] f[i - j] with the materialised product kernel of unit mass
+    m = Mollifier(epsilon=eps)
+    offs = np.meshgrid(*[np.fft.fftfreq(n, d=1.0 / n) for n in shape], indexing="ij")
+    space = np.stack([o * dx / eps for o in offs[1 if dt else 0:]], axis=-1)
+    t = offs[0] * dt / eps ** 2 if dt else np.zeros(shape)
+    k = m.rho(t, space)
+    k /= k.sum()
+    f = np.random.default_rng(7).standard_normal(shape)
+    want = np.zeros(shape)
+    for j in np.argwhere(k > 0):
+        shift = [int(o[tuple(j)]) for o in offs]
+        want += k[tuple(j)] * np.roll(f, shift, axis=tuple(range(len(shape))))
+    got = m.convolve(np.fft.rfftn(f), shape, dx, dt)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

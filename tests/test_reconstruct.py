@@ -323,6 +323,29 @@ def test_sewing_sup_norm():
             assert norms[n] == pytest.approx(want, rel=1e-15)
 
 
+@pytest.mark.parametrize("p", [np.inf, 1.0, 2.0])
+def test_sewing_rate_from_lp_error(p):
+    # the rate is fitted from ||R_n f - R_6 f||_p: a spike of 2^-n on a
+    # background of 4^-n decays at rate 1 in the sup norm, 2.00 in L^1 and
+    # 1.95 in L^2
+    levels = {n: np.ones((4, 4)) for n in range(2, 7)}
+    outputs = {}
+    for n in levels:
+        diff = np.full((64, 64), 4.0 ** -n)
+        diff[10, 20] = 2.0 ** -n
+        outputs[n] = diff if n < 6 else np.zeros((64, 64))
+    res = {"levels": levels, "deltas": {n: levels[n] for n in range(2, 6)},
+           "outputs": outputs, "field": outputs[6]}
+    ns = range(2, 6)
+    if np.isinf(p):
+        errs = [np.max(outputs[n]) for n in ns]
+    else:
+        errs = [np.mean(outputs[n] ** p) ** (1.0 / p) for n in ns]
+    want = -np.polyfit(list(ns), np.log2(errs), 1)[0]
+    rate = sewing_check(res, alpha=0.0, gamma=2.0, p=p)["rate"]
+    assert rate == pytest.approx(want, rel=1e-12)
+
+
 def test_delta_A_explicit_double_sum(setup):
     basis = setup[0]
     rng = np.random.default_rng(5)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 from mshe.kernel import heat_kernel
-from mshe.noise import Field, Grid, sample_white_noise
+from mshe.noise import Field, Grid, Mollifier, sample_white_noise
 from mshe.solver import (
     BlowUpError,
     SolverConfig,
@@ -297,3 +298,37 @@ def test_convergence_study_pam3d_equals_direct_solves():
                          u0=("const", 1.0), T=0.05, seed=seed, snapshots=6,
                          snapshot_t0=0.01), noise=noise) for e in eps]
         assert r["pairwise"] == [weighted_distance(a, b) for a, b in zip(trajs, trajs[1:])]
+
+
+def test_convergence_study_she_zero_extension_does_not_wrap():
+    # the study transforms the padded noise at a fast length; transforming at
+    # the exact length M + 2 pad gives the same distances up to round-off, so
+    # the zero rows at the tail never reach the [0, T] slab
+    g = Grid(d=1, L=4.0, N=64, T=0.25, M=512)
+    eps = [0.4, 0.2, 0.125]
+    constants = {0.4: 0.498, 0.2: 0.996, 0.125: 1.59}
+    pad = int(np.ceil(2.0 * max(eps) ** 2 / g.dt)) + 1
+    rows = g.M + 2 * pad
+    assert next_fast_len(rows, real=True) != rows   # 1826 = 2*11*83
+    res = convergence_study("she1d", g, eps, T=0.25, seeds=(0, 3), constants=constants,
+                            include_ito=True, snapshot_t0=0.125)
+    for seed, r in zip(res["seeds"], res["results"]):
+        rng = np.random.Generator(np.random.Philox(key=(seed, 1)))
+        noise = rng.standard_normal((rows, g.N)) / np.sqrt(g.dt * g.dx)
+        F = np.fft.rfftn(noise)
+        trajs = []
+        for e in eps:
+            xi = Mollifier(epsilon=e).convolve(F, noise.shape, g.dx, g.dt)[pad:pad + g.M]
+            cfg = SolverConfig(equation="she1d", grid=g, eps=e, C_eps=constants[e],
+                               u0=("const", 1.0), T=0.25, seed=seed, snapshots=6,
+                               snapshot_t0=0.125)
+            trajs.append(solve_renormalised(cfg, xi_eps=Field(grid=g, values=xi,
+                                                              kind="spacetime")))
+        ito = solve_ito_reference(
+            SolverConfig(equation="she1d", grid=g, eps=eps[-1], u0=("const", 1.0), T=0.25,
+                         dt=g.dt, snapshots=6, snapshot_t0=0.125),
+            noise=Field(grid=g, values=noise[pad:pad + g.M], kind="spacetime"))
+        want = [weighted_distance(a, b) for a, b in zip(trajs, trajs[1:])]
+        want_ito = [weighted_distance(t, ito) for t in trajs]
+        assert r["pairwise"] == pytest.approx(want, rel=1e-12, abs=0)
+        assert r["to_ito"] == pytest.approx(want_ito, rel=1e-12, abs=0)
