@@ -286,17 +286,10 @@ def sewing_check(result: dict, alpha: float, gamma: float, p: float = 2.0,
     a_norms = {n: level_norm(levels[n], n, alpha) for n in ns}
     d_norms = {n: level_norm(deltas[n], n, gamma) for n in sorted(deltas)}
     fine = result["outputs"][ns[-1]]
-
-    def lp_error(diff):
-        # the mean over cells: the L^p norm up to a constant, which the fit ignores
-        if np.isinf(p):
-            return np.max(np.abs(diff))
-        if p == 2:
-            return np.sqrt(np.mean(diff ** 2))  # not ** 0.5, which rounds differently
-        return np.mean(np.abs(diff) ** p) ** (1.0 / p)
-
+    # the mean over cells: the L^p norm up to a constant, which the fit ignores
     ens = ns[:-1]
-    errs = [lp_error(result["outputs"][n] - fine) for n in ens]
+    errs = [row_aggregate((result["outputs"][n] - fine).ravel(), np.ones(1),
+                          1.0 / fine.size, p) for n in ens]
     rate = float(-np.polyfit(ens, np.log2(np.maximum(errs, 1e-300)), 1)[0])
     a_sup = max(a_norms.values())
     d_sup = max(d_norms.values())
