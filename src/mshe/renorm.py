@@ -21,17 +21,25 @@ so z1 = z3 = -z2 and c11 approaches the shell integral of G^3,
 hence c11 = log(1/eps) / (16 pi^2) + O(1).
 
 c is a deterministic quadrature (radial for the 1/|x| singularity,
-sqrt(t)-substituted for the heat kernel).  c11 and the two split pieces of
-c12 are randomized-QMC integrals: the mollifier factors are importance
-sampled exactly through per-axis inverse CDFs of the self-convolved bump, one
-Green factor per integral is importance sampled (radially with density
-~ 1/|x| in the 3-d case; with the heat kernel's own density, uniform in t and
-Gaussian in x, in the space-time case), and the remaining factors are plain
-weights.  The standard error comes from independent scrambled replicates.
+sqrt(t)-substituted for the heat kernel).  It is exactly c_1/eps: rho2 at
+scale eps is eps^-|s| rho2(./eps) at unit scale (|s| = 3 for the spatial
+marginal on R^3, 2 + 1 for the space-time kernel on R), and G is homogeneous
+of degree -1 in the same scaling (1/(4 pi |x|) on the plateau that holds the
+support of rho2 once eps <= R_G/8; the heat kernel in the parabolic
+scaling).  So the quadrature runs once per mollifier profile, at eps = 1.
+
+c11 and the two split pieces of c12 are randomized-QMC integrals: the
+mollifier factors are importance sampled exactly through per-axis inverse
+CDFs of the self-convolved bump, one Green factor per integral is importance
+sampled (radially with density ~ 1/|x| in the 3-d case; with the heat
+kernel's own density, uniform in t and Gaussian in x, in the space-time
+case), and the remaining factors are plain weights.  The standard error comes
+from independent scrambled replicates.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -161,26 +169,18 @@ def _sample_rho_sq(moll: Mollifier, green: GreenFn, U: np.ndarray) -> np.ndarray
 
 
 def c_eps(moll: Mollifier, green: GreenFn, tol: float = 1e-5) -> float:
-    """int G rho_eps^{*2} by adaptive-resolution deterministic quadrature."""
+    """int G rho_eps^{*2} by adaptive-resolution deterministic quadrature.
+
+    For pam3d and she1d this is c_1 / eps (module docstring), with c_1 the
+    quadrature at eps = 1 for the mollifier's profile, cached per process.
+    The pam3d rule never reads R_G: it uses the exact 1/(4 pi |x|) of the
+    plateau, which the eps <= R_G/8 check keeps valid.
+    """
     e = moll.epsilon
-    if green.equation == "pam3d":
-        if e > green.R_G / 8.0 + 1e-12:
-            raise ValueError(f"eps = {e} too large for truncation radius {green.R_G}")
-        prev = None
-        for n_r in (128, 256, 512):
-            val = _c_eps_pam(moll, green, n_r)
-            if prev is not None and abs(val - prev) <= tol * abs(val):
-                return val
-            prev = val
-        raise RuntimeError(f"quadrature did not converge to rel {tol}")
-    if green.equation == "she1d":
-        prev = None
-        for n in (256, 512, 1024):
-            val = _c_eps_she(moll, n)
-            if prev is not None and abs(val - prev) <= tol * abs(val):
-                return val
-            prev = val
-        raise RuntimeError(f"quadrature did not converge to rel {tol}")
+    if green.equation == "pam3d" and e > green.R_G / 8.0 + 1e-12:
+        raise ValueError(f"eps = {e} too large for truncation radius {green.R_G}")
+    if green.equation in ("pam3d", "she1d"):
+        return _unit_c(green.equation, moll.profile, tol) / e
     # smooth test kind: plain tensor rule on the rho^2 support
     ts = np.linspace(-2 * e ** 2, 2 * e ** 2, 801)
     xs = np.linspace(-2 * e, 2 * e, 801)
@@ -190,7 +190,27 @@ def c_eps(moll: Mollifier, green: GreenFn, tol: float = 1e-5) -> float:
     return float(np.trapezoid(np.trapezoid(vals, xs, axis=1), ts))
 
 
-def _c_eps_pam(moll: Mollifier, green: GreenFn, n_r: int) -> float:
+@functools.cache
+def _unit_c(equation: str, profile: str, tol: float) -> float:
+    """c at eps = 1, computed once per process for each profile."""
+    return _quadrature(Mollifier(epsilon=1.0, profile=profile), equation, tol)
+
+
+def _quadrature(moll: Mollifier, equation: str, tol: float) -> float:
+    """The pam3d or she1d rule at doubling resolutions, until two successive
+    values agree to relative tol."""
+    rule, sizes = {"pam3d": (_c_eps_pam, (128, 256, 512)),
+                   "she1d": (_c_eps_she, (256, 512, 1024))}[equation]
+    prev = None
+    for n in sizes:
+        val = rule(moll, n)
+        if prev is not None and abs(val - prev) <= tol * abs(val):
+            return val
+        prev = val
+    raise RuntimeError(f"quadrature did not converge to rel {tol}")
+
+
+def _c_eps_pam(moll: Mollifier, n_r: int) -> float:
     # (1/4pi) int_0^{2eps} r [int_{S^2} rho2(r w) dw] dr  (G exact near 0)
     e = moll.epsilon
     rn, rw = np.polynomial.legendre.leggauss(n_r)

@@ -12,6 +12,7 @@ from mshe.renorm import (
     she_green,
     smooth_test_green,
 )
+from mshe.renorm import _quadrature
 
 
 def _moll(eps, flip=False):
@@ -37,6 +38,25 @@ def test_c_eps_inverse_scaling():
             prods.append(c_eps(_moll(e), green) * e)
         spread = (max(prods) - min(prods)) / abs(np.mean(prods))
         assert spread < 0.02
+
+
+@pytest.mark.parametrize("profile", ["exp", "poly4"])
+@pytest.mark.parametrize("equation,eps_list", [
+    ("pam3d", (0.125, 0.1, 0.07, 0.0125)),
+    ("she1d", (0.4, 0.3, 0.05)),
+])
+def test_c_eps_matches_direct_quadrature(equation, eps_list, profile):
+    # c_eps rescales one unit-scale value; the same rule run at each eps
+    # itself must agree, and each profile must get its own value
+    green = pam_green() if equation == "pam3d" else she_green()
+    for e in eps_list:
+        moll = Mollifier(epsilon=e, profile=profile)
+        direct = _quadrature(moll, equation, 1e-5)
+        assert c_eps(moll, green) == pytest.approx(direct, rel=1e-14, abs=0)
+    other = "poly4" if profile == "exp" else "exp"
+    e = eps_list[0]
+    assert c_eps(Mollifier(epsilon=e, profile=other), green) != c_eps(
+        Mollifier(epsilon=e, profile=profile), green)
 
 
 def test_c_eps_depends_on_mollifier_shape():
