@@ -210,12 +210,16 @@ def _quadrature(moll: Mollifier, equation: str, tol: float) -> float:
     raise RuntimeError(f"quadrature did not converge to rel {tol}")
 
 
-def _c_eps_pam(moll: Mollifier, n_r: int) -> float:
-    # (1/4pi) int_0^{2eps} r [int_{S^2} rho2(r w) dw] dr  (G exact near 0)
+def _pam_shells(moll: Mollifier, n_r: int):
+    """Gauss-Legendre radii r over the support of rho2, each with its weight
+    and the sphere integral int_{S^2} rho2(r w) dw.
+
+    rho2 is a product of per-axis bb tables, so its support is the cube
+    [-2 eps, 2 eps]^3: the radii run to its corners at 2 sqrt(3) eps.
+    """
     e = moll.epsilon
     rn, rw = np.polynomial.legendre.leggauss(n_r)
-    r = e * (rn + 1.0)          # (0, 2 eps)
-    rwts = e * rw
+    half = math.sqrt(3.0) * e
     n_c, n_p = 64, 128
     cn, cw = np.polynomial.legendre.leggauss(n_c)
     phi = (np.arange(n_p) + 0.5) * 2.0 * np.pi / n_p
@@ -223,13 +227,15 @@ def _c_eps_pam(moll: Mollifier, n_r: int) -> float:
     dirs = np.stack([np.outer(st, np.cos(phi)),
                      np.outer(st, np.sin(phi)),
                      np.tile(cn[:, None], (1, n_p))], axis=-1)  # (n_c, n_p, 3)
-    total = 0.0
-    for rv, rwt in zip(r, rwts):
-        pts = rv * dirs
-        vals = moll.rho_sq_spatial(pts, d=3)
-        sphere = np.sum(vals * cw[:, None]) * (2.0 * np.pi / n_p)
-        total += rwt * rv * sphere
-    return total / (4.0 * np.pi)
+    for rv, rwt in zip(half * (rn + 1.0), half * rw):
+        vals = moll.rho_sq_spatial(rv * dirs, d=3)
+        yield rv, rwt, np.sum(vals * cw[:, None]) * (2.0 * np.pi / n_p)
+
+
+def _c_eps_pam(moll: Mollifier, n_r: int) -> float:
+    # (1/4pi) int_0^{2 sqrt(3) eps} r [int_{S^2} rho2(r w) dw] dr  (G exact
+    # there, since 2 sqrt(3) eps <= R_G/2)
+    return sum(rwt * rv * sphere for rv, rwt, sphere in _pam_shells(moll, n_r)) / (4.0 * np.pi)
 
 
 def _c_eps_she(moll: Mollifier, n: int) -> float:

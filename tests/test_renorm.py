@@ -12,7 +12,7 @@ from mshe.renorm import (
     she_green,
     smooth_test_green,
 )
-from mshe.renorm import _quadrature
+from mshe.renorm import _pam_shells, _quadrature
 
 
 def _moll(eps, flip=False):
@@ -94,6 +94,16 @@ def test_c_eps_she_against_brute_force():
                    * (2 * e / ntau) * (4 * e / nx))
     val = c_eps(m, she_green())
     assert val == pytest.approx(oracle, rel=1e-3)
+
+
+@pytest.mark.parametrize("profile", ["exp", "poly4"])
+def test_pam_shells_cover_the_support_cube(profile):
+    # rho2 lives on the cube [-2 eps, 2 eps]^3, so the radial x sphere nodes
+    # of the pam3d rule must reach its corners and integrate rho2 to mass 1
+    moll = Mollifier(epsilon=0.1, profile=profile)
+    for n_r in (128, 256):
+        mass = sum(rwt * rv ** 2 * sphere for rv, rwt, sphere in _pam_shells(moll, n_r))
+        assert mass == pytest.approx(1.0, abs=1e-8)
 
 
 def test_c_eps_pam_requires_small_eps():
