@@ -59,7 +59,7 @@ def _parse_grid(spec: str):
 
 
 def _nonnegative_int(text: str) -> int:
-    # Philox keys are unsigned: a negative seed goes through an invalid cast
+    # seeds key Philox streams and SeedSequences, which take unsigned integers
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
@@ -336,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--d", type=int, default=1)
     q.add_argument("--r", type=int, default=3)
     q.add_argument("--points", type=int, default=1000)
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=_nonnegative_int, default=0)
     q.set_defaults(func=cmd_kernel_check)
 
     p = sub.add_parser("wavelet", help="wavelet self-tests")
@@ -371,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--d", type=int, default=1)
     q.add_argument("--grid", required=True, help="N,M,L,T")
     q.add_argument("--kind", choices=["spatial", "spacetime"], default="spacetime")
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=_nonnegative_int, default=0)
     q.add_argument("--out-field", default="noise.shef")
     q.set_defaults(func=cmd_noise_sample)
     q = ps.add_parser("mollify", parents=[common])
@@ -394,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--equation", choices=renormalised, required=True)
     q.add_argument("--eps", type=float, nargs="+", required=True)
     q.add_argument("--samples", type=int, default=1 << 16)
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=_nonnegative_int, default=0)
     q.add_argument("--green-radius", type=float, default=1.0)
     q.set_defaults(func=cmd_renorm)
 
@@ -404,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--nmin", type=int, default=3)
     q.add_argument("--nmax", type=int, default=6)
     q.add_argument("--eps", type=float, default=0.25)
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=_nonnegative_int, default=0)
     q.add_argument("--alpha", type=float, default=0.0)
     q.add_argument("--family", type=int, default=2)
     q.set_defaults(func=cmd_reconstruct)
@@ -416,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--u0", default="dirac")
     q.add_argument("--grid", required=True, help="N,M,L,T")
     q.add_argument("--T", type=float, default=None)
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=_nonnegative_int, default=0)
     q.add_argument("--snapshots", type=int, default=8)
     q.add_argument("--ell", type=float, default=0.0)
     q.add_argument("--samples", type=int, default=1 << 14)

@@ -150,6 +150,17 @@ def bump_profile(n_tab: int = 8193, profile: str = "exp"):
     return u, b, s, bb
 
 
+@functools.cache
+def _bb_cdf(profile: str):
+    # built once per profile and shared, so read-only like the tables
+    _, _, gs, bb = bump_profile(profile=profile)
+    h = gs[1] - gs[0]
+    cdf = np.concatenate([[0.0], np.cumsum((bb[1:] + bb[:-1]) * h / 2)])
+    cdf /= cdf[-1]
+    cdf.setflags(write=False)
+    return gs, cdf
+
+
 @dataclass
 class Mollifier:
     """Product bump at scale eps over the shared 1-d tables of its profile."""
@@ -186,10 +197,8 @@ class Mollifier:
         return np.interp(np.asarray(s, dtype=float), gs, bb, left=0.0, right=0.0)
 
     def bb_cdf(self):
-        _, _, gs, bb = bump_profile(profile=self.profile)
-        h = gs[1] - gs[0]
-        cdf = np.concatenate([[0.0], np.cumsum((bb[1:] + bb[:-1]) * h / 2)])
-        return gs, cdf / cdf[-1]
+        """The grid of the bb table and the trapezoid CDF of bb on it."""
+        return _bb_cdf(self.profile)
 
     def rho_sq(self, t, x, d: int):
         """Space-time self-convolution rho_eps^{*2}(t, x); support radius 2 eps."""
@@ -333,6 +342,9 @@ def estimate_regularity(fld: Field, basis, p: float = 2.0, weight=None,
 def regularity_study(grid: Grid, kind: str, basis, seeds, p: float = 2.0,
                      weight=None, n_min: int = 1, n_max: int = None) -> dict:
     """alpha_hat over several seeds with a normal 95% confidence interval."""
+    seeds = list(seeds)
+    if len(seeds) < 2:
+        raise ValueError(f"a confidence interval needs at least 2 seeds, got {len(seeds)}")
     vals = []
     for s in seeds:
         fld = sample_white_noise(grid, kind, seed=s)

@@ -73,7 +73,8 @@ def _cutoff(r, R):
         with np.errstate(divide="ignore", over="ignore"):
             return np.where(v > 0, np.exp(-1.0 / np.maximum(v, 1e-300)), 0.0)
 
-    return f(1.0 - s) / (f(1.0 - s) + f(s))
+    near = f(1.0 - s)
+    return near / (near + f(s))
 
 
 @dataclass

@@ -210,3 +210,29 @@ def test_first_seed(tmp_path):
                             build_basis(2), seeds=(3, 4), n_max=4)["alpha_hat"]
     row = (out / "noise-regularity.csv").read_text().splitlines()[1].split(",")
     assert float(row[2]) == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["noise", "sample", "--grid", "64,64,4,1"],
+    ["solve", "--equation", "she1d", "--eps", "0.25", "--ceps", "0",
+     "--grid", "64,64,4,0.25"],
+    ["reconstruct", "--input", "lift.shef"],
+    ["renorm", "--equation", "she1d", "--eps", "0.1"],
+    ["kernel", "check"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_rejected(tmp_path, capsys, argv):
+    # seeds key unsigned Philox streams and SeedSequences: a negative one is
+    # refused while parsing, before any output is written
+    code, out = run_cli(argv + ["--seed", "-1"], tmp_path, "negative")
+    assert code == 1
+    assert "--seed: must be non-negative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_regularity_needs_two_seeds(tmp_path, capsys):
+    # the confidence half-width takes a sample standard deviation
+    code, out = run_cli(["noise", "regularity", "--grid", "64,2048,1,1", "--seeds", "1",
+                         "--nmax", "4"], tmp_path, "one")
+    assert code == 1
+    assert "at least 2 seeds, got 1" in capsys.readouterr().err
+    assert not (out / "noise-regularity.csv").exists()
