@@ -55,8 +55,6 @@ class Weight:
     large boxes; __call__ exponentiates.
     """
 
-    kind: str
-    params: dict
     log_fn: callable
 
     def __call__(self, r):
@@ -67,16 +65,16 @@ class Weight:
 
 
 def polynomial_weight(a: float) -> Weight:
-    return Weight("polynomial", {"a": a}, lambda r: a * np.log1p(r))
+    return Weight(lambda r: a * np.log1p(r))
 
 
 def exponential_weight(ell: float) -> Weight:
-    return Weight("exponential", {"ell": ell}, lambda r: ell * (1.0 + r))
+    return Weight(lambda r: ell * (1.0 + r))
 
 
 def model_weight(c: float, kappa: float) -> Weight:
     a = c * (1.0 - kappa) / 28.0
-    return Weight("model", {"c": c, "kappa": kappa}, lambda r: a * np.log1p(r))
+    return Weight(lambda r: a * np.log1p(r))
 
 
 @dataclass
@@ -101,8 +99,7 @@ class SolutionWeights:
         return np.minimum.reduce(vals)
 
     def weight_at(self, i: int, t: float, zeta: float) -> Weight:
-        return Weight("solution", {"i": i, "t": t, "zeta": zeta},
-                      lambda r: self.log_w(i, t, r, zeta))
+        return Weight(lambda r: self.log_w(i, t, r, zeta))
 
 
 # -- norms -------------------------------------------------------------------

@@ -58,6 +58,21 @@ def _parse_grid(spec: str):
     return int(parts[0]), int(parts[1]), float(parts[2]), float(parts[3])
 
 
+def _parse_u0(text: str):
+    """--u0 of solve and converge: dirac, const:C or file:PATH."""
+    kind, _, arg = text.partition(":")
+    if text == "dirac":
+        return "dirac"
+    if kind == "const" and np.isfinite(float(arg)):
+        return ("const", float(arg))
+    if kind == "file":
+        from .noise import read_field
+
+        return read_field(arg)
+    raise ValueError(f"bad initial condition {text!r}: use dirac, const:C with a finite C, "
+                     "or file:PATH")
+
+
 def _nonnegative_int(text: str) -> int:
     # seeds key Philox streams and SeedSequences, which take unsigned integers
     value = int(text)
@@ -246,33 +261,24 @@ def cmd_reconstruct(args, outdir: Path):
 
 
 def cmd_solve(args, outdir: Path):
-    from .noise import Grid, write_field, Field, read_field
+    from .noise import Grid, write_field, Field
     from .solver import EQUATIONS, SolverConfig, solve_renormalised, weighted_norm_diag
 
     N, M, L, T = _parse_grid(args.grid)
     d, eq, _ = EQUATIONS[args.equation]
     grid = Grid(d=d, L=L, N=N, T=T, M=M)
-    if args.u0.startswith("const:"):
-        u0 = ("const", float(args.u0.split(":", 1)[1]))
-    elif args.u0.startswith("file:"):
-        u0 = read_field(args.u0.split(":", 1)[1])
-    elif args.u0 == "dirac":
-        u0 = "dirac"
-    else:
-        raise ValueError(f"unknown initial condition {args.u0!r}")
-    if args.ceps == "auto":
+    auto = args.ceps == "auto"
+    # the config is checked before the constant is computed
+    cfg = SolverConfig(equation=args.equation, grid=grid, eps=args.eps,
+                       C_eps=0.0 if auto else float(args.ceps), u0=_parse_u0(args.u0),
+                       T=args.T or T, seed=args.seed, snapshots=args.snapshots)
+    if auto and eq is not None:
         from .renorm import compute_constants
 
-        C = 0.0 if eq is None else compute_constants(
-            eq, args.eps, n_samples=args.samples, seed=args.seed,
-            threads=_threads(args), R_G=8.0 * args.eps).C_eps
-    else:
-        C = float(args.ceps)
-    cfg = SolverConfig(equation=args.equation, grid=grid, eps=args.eps, C_eps=C,
-                       u0=u0, T=args.T or T, seed=args.seed,
-                       snapshots=args.snapshots)
+        cfg.C_eps = compute_constants(eq, args.eps, n_samples=args.samples, seed=args.seed,
+                                      threads=_threads(args), R_G=8.0 * args.eps).C_eps
     traj = solve_renormalised(cfg)
-    diag = weighted_norm_diag(traj, p=2.0, ell=args.ell)
+    diag = weighted_norm_diag(traj, ell=args.ell)
     for i, fld in enumerate(traj.fields):
         write_field(outdir / f"snapshot-{i:03d}.shef",
                     Field(grid=grid, values=fld, kind="spatial"))
@@ -288,13 +294,11 @@ def cmd_converge(args, outdir: Path):
 
     N, M, L, T = _parse_grid(args.grid)
     grid = Grid(d=EQUATIONS[args.equation][0], L=L, N=N, T=T, M=M)
-    u0 = ("const", float(args.u0.split(":", 1)[1])) if args.u0.startswith("const:") \
-        else args.u0
     res = convergence_study(args.equation, grid, args.eps_list, T=args.T or T,
                             seeds=tuple(range(args.first_seed, args.first_seed + args.seeds)),
                             n_qmc=args.samples,
                             include_ito=args.ito, threads=_threads(args),
-                            snapshot_t0=args.snapshot_t0, u0=u0, dt=args.dt,
+                            snapshot_t0=args.snapshot_t0, u0=_parse_u0(args.u0), dt=args.dt,
                             ell=args.ell)
     rows = []
     for seed, r in zip(res["seeds"], res["results"]):

@@ -128,7 +128,6 @@ class KernelDecomposition:
     time_axis: _DualAxis = field(repr=False, default=None)
     space_axis: _DualAxis = field(repr=False, default=None)
     cond: float = 0.0
-    fd_step: float = 0.01
 
     # -- building blocks ----------------------------------------------------
 
@@ -185,7 +184,7 @@ class KernelDecomposition:
         x = np.asarray(x, dtype=float)
         if x.ndim == t.ndim:
             x = x[..., None]
-        h = self.fd_step
+        h = 0.01  # finite-difference step
 
         def rec(axis, tt, xx):
             if axis > self.d:
@@ -231,8 +230,7 @@ class KernelDecomposition:
 
     # -- diagnostics ----------------------------------------------------------
 
-    def moment_residual(self, k, n_t: int = 160, n_rho: int = 16001,
-                        n_x: int = 200) -> float:
+    def moment_residual(self, k, n_t: int = 160, n_rho: int = 16001) -> float:
         """|int P_0 z^k dz| / int |P_0|, with quadratures adapted per piece.
 
         P_0 = P [chi(N) - chi(2N)] - Q_diff.  The heat-kernel piece is
@@ -276,10 +274,9 @@ class KernelDecomposition:
             q_mom += term
         v2 = (1.0 - 2.0 ** -(2 + _scaled_degree(k))) * q_mom
 
-        den = self._abs_mass(n_x)
-        return abs(v1 - v2) / den
+        return abs(v1 - v2) / self._abs_mass()
 
-    def _abs_mass(self, n_x: int = 200) -> float:
+    def _abs_mass(self) -> float:
         """int |P_0| by a moderate tensor rule (normalizer only, cached)."""
         if getattr(self, "_abs_mass_cache", None) is not None:
             return self._abs_mass_cache

@@ -20,6 +20,7 @@ spectrum of the sampled kernel the outer product of 1-d transforms.
 from __future__ import annotations
 
 import functools
+import math
 import struct
 from dataclasses import dataclass
 
@@ -166,7 +167,6 @@ class Mollifier:
     """Product bump at scale eps over the shared 1-d tables of its profile."""
 
     epsilon: float
-    flip_x: bool = False  # reflected copy (identical for the even bump)
     profile: str = "exp"
 
     def __post_init__(self):
@@ -174,8 +174,7 @@ class Mollifier:
 
     def _b(self, u):
         gu, b, _, _ = bump_profile(profile=self.profile)
-        sgn = -1.0 if self.flip_x else 1.0
-        return np.interp(sgn * np.asarray(u), gu, b, left=0.0, right=0.0)
+        return np.interp(u, gu, b, left=0.0, right=0.0)
 
     def rho(self, t, x):
         """Unit-scale rho(t, x...); x has shape (..., d)."""
@@ -200,7 +199,7 @@ class Mollifier:
         """The grid of the bb table and the trapezoid CDF of bb on it."""
         return _bb_cdf(self.profile)
 
-    def rho_sq(self, t, x, d: int):
+    def rho_sq(self, t, x):
         """Space-time self-convolution rho_eps^{*2}(t, x); support radius 2 eps."""
         e = self.epsilon
         t = np.asarray(t, dtype=float)
@@ -210,12 +209,13 @@ class Mollifier:
             out = out * self.bb(x[..., i] / e) / e
         return out
 
-    def rho_sq_spatial(self, x, d: int):
-        """Spatial marginal of rho_eps^{*2} (time integrated out)."""
+    def rho_sq_spatial(self, x):
+        """Spatial marginal of rho_eps^{*2} (time integrated out); x has shape
+        (..., d)."""
         e = self.epsilon
         x = np.atleast_2d(np.asarray(x, dtype=float))
         out = np.ones(x.shape[:-1])
-        for i in range(d):
+        for i in range(x.shape[-1]):
             out = out * self.bb(x[..., i] / e) / e
         return out
 
@@ -266,6 +266,7 @@ def mollify(noise: Field, moll: Mollifier) -> Field:
 
 _MAGIC = b"SHEF"
 _VERSION = 1
+_HEADER = struct.Struct("<IBBQQdd")  # after the magic
 _KINDS = {"spatial": 0, "spacetime": 1}
 _KINDS_INV = {v: k for k, v in _KINDS.items()}
 
@@ -275,37 +276,50 @@ def write_field(path, f: Field) -> None:
     L f64, T f64} followed by row-major f64 values."""
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<IBBQQdd", _VERSION, _KINDS[f.kind], f.grid.d,
-                             f.grid.N, f.grid.M, f.grid.L, f.grid.T))
+        fh.write(_HEADER.pack(_VERSION, _KINDS[f.kind], f.grid.d,
+                              f.grid.N, f.grid.M, f.grid.L, f.grid.T))
         fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
 
 
 def read_field(path) -> Field:
+    """The field of a file written by write_field; a malformed file raises
+    ValueError naming the file and the fault."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"not a field file (magic {magic!r})")
-        version, kind_u8, d, N, M, L, T = struct.unpack("<IBBQQdd", fh.read(38))
+        data = fh.read()
+    start = 4 + _HEADER.size
+    try:
+        if data[:4] != _MAGIC:
+            raise ValueError(f"not a field file (magic {data[:4]!r})")
+        if len(data) < start:
+            raise ValueError(f"truncated header: {len(data)} bytes, a header takes {start}")
+        version, kind_u8, d, N, M, L, T = _HEADER.unpack_from(data, 4)
         if version != _VERSION:
             raise ValueError(f"unsupported field file version {version}")
+        if kind_u8 not in _KINDS_INV:
+            raise ValueError(f"unknown field kind {kind_u8}")
         kind = _KINDS_INV[kind_u8]
         grid = Grid(d=d, L=L, N=int(N), T=T, M=int(M))
-        vals = np.frombuffer(fh.read(), dtype="<f8").reshape(grid.shape(kind)).copy()
-    return Field(grid=grid, values=vals, kind=kind)
+        shape = grid.shape(kind)
+        if len(data) - start != 8 * math.prod(shape):
+            raise ValueError(f"payload of {len(data) - start} bytes, but a {kind} field "
+                             f"of shape {shape} takes {8 * math.prod(shape)}")
+        vals = np.frombuffer(data, dtype="<f8", offset=start).reshape(shape).copy()
+        return Field(grid=grid, values=vals, kind=kind)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # -- regularity estimation ---------------------------------------------------
 
 
-def estimate_regularity(fld: Field, basis, p: float = 2.0, weight=None,
-                        n_min: int = 1, n_max: int = None) -> dict:
+def estimate_regularity(fld: Field, basis, n_min: int = 1, n_max: int = None) -> dict:
     """Critical Besov exponent from the decay of level aggregates.
 
-    Per level n the p-aggregate of coefficients (volume-weighted, divided by
-    the weight at the lattice positions, WITHOUT the 2^{-n|s|/2 - n alpha}
-    normalization) behaves like 2^{-n(|s|/2 + alpha_c)}; a linear fit of
-    log2(aggregate) against n returns alpha_hat = -|s|/2 - slope, where |s|
-    is 2 + d for space-time fields and d for spatial ones.
+    Per level n the unweighted L^2 aggregate of coefficients (volume-weighted,
+    averaged over time rows and tensor combinations, WITHOUT the
+    2^{-n|s|/2 - n alpha} normalization) behaves like 2^{-n(|s|/2 + alpha_c)};
+    a linear fit of log2(aggregate) against n returns alpha_hat = -|s|/2 -
+    slope, where |s| is 2 + d for space-time fields and d for spatial ones.
     """
     from . import besov
     from .wavelet import analyze, analyze_spatial
@@ -324,8 +338,7 @@ def estimate_regularity(fld: Field, basis, p: float = 2.0, weight=None,
     levels = sorted(pyr.levels)
     if len(levels) < 4:
         raise ValueError(f"need at least 4 usable levels, got {len(levels)}")
-    aggs = [besov.level_aggregate(pyr, n, p=p, weight=weight, reduce="mean")
-            for n in levels]
+    aggs = [besov.level_aggregate(pyr, n, reduce="mean") for n in levels]
     logs = np.log2(aggs)
     ns = np.asarray(levels, dtype=float)
     slope, _ = np.polyfit(ns, logs, 1)
@@ -339,8 +352,8 @@ def estimate_regularity(fld: Field, basis, p: float = 2.0, weight=None,
     }
 
 
-def regularity_study(grid: Grid, kind: str, basis, seeds, p: float = 2.0,
-                     weight=None, n_min: int = 1, n_max: int = None) -> dict:
+def regularity_study(grid: Grid, kind: str, basis, seeds, n_min: int = 1,
+                     n_max: int = None) -> dict:
     """alpha_hat over several seeds with a normal 95% confidence interval."""
     seeds = list(seeds)
     if len(seeds) < 2:
@@ -348,8 +361,7 @@ def regularity_study(grid: Grid, kind: str, basis, seeds, p: float = 2.0,
     vals = []
     for s in seeds:
         fld = sample_white_noise(grid, kind, seed=s)
-        vals.append(estimate_regularity(fld, basis, p=p, weight=weight,
-                                        n_min=n_min, n_max=n_max)["alpha_hat"])
+        vals.append(estimate_regularity(fld, basis, n_min=n_min, n_max=n_max)["alpha_hat"])
     vals = np.asarray(vals)
     half = 1.96 * vals.std(ddof=1) / np.sqrt(len(vals))
     return {"alpha_hat": float(vals.mean()), "ci_halfwidth": float(half),

@@ -114,15 +114,13 @@ class Model:
             self._mesh_cache = np.meshgrid(self.grid.ts, self.grid.xs, indexing="ij")
         return self._mesh_cache
 
-    def pair(self, sym: str, z_idx: tuple, lam: float, center=None) -> float:
+    def pair(self, sym: str, z_idx: tuple, lam: float) -> float:
         """< Pi_z tau, eta^lam_z > for a fixed smooth bump eta (mass one),
         by Riemann quadrature on the grid."""
         g = self.grid
         it, ix = z_idx
-        t0 = g.ts[it] if center is None else center[0]
-        x0 = g.xs[ix] if center is None else center[1]
         tt, xx = self._mesh()
-        eta = exp_bump((tt - t0) / lam ** 2) * exp_bump((xx - x0) / lam)
+        eta = exp_bump((tt - g.ts[it]) / lam ** 2) * exp_bump((xx - g.xs[ix]) / lam)
         mass = eta.sum() * g.dt * g.dx
         if mass == 0.0:
             raise ValueError("test function support misses the grid")
@@ -264,23 +262,24 @@ def _adjoint_level(A: np.ndarray, basis: WaveletBasis, n: int, g: Grid) -> np.nd
     return LevelTransform(basis, n, g.dx, g.dt).adjoint(A, ("phi", "phi"), (g.M, g.N))
 
 
-def sewing_check(result: dict, alpha: float, gamma: float, p: float = 2.0,
-                 d: int = 1, s_norm: int = 3) -> dict:
+def sewing_check(result: dict, alpha: float, gamma: float, p: float = 2.0) -> dict:
     """Level norms of the sewing criterion plus the convergence-rate fit.
 
     A-norm: sup_n sup_t (sum_x 2^{-nd} |A^n / 2^{-n|s|/2 - n alpha}|^p)^{1/p},
     delta-norm: the same with gamma in place of alpha for delta A^n; the rate
     is fitted from ||R_{n_max} f - R_n f||_p ~ 2^{-n rate} (the sup at p = inf).
+    d and |s| = 2 + d are those of the level arrays (time first).
     """
     levels = result["levels"]
     deltas = result["deltas"]
     ns = sorted(levels)
     if len(ns) < 4:
         raise ValueError("need at least 4 levels for the sewing check")
+    d = levels[ns[0]].ndim - 1
 
     def level_norm(arr, n, expo):
         # row sums round by memory layout: sum over C-ordered rows
-        normaliser = np.full(arr.shape[1:], 2.0 ** (-n * s_norm / 2.0 - n * expo))
+        normaliser = np.full(arr.shape[1:], 2.0 ** (-n * (2 + d) / 2.0 - n * expo))
         return row_aggregate(np.ascontiguousarray(arr), normaliser, 2.0 ** (-n * d), p)
 
     a_norms = {n: level_norm(levels[n], n, alpha) for n in ns}

@@ -147,8 +147,8 @@ def rho_sq(moll: Mollifier, green: GreenFn):
     """Evaluator of the self-convolution rho_eps^{*2} matching the equation:
     spatial marginal for pam3d (3 arguments), space-time for she1d."""
     if green.equation == "pam3d":
-        return lambda x: moll.rho_sq_spatial(np.asarray(x), d=3)
-    return lambda z: moll.rho_sq(np.asarray(z)[..., 0], np.asarray(z)[..., 1:], d=1)
+        return lambda x: moll.rho_sq_spatial(np.asarray(x))
+    return lambda z: moll.rho_sq(np.asarray(z)[..., 0], np.asarray(z)[..., 1:])
 
 
 def _moll_inv_cdf(moll: Mollifier):
@@ -169,7 +169,7 @@ def _sample_rho_sq(moll: Mollifier, green: GreenFn, U: np.ndarray) -> np.ndarray
 # -- c_eps: deterministic quadrature ----------------------------------------
 
 
-def c_eps(moll: Mollifier, green: GreenFn, tol: float = 1e-5) -> float:
+def c_eps(moll: Mollifier, green: GreenFn) -> float:
     """int G rho_eps^{*2} by adaptive-resolution deterministic quadrature.
 
     For pam3d and she1d this is c_1 / eps (module docstring), with c_1 the
@@ -181,20 +181,20 @@ def c_eps(moll: Mollifier, green: GreenFn, tol: float = 1e-5) -> float:
     if green.equation == "pam3d" and e > green.R_G / 8.0 + 1e-12:
         raise ValueError(f"eps = {e} too large for truncation radius {green.R_G}")
     if green.equation in ("pam3d", "she1d"):
-        return _unit_c(green.equation, moll.profile, tol) / e
+        return _unit_c(green.equation, moll.profile) / e
     # smooth test kind: plain tensor rule on the rho^2 support
     ts = np.linspace(-2 * e ** 2, 2 * e ** 2, 801)
     xs = np.linspace(-2 * e, 2 * e, 801)
     tt, xx = np.meshgrid(ts, xs, indexing="ij")
     z = np.stack([tt, xx], axis=-1)
-    vals = green(z) * moll.rho_sq(tt, xx[..., None], d=1)
+    vals = green(z) * moll.rho_sq(tt, xx[..., None])
     return float(np.trapezoid(np.trapezoid(vals, xs, axis=1), ts))
 
 
 @functools.cache
-def _unit_c(equation: str, profile: str, tol: float) -> float:
-    """c at eps = 1, computed once per process for each profile."""
-    return _quadrature(Mollifier(epsilon=1.0, profile=profile), equation, tol)
+def _unit_c(equation: str, profile: str) -> float:
+    """c at eps = 1 to relative 1e-5, computed once per process for each profile."""
+    return _quadrature(Mollifier(epsilon=1.0, profile=profile), equation, 1e-5)
 
 
 def _quadrature(moll: Mollifier, equation: str, tol: float) -> float:
@@ -229,7 +229,7 @@ def _pam_shells(moll: Mollifier, n_r: int):
                      np.outer(st, np.sin(phi)),
                      np.tile(cn[:, None], (1, n_p))], axis=-1)  # (n_c, n_p, 3)
     for rv, rwt in zip(half * (rn + 1.0), half * rw):
-        vals = moll.rho_sq_spatial(rv * dirs, d=3)
+        vals = moll.rho_sq_spatial(rv * dirs)
         yield rv, rwt, np.sum(vals * cw[:, None]) * (2.0 * np.pi / n_p)
 
 
@@ -261,17 +261,19 @@ def _c_eps_she(moll: Mollifier, n: int) -> float:
 
 # -- QMC machinery ------------------------------------------------------------
 
+#: scrambled replicates per QMC mean; the standard error is from their spread
+_REPLICATES = 16
 
-def _qmc_mean(fn, dim: int, n_samples: int, seed: int, replicates: int = 16,
-              threads: int = 1):
+
+def _qmc_mean(fn, dim: int, n_samples: int, seed: int, threads: int = 1):
     """Randomized-QMC mean of fn(U) with scrambled Sobol replicates.
 
     fn maps an (n, dim) uniform block to one value per row.  Returns
     (mean, stderr).  Per-replicate seeds come from a spawned SeedSequence, so
     the result is independent of the thread count.
     """
-    m = max(6, int(math.ceil(math.log2(max(2, n_samples // replicates)))))
-    seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(replicates)]
+    m = max(6, int(math.ceil(math.log2(max(2, n_samples // _REPLICATES)))))
+    seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(_REPLICATES)]
 
     def one(rep_seed):
         eng = qmc.Sobol(d=dim, scramble=True, seed=rep_seed)
@@ -284,11 +286,11 @@ def _qmc_mean(fn, dim: int, n_samples: int, seed: int, replicates: int = 16,
     else:
         means = [one(s) for s in seeds]
     means = np.asarray(means)
-    return float(means.mean()), float(means.std(ddof=1) / np.sqrt(replicates))
+    return float(means.mean()), float(means.std(ddof=1) / np.sqrt(_REPLICATES))
 
 
 def c11_eps(moll: Mollifier, green: GreenFn, n_samples: int = 1 << 17,
-            seed: int = 0, replicates: int = 16, threads: int = 1):
+            seed: int = 0, threads: int = 1):
     """The three-Green two-mollifier integral, with u = z1+z2, v = z2+z3.
 
     c11 = E_{u,v ~ rho2} E_{z2 ~ q} [ (G/q)(z2) G(u - z2) G(v - z2) ].
@@ -303,13 +305,12 @@ def c11_eps(moll: Mollifier, green: GreenFn, n_samples: int = 1 << 17,
         z2, w = green.sample_factor(U[:, 2 * dz:], tmax=tmax)
         return w * green(u - z2) * green(v - z2)
 
-    mean, err = _qmc_mean(fn, 3 * dz, n_samples, seed, replicates, threads)
+    mean, err = _qmc_mean(fn, 3 * dz, n_samples, seed, threads)
     return {"value": mean, "stderr": err}
 
 
 def c12_eps(moll: Mollifier, green: GreenFn, c_eps_value: float,
-            n_samples: int = 1 << 17, seed: int = 1, replicates: int = 16,
-            threads: int = 1):
+            n_samples: int = 1 << 17, seed: int = 1, threads: int = 1):
     """Split evaluation of the delta-subtracted integral.
 
     piece A = int G(z1) G(z2) G(z3) rho2(z3) rho2(z1+z2+z3)
@@ -334,8 +335,8 @@ def c12_eps(moll: Mollifier, green: GreenFn, c_eps_value: float,
         z1, wt = green.sample_factor(U[:, dz:], tmax=tmax)
         return wt * green(u - z1)
 
-    a, a_err = _qmc_mean(fn_a, 3 * dz, n_samples, seed, replicates, threads)
-    b, b_err = _qmc_mean(fn_b, 2 * dz, n_samples, seed + 1, replicates, threads)
+    a, a_err = _qmc_mean(fn_a, 3 * dz, n_samples, seed, threads)
+    b, b_err = _qmc_mean(fn_b, 2 * dz, n_samples, seed + 1, threads)
     b, b_err = c_eps_value * b, abs(c_eps_value) * b_err
     return {
         "value": a - b,
@@ -361,8 +362,7 @@ class RenormConstants:
 
 
 def compute_constants(equation: str, eps: float,
-                      n_samples: int = 1 << 16, seed: int = 0,
-                      replicates: int = 16, threads: int = 1,
+                      n_samples: int = 1 << 16, seed: int = 0, threads: int = 1,
                       R_G: float = 1.0) -> RenormConstants:
     """All constants for one epsilon; equation is 'pam3d' or 'she1d'."""
     if equation == "pam3d":
@@ -373,8 +373,8 @@ def compute_constants(equation: str, eps: float,
         raise ValueError(f"unknown equation {equation!r}")
     moll = Mollifier(epsilon=eps)
     c = c_eps(moll, green)
-    r11 = c11_eps(moll, green, n_samples, seed, replicates, threads)
-    r12 = c12_eps(moll, green, c, n_samples, seed + 7919, replicates, threads)
+    r11 = c11_eps(moll, green, n_samples, seed, threads)
+    r12 = c12_eps(moll, green, c, n_samples, seed + 7919, threads)
     return RenormConstants(epsilon=eps, c_eps=c,
                            c11_eps=r11["value"], c11_err=r11["stderr"],
                            c12_eps=r12["value"], c12_err=r12["stderr"],

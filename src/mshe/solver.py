@@ -24,7 +24,7 @@ Fourier-transform it once, mollify it at each epsilon of a dyadic list
 (with the renormalisation constant computed per epsilon for the same
 mollifier), and report pairwise distances in the exponentially weighted norm
 
-    d(u, v) = max_snapshots || (u - v)(t, .) e^{-(t + ell)(1 + |x|)} ||_p.
+    d(u, v) = max_snapshots || (u - v)(t, .) e^{-(t + ell)(1 + |x|)} ||_{L^2}.
 
 Space-time noise is drawn with its time axis padded on both sides by more
 than the mollifier's time support, and transformed at the next 5-smooth
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .noise import Field, Grid, Mollifier, mollify, sample_white_noise
+from .noise import Field, Grid, Mollifier, _generator, mollify, sample_white_noise
 
 __all__ = [
     "SolverConfig",
@@ -74,7 +74,7 @@ class SolverConfig:
     grid: Grid
     eps: float
     C_eps: float = 0.0
-    u0: object = "dirac"          # "dirac" | ("const", c) | Field | ndarray
+    u0: object = "dirac"          # "dirac" | ("const", c) | ndarray (a Field is unwrapped)
     T: float = None               # defaults to grid.T
     dt: float = None              # defaults to dx^2 / 4
     seed: int = 0
@@ -98,6 +98,11 @@ class SolverConfig:
         if self.eps < 2 * self.grid.dx - 1e-12:
             raise ValueError(
                 f"mollification under-resolved: eps = {self.eps} < 2 dx = {2 * self.grid.dx}")
+        if isinstance(self.u0, Field):
+            self.u0 = self.u0.values
+        if isinstance(self.u0, np.ndarray) and self.u0.shape != self.grid.space_shape():
+            raise ValueError(f"initial field shape {self.u0.shape} != grid shape "
+                             f"{self.grid.space_shape()}")
 
     @property
     def noise_kind(self) -> str:
@@ -130,8 +135,6 @@ def _spectral_mesh(grid: Grid) -> tuple:
 
 def _initial_field(cfg: SolverConfig) -> np.ndarray:
     g = cfg.grid
-    if isinstance(cfg.u0, Field):
-        return cfg.u0.values.copy()
     if isinstance(cfg.u0, np.ndarray):
         return cfg.u0.copy()
     if cfg.u0 == "dirac":
@@ -262,23 +265,17 @@ def solve_pam_transformed(cfg: SolverConfig, xi_eps: np.ndarray, C: float) -> Tr
 # -- distances and studies -----------------------------------------------------
 
 
-def _weighted_lp(grid: Grid, times, fields, p: float, ell: float):
-    """Per snapshot: the weight e^{-(t+ell)(1+|x|)} and the weighted L^p norm
-    of the field."""
+def _weighted_l2(grid: Grid, times, fields, ell: float):
+    """Per snapshot: the e^{-(t+ell)(1+|x|)}-weighted L^2 norm of the field."""
     r = np.sqrt(sum(m ** 2 for m in np.meshgrid(*([grid.xs] * grid.d), indexing="ij")))
     for t, f in zip(times, fields):
-        wgt = np.exp(-(t + ell) * (1.0 + r))
-        a = np.abs(f) * wgt
-        if np.isinf(p):
-            yield wgt, float(a.max())
-        else:
-            yield wgt, float((np.sum(a ** p) * grid.dx ** grid.d) ** (1.0 / p))
+        a = np.abs(f) * np.exp(-(t + ell) * (1.0 + r))
+        yield float((np.sum(a ** 2) * grid.dx ** grid.d) ** 0.5)
 
 
-def weighted_distance(t1: Trajectory, t2: Trajectory, p: float = 2.0,
-                      ell: float = 0.0) -> float:
+def weighted_distance(t1: Trajectory, t2: Trajectory, ell: float = 0.0) -> float:
     """sup over common snapshot times of the e^{-(t+ell)(1+|x|)}-weighted
-    L^p distance between the snapshot fields.
+    L^2 distance between the snapshot fields.
 
     The snapshot lists must line up: the same length, and times that differ
     by no more than the two solvers' rounding of shared target times to their
@@ -291,14 +288,14 @@ def weighted_distance(t1: Trajectory, t2: Trajectory, p: float = 2.0,
         raise ValueError(f"snapshot times differ by {off.max():.6g}, more than half "
                          f"the sum of the steps {t1.dt:.6g} and {t2.dt:.6g}")
     diffs = (f1 - f2 for f1, f2 in zip(t1.fields, t2.fields))
-    return max([0.0] + [val for _, val in _weighted_lp(t1.grid, t1.times, diffs, p, ell)])
+    return max([0.0] + list(_weighted_l2(t1.grid, t1.times, diffs, ell)))
 
 
 def convergence_study(equation: str, grid: Grid, eps_list, T: float,
-                      seeds=(0,), p: float = 2.0, ell: float = 0.0,
+                      seeds=(0,), ell: float = 0.0,
                       constants: dict = None, n_qmc: int = 1 << 14,
                       include_ito: bool = False, threads: int = 1,
-                      snapshots: int = 6, snapshot_t0: float = None,
+                      snapshot_t0: float = None,
                       u0: object = ("const", 1.0), dt: float = None) -> dict:
     """Coupled-noise dyadic epsilon study.
 
@@ -312,6 +309,9 @@ def convergence_study(equation: str, grid: Grid, eps_list, T: float,
     from .renorm import compute_constants
 
     _, eq_renorm, kind = EQUATIONS[equation]
+    # every config is checked before any constant is computed
+    cfgs = {e: SolverConfig(equation=equation, grid=grid, eps=e, u0=u0, T=T, snapshots=6,
+                            snapshot_t0=snapshot_t0, dt=dt) for e in eps_list}
     if constants is None:
         constants = {}
         R_G = 8.0 * max(eps_list)  # keep every eps inside the exact-Green region
@@ -335,9 +335,8 @@ def convergence_study(equation: str, grid: Grid, eps_list, T: float,
             noise = sample_white_noise(grid, kind, seed=seed).values
             shape = noise.shape
         else:
-            rng = np.random.Generator(np.random.Philox(key=(seed, 1)))
-            noise = rng.standard_normal((grid.M + 2 * pad,) + grid.space_shape()) \
-                / np.sqrt(grid.dt * grid.dx ** grid.d)
+            noise = _generator(seed, 1).standard_normal(
+                (grid.M + 2 * pad,) + grid.space_shape()) / np.sqrt(grid.dt * grid.dx ** grid.d)
             if include_ito:
                 interior = Field(grid=grid, values=noise[pad:pad + grid.M].copy(),
                                  kind="spacetime")
@@ -350,20 +349,18 @@ def convergence_study(equation: str, grid: Grid, eps_list, T: float,
         del noise  # only the spectrum is needed from here on
         trajs = {}
         for e in eps_list:
-            cfg = SolverConfig(equation=equation, grid=grid, eps=e,
-                               C_eps=constants[e], u0=u0, T=T, seed=seed,
-                               snapshots=snapshots, snapshot_t0=snapshot_t0, dt=dt)
+            cfg = replace(cfgs[e], C_eps=constants[e], seed=seed)
             xi = Mollifier(epsilon=e).convolve(F, shape, grid.dx, noise_dt)
             if kind == "spacetime":
                 xi = xi[pad:pad + grid.M].copy()  # the [0, T] slab
             trajs[e] = solve_renormalised(cfg, xi_eps=Field(grid=grid, values=xi, kind=kind))
-        dists = [weighted_distance(trajs[a], trajs[b], p=p, ell=ell)
+        dists = [weighted_distance(trajs[a], trajs[b], ell=ell)
                  for a, b in zip(eps_list, eps_list[1:])]
         out = {"pairwise": dists}
         if include_ito and equation == "she1d":
             # the finest epsilon's config, stepped at the noise's own dt
             ito = solve_ito_reference(replace(cfg, C_eps=0.0, dt=grid.dt), noise=interior)
-            out["to_ito"] = [weighted_distance(trajs[e], ito, p=p, ell=ell)
+            out["to_ito"] = [weighted_distance(trajs[e], ito, ell=ell)
                              for e in eps_list]
         return out
 
@@ -376,21 +373,9 @@ def convergence_study(equation: str, grid: Grid, eps_list, T: float,
             "seeds": list(seeds), "results": per_seed}
 
 
-def weighted_norm_diag(traj: Trajectory, p: float = 2.0, ell: float = 0.0,
-                       alpha: float = None, basis=None) -> list:
-    """Per-snapshot diagnostics: the e^{-(t+ell)(1+|x|)}-weighted L^p norm,
-    and optionally a spatial Besov norm of the weighted snapshot."""
-    g = traj.grid
-    out = []
-    norms = _weighted_lp(g, traj.times, traj.fields, p, ell)
-    for t, f, (wgt, val) in zip(traj.times, traj.fields, norms):
-        row = {"t": float(t), "weighted_lp": val, "unweighted_sup": float(np.abs(f).max())}
-        if alpha is not None and basis is not None:
-            from .besov import besov_norm
-            from .wavelet import analyze_spatial
-
-            n_max = int(np.log2(g.N / g.L / 4))
-            pyr = analyze_spatial(f * wgt, basis, 0, n_max, g.L)
-            row["besov"] = besov_norm(pyr, alpha, p=p)
-        out.append(row)
-    return out
+def weighted_norm_diag(traj: Trajectory, ell: float = 0.0) -> list:
+    """Per-snapshot diagnostics: the e^{-(t+ell)(1+|x|)}-weighted L^2 norm
+    and the unweighted sup."""
+    norms = _weighted_l2(traj.grid, traj.times, traj.fields, ell)
+    return [{"t": float(t), "weighted_lp": val, "unweighted_sup": float(np.abs(f).max())}
+            for t, f, val in zip(traj.times, traj.fields, norms)]

@@ -127,7 +127,6 @@ class StructureParams:
     kappa: float
     d: int = 3
     alpha: Homogeneity = ALPHA
-    eta: Homogeneity = Homogeneity(Fraction(-1, 2), 3)
     gamma: Homogeneity = Homogeneity(Fraction(3, 2), 2)
 
     def __post_init__(self):

@@ -67,7 +67,7 @@ def test_weight_families_bounds():
     assert rep["ok"] and rep["C_est"] <= 4.0 + 1e-6
     rep = besov.check_weight(besov.exponential_weight(1.0))
     assert rep["ok"] and rep["C_est"] <= np.e + 1e-6
-    rep = besov.check_weight(besov.Weight("sqexp", {}, lambda r: r ** 2))
+    rep = besov.check_weight(besov.Weight(lambda r: r ** 2))
     assert not rep["ok"]
 
 

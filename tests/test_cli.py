@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -236,3 +237,68 @@ def test_regularity_needs_two_seeds(tmp_path, capsys):
     assert code == 1
     assert "at least 2 seeds, got 1" in capsys.readouterr().err
     assert not (out / "noise-regularity.csv").exists()
+
+
+def _field_file(path, d, N):
+    from mshe.noise import Field, write_field
+
+    write_field(path, Field(grid=Grid(d=d, L=4.0, N=N), values=np.ones((N,) * d)))
+    return f"file:{path}"
+
+
+def _short_file(path):
+    path.write_bytes(b"SHEF\x01\x00")
+    return f"file:{path}"
+
+
+@pytest.mark.parametrize("command", ["solve", "converge"])
+@pytest.mark.parametrize("u0, match", [
+    pytest.param(lambda tmp: "bogus", "bad initial condition 'bogus'", id="bogus"),
+    pytest.param(lambda tmp: "const:abc", "could not convert", id="const-abc"),
+    pytest.param(lambda tmp: "const:nan", "bad initial condition 'const:nan'", id="const-nan"),
+    pytest.param(lambda tmp: _field_file(tmp / "2d.shef", 2, 64),
+                 r"initial field shape \(64, 64\) != grid shape \(64,\)", id="file-d2"),
+    pytest.param(lambda tmp: _field_file(tmp / "n1.shef", 1, 1),
+                 r"initial field shape \(1,\) != grid shape \(64,\)", id="file-n1"),
+    pytest.param(lambda tmp: _short_file(tmp / "short.shef"), "truncated header",
+                 id="file-short"),
+])
+def test_bad_u0_rejected_before_any_constant(tmp_path, capsys, monkeypatch, command, u0,
+                                             match):
+    # solve and converge share one --u0 parser, and a file's shape is checked
+    # against the grid: every bad value exits 1 before a constant is computed
+    import mshe.renorm
+
+    def no_constants(*args, **kwargs):
+        raise AssertionError("a renormalisation constant was computed")
+
+    monkeypatch.setattr(mshe.renorm, "compute_constants", no_constants)
+    argv = {"solve": ["solve", "--equation", "she1d", "--eps", "0.25",
+                      "--grid", "64,256,4,0.25"],
+            "converge": ["converge", "--equation", "she1d", "--eps-list", "0.4", "0.2",
+                         "--grid", "64,256,4,0.25", "--seeds", "1"]}[command]
+    code, out = run_cli(argv + ["--u0", u0(tmp_path)], tmp_path, "bad")
+    assert code == 1
+    assert re.search(match, capsys.readouterr().err)
+    assert not list(out.glob("*.csv"))
+
+
+def test_converge_reads_u0_file(tmp_path):
+    # converge takes the file: form that solve takes; a file of ones is const:1
+    common = ["converge", "--equation", "she1d", "--eps-list", "0.4", "0.2",
+              "--grid", "64,512,4,0.25", "--seeds", "1", "--samples", "4096"]
+    code, const = run_cli(common + ["--u0", "const:1"], tmp_path, "const")
+    assert code == 0
+    u0 = _field_file(tmp_path / "ones.shef", 1, 64)
+    code, ones = run_cli(common + ["--u0", u0], tmp_path, "file")
+    assert code == 0
+    assert (ones / "converge.csv").read_bytes() == (const / "converge.csv").read_bytes()
+
+
+def test_malformed_field_input_is_a_validation_error(tmp_path, capsys):
+    # a damaged --input file exits 1 with a message, not a traceback
+    _short_file(tmp_path / "short.shef")
+    code, _ = run_cli(["noise", "mollify", "--input", str(tmp_path / "short.shef"),
+                       "--eps", "0.25"], tmp_path, "m")
+    assert code == 1
+    assert "short.shef: truncated header: 6 bytes" in capsys.readouterr().err

@@ -92,6 +92,17 @@ def test_mollifier_mass_and_evenness():
     assert m.rho_eps(np.array([0.0]), np.array([[0.2505]]), d=1)[0] == 0.0
 
 
+@pytest.mark.parametrize("profile", ["exp", "poly4"])
+def test_kernel_factors_even(profile):
+    # the bump is even, so each per-axis factor of the sampled kernel is even
+    # on the periodic offsets, f[j] = f[-j], up to round-off in the table lookup
+    m = Mollifier(epsilon=0.37, profile=profile)
+    for shape, dx, dt in (((7500,), 1e-3, None), ((7500, 37), 0.02, 1e-4)):
+        for f in m.kernel(shape, dx, dt):
+            mirror = f[(-np.arange(f.size)) % f.size]
+            assert np.abs(f - mirror).max() <= 1e-15 * f.max()
+
+
 def test_mollify_preserves_constants():
     grid = Grid(d=1, L=4.0, N=256)
     f = Field(grid=grid, values=np.full(grid.space_shape(), 3.25), kind="spatial")
@@ -136,7 +147,7 @@ def test_rho_sq_properties():
     t = np.linspace(-0.6, 0.6, 601)
     x = np.linspace(-1.1, 1.1, 601)
     tt, xx = np.meshgrid(t, x, indexing="ij")
-    vals = m.rho_sq(tt, xx[..., None], d=1)
+    vals = m.rho_sq(tt, xx[..., None])
     mass = np.trapezoid(np.trapezoid(vals, x, axis=1), t)
     assert mass == pytest.approx(1.0, abs=1e-6)
     assert np.allclose(vals, vals[:, ::-1], atol=1e-12)
@@ -145,15 +156,20 @@ def test_rho_sq_properties():
     e = 0.5
     pts_t = np.array([0.1, -0.05, 0.2])
     pts_x = np.array([[0.3], [-0.2], [0.6]])
-    lhs = m.rho_sq(pts_t, pts_x, d=1)
-    rhs = m1.rho_sq(pts_t / e ** 2, pts_x / e, d=1) / e ** 3
+    lhs = m.rho_sq(pts_t, pts_x)
+    rhs = m1.rho_sq(pts_t / e ** 2, pts_x / e) / e ** 3
     assert np.allclose(lhs, rhs, rtol=1e-9)
 
 
-def test_field_file_roundtrip(tmp_path):
-    grid = Grid(d=2, L=2.0, N=32, T=0.5, M=16)
-    f = sample_white_noise(grid, "spacetime", seed=9)
-    path = tmp_path / "field.shef"
+@settings(max_examples=30, deadline=None)
+@given(d=st.integers(1, 3), kind=st.sampled_from(["spatial", "spacetime"]),
+       log_n=st.integers(0, 3), log_m=st.integers(0, 4), L=st.floats(0.1, 50.0),
+       T=st.floats(0.01, 10.0), seed=st.integers(0, 2 ** 31))
+def test_field_file_roundtrip(tmp_path_factory, d, kind, log_n, log_m, L, T, seed):
+    # every grid and kind survives write_field / read_field bit for bit
+    grid = Grid(d=d, L=L, N=2 ** log_n, T=T, M=2 ** log_m)
+    f = sample_white_noise(grid, kind, seed=seed)
+    path = tmp_path_factory.mktemp("shef") / "field.shef"
     write_field(path, f)
     g = read_field(path)
     assert g.kind == f.kind
@@ -161,6 +177,25 @@ def test_field_file_roundtrip(tmp_path):
     assert np.array_equal(g.values, f.values)
     # header magic
     assert path.read_bytes()[:4] == b"SHEF"
+
+
+@pytest.mark.parametrize("cut, match", [
+    pytest.param(lambda b: b[:6], "truncated header: 6 bytes", id="header"),
+    pytest.param(lambda b: b[:8] + bytes([7]) + b[9:], "unknown field kind 7", id="kind"),
+    pytest.param(lambda b: b[:-8], "payload of 4088 bytes", id="payload"),
+    pytest.param(lambda b: b"SHEX" + b[4:], "not a field file", id="magic"),
+    pytest.param(lambda b: b[:10] + (3).to_bytes(8, "little") + b[18:], "power of two",
+                 id="grid"),
+])
+def test_read_field_malformed(tmp_path, cut, match):
+    # a damaged file raises ValueError naming the file and the fault
+    good = tmp_path / "good.shef"
+    write_field(good, sample_white_noise(Grid(d=1, L=1.0, N=512), "spatial", seed=0))
+    bad = tmp_path / "bad.shef"
+    bad.write_bytes(cut(good.read_bytes()))
+    with pytest.raises(ValueError, match=match) as info:
+        read_field(bad)
+    assert str(bad) in str(info.value)
 
 
 def test_field_shape_validation():

@@ -227,7 +227,7 @@ def test_weighted_norm_diag():
     cfg = SolverConfig(equation="she1d", grid=g, eps=4 * g.dx, u0="dirac",
                        T=0.1, snapshots=3)
     traj = solve_renormalised(cfg, noise=_zero_noise(g, "spacetime"))
-    rows = weighted_norm_diag(traj, p=2.0, ell=0.0)
+    rows = weighted_norm_diag(traj, ell=0.0)
     assert all(r["weighted_lp"] > 0 for r in rows)
     # zero trajectory -> all zeros
     zero = solve_renormalised(
@@ -235,7 +235,7 @@ def test_weighted_norm_diag():
                      T=0.1, snapshots=3), noise=_zero_noise(g, "spacetime"))
     assert all(r["weighted_lp"] == 0 for r in weighted_norm_diag(zero))
     # monotone in ell
-    rows2 = weighted_norm_diag(traj, p=2.0, ell=1.0)
+    rows2 = weighted_norm_diag(traj, ell=1.0)
     assert all(r2["weighted_lp"] <= r1["weighted_lp"]
                for r1, r2 in zip(rows, rows2))
 
