@@ -3,9 +3,10 @@
 Every run writes its outputs plus a ``resolved-config.txt`` (sorted
 key=value) into the output directory; re-running a resolved config
 reproduces the outputs byte for byte.  Floats are printed with 17
-significant digits so CSV round-trips are exact.  Thread count comes from
---threads or the SHE_THREADS environment variable and never changes
-results.  Exit codes: 0 success, 1 validation error, 2 numerical failure.
+significant digits so CSV round-trips are exact.  renorm, solve and converge
+take their thread count from --threads or the SHE_THREADS environment
+variable; it never changes results.  Exit codes: 0 success, 1 validation
+error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -51,11 +52,14 @@ def _write_resolved(outdir: Path, args: argparse.Namespace) -> None:
     (outdir / "resolved-config.txt").write_text("\n".join(lines) + "\n")
 
 
-def _parse_grid(spec: str):
+def _parse_grid(spec: str, d: int):
+    """--grid N,M,L,T as the d-dimensional Grid."""
+    from .noise import Grid
+
     parts = spec.split(",")
     if len(parts) != 4:
         raise ValueError("grid must be N,M,L,T")
-    return int(parts[0]), int(parts[1]), float(parts[2]), float(parts[3])
+    return Grid(d=d, L=float(parts[2]), N=int(parts[0]), T=float(parts[3]), M=int(parts[1]))
 
 
 def _parse_u0(text: str):
@@ -82,9 +86,7 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _threads(args) -> int:
-    if getattr(args, "threads", 0):
-        return args.threads
-    return int(os.environ.get("SHE_THREADS", "1"))
+    return args.threads or int(os.environ.get("SHE_THREADS", "1"))
 
 
 # -- subcommand implementations ----------------------------------------------
@@ -181,11 +183,9 @@ def cmd_besov_check_w(args, outdir: Path):
 
 
 def cmd_noise_sample(args, outdir: Path):
-    from .noise import Grid, sample_white_noise, write_field
+    from .noise import sample_white_noise, write_field
 
-    N, M, L, T = _parse_grid(args.grid)
-    grid = Grid(d=args.d, L=L, N=N, T=T, M=M)
-    fld = sample_white_noise(grid, args.kind, seed=args.seed)
+    fld = sample_white_noise(_parse_grid(args.grid, args.d), args.kind, seed=args.seed)
     write_field(outdir / args.out_field, fld)
     _write_csv(outdir / "noise-sample.csv",
                ["kind", "seed", "cells", "sum"],
@@ -207,13 +207,11 @@ def cmd_noise_mollify(args, outdir: Path):
 
 
 def cmd_noise_regularity(args, outdir: Path):
-    from .noise import Grid, regularity_study
+    from .noise import regularity_study
     from .wavelet import build_basis
 
-    N, M, L, T = _parse_grid(args.grid)
-    grid = Grid(d=args.d, L=L, N=N, T=T, M=M)
     basis = build_basis(args.r)
-    res = regularity_study(grid, args.kind, basis,
+    res = regularity_study(_parse_grid(args.grid, args.d), args.kind, basis,
                            seeds=range(args.first_seed, args.first_seed + args.seeds),
                            n_min=args.nmin, n_max=args.nmax or None)
     _write_csv(outdir / "noise-regularity.csv",
@@ -261,22 +259,22 @@ def cmd_reconstruct(args, outdir: Path):
 
 
 def cmd_solve(args, outdir: Path):
-    from .noise import Grid, write_field, Field
+    from .noise import write_field, Field
     from .solver import EQUATIONS, SolverConfig, solve_renormalised, weighted_norm_diag
 
-    N, M, L, T = _parse_grid(args.grid)
     d, eq, _ = EQUATIONS[args.equation]
-    grid = Grid(d=d, L=L, N=N, T=T, M=M)
+    grid = _parse_grid(args.grid, d)
     auto = args.ceps == "auto"
     # the config is checked before the constant is computed
     cfg = SolverConfig(equation=args.equation, grid=grid, eps=args.eps,
                        C_eps=0.0 if auto else float(args.ceps), u0=_parse_u0(args.u0),
-                       T=args.T or T, seed=args.seed, snapshots=args.snapshots)
+                       T=args.T or grid.T, seed=args.seed, snapshots=args.snapshots)
     if auto and eq is not None:
         from .renorm import compute_constants
 
+        # the constant of renorm --eps at the same --seed and --samples
         cfg.C_eps = compute_constants(eq, args.eps, n_samples=args.samples, seed=args.seed,
-                                      threads=_threads(args), R_G=8.0 * args.eps).C_eps
+                                      threads=_threads(args)).C_eps
     traj = solve_renormalised(cfg)
     diag = weighted_norm_diag(traj, ell=args.ell)
     for i, fld in enumerate(traj.fields):
@@ -289,12 +287,10 @@ def cmd_solve(args, outdir: Path):
 
 
 def cmd_converge(args, outdir: Path):
-    from .noise import Grid
     from .solver import EQUATIONS, convergence_study
 
-    N, M, L, T = _parse_grid(args.grid)
-    grid = Grid(d=EQUATIONS[args.equation][0], L=L, N=N, T=T, M=M)
-    res = convergence_study(args.equation, grid, args.eps_list, T=args.T or T,
+    grid = _parse_grid(args.grid, EQUATIONS[args.equation][0])
+    res = convergence_study(args.equation, grid, args.eps_list, T=args.T or grid.T,
                             seeds=tuple(range(args.first_seed, args.first_seed + args.seeds)),
                             n_qmc=args.samples,
                             include_ito=args.ito, threads=_threads(args),
@@ -322,8 +318,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value file; flags override it")
     common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--threads", type=int, default=0,
-                        help="worker threads (default: SHE_THREADS or 1)")
+    # only the commands that run QMC replicates or seeds on a thread pool
+    threaded = argparse.ArgumentParser(add_help=False, parents=[common])
+    threaded.add_argument("--threads", type=int, default=0,
+                          help="worker threads (default: SHE_THREADS or 1)")
     ap = argparse.ArgumentParser(prog="mshe", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -394,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--nmax", type=int, default=0)
     q.set_defaults(func=cmd_noise_regularity)
 
-    q = sub.add_parser("renorm", parents=[common], help="renormalisation constants")
+    q = sub.add_parser("renorm", parents=[threaded], help="renormalisation constants")
     q.add_argument("--equation", choices=renormalised, required=True)
     q.add_argument("--eps", type=float, nargs="+", required=True)
     q.add_argument("--samples", type=int, default=1 << 16)
@@ -413,7 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--family", type=int, default=2)
     q.set_defaults(func=cmd_reconstruct)
 
-    q = sub.add_parser("solve", parents=[common], help="renormalised-equation solver")
+    q = sub.add_parser("solve", parents=[threaded], help="renormalised-equation solver")
     q.add_argument("--equation", choices=sorted(EQUATIONS), required=True)
     q.add_argument("--eps", type=float, required=True)
     q.add_argument("--ceps", default="auto")
@@ -426,7 +424,8 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--samples", type=int, default=1 << 14)
     q.set_defaults(func=cmd_solve)
 
-    q = sub.add_parser("converge", parents=[common], help="coupled-noise dyadic epsilon study")
+    q = sub.add_parser("converge", parents=[threaded],
+                       help="coupled-noise dyadic epsilon study")
     q.add_argument("--equation", choices=sorted(EQUATIONS), required=True)
     q.add_argument("--eps-list", type=float, nargs="+", required=True)
     q.add_argument("--grid", required=True)
@@ -443,12 +442,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_NESTED = {"structure", "kernel", "wavelet", "besov", "noise"}
+def _subcommands(parser) -> dict:
+    """name -> subparser of a parser's subcommands (empty for a leaf)."""
+    return next((a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)), {})
 
 
-def _apply_config_file(argv):
+def _apply_config_file(argv, ap):
     """Insert key=value pairs from --config as flags right after the
-    subcommand tokens, so explicit flags still override them."""
+    subcommand tokens of parser ap, so explicit flags still override them."""
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
@@ -465,17 +467,18 @@ def _apply_config_file(argv):
         extra.extend([f"--{key.strip()}"] + shlex.split(val))
     n_head = 0
     if rest and not rest[0].startswith("-"):
-        n_head = 2 if rest[0] in _NESTED else 1
+        command = _subcommands(ap).get(rest[0])
+        n_head = 2 if command is not None and _subcommands(command) else 1
     return rest[:n_head] + extra + rest[n_head:]
 
 
 def main(argv=None) -> int:
+    ap = _build_parser()
     try:
-        argv = _apply_config_file(list(sys.argv[1:] if argv is None else argv))
+        argv = _apply_config_file(list(sys.argv[1:] if argv is None else argv), ap)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    ap = _build_parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
@@ -484,7 +487,7 @@ def main(argv=None) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     try:
         code = args.func(args, outdir)
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (RuntimeError, FloatingPointError) as exc:

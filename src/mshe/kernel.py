@@ -20,9 +20,9 @@ every scaled degree |k| <= r.
 Q is assembled from tensor products of per-axis dual bumps (theta_a with
 int theta_a(s) s^b ds = delta_ab, solved from a small moment Gram system);
 the time-axis bumps are supported in (0, 1), which keeps P_0(t<=0) = 0.
-Moments of G are computed by Gauss-Legendre in time and Gauss-Hermite in the
-self-similar variable x = sqrt(t) u, in which the gauge is exactly
-sqrt(t) (1 + |u|^4)^{1/4}.
+Moments of G, and of the annular heat-kernel piece of P_0, are computed by
+Gauss-Legendre in time and a fine trapezoid in the self-similar variable
+x = sqrt(t) u, in which the gauge is exactly sqrt(t) (1 + |u|^4)^{1/4}.
 """
 
 from __future__ import annotations
@@ -81,10 +81,10 @@ def _bump(u, lo, hi):
 class _DualAxis:
     """Per-axis dual functions theta_a, int theta_a(s) s^b ds = delta_ab."""
 
-    def __init__(self, order: int, lo: float, hi: float, n_quad: int = 400):
+    def __init__(self, order: int, lo: float, hi: float):
         self.order = order
         self.lo, self.hi = lo, hi
-        nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+        nodes, weights = np.polynomial.legendre.leggauss(400)
         s = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
         w = 0.5 * (hi - lo) * weights * _bump(s, lo, hi)
         gram = np.array([[np.sum(w * s ** (a + b)) for b in range(order + 1)]
@@ -230,31 +230,17 @@ class KernelDecomposition:
 
     # -- diagnostics ----------------------------------------------------------
 
-    def moment_residual(self, k, n_t: int = 160, n_rho: int = 16001) -> float:
+    def moment_residual(self, k) -> float:
         """|int P_0 z^k dz| / int |P_0|, with quadratures adapted per piece.
 
-        P_0 = P [chi(N) - chi(2N)] - Q_diff.  The heat-kernel piece is
-        integrated in the self-similar radial variable (the annular cutoff is
-        radial there), which resolves the small-t Gaussian ridge that defeats
-        a plain tensor rule; the fixed-scale compactly supported Q_diff piece
-        takes a plain tensor Gauss-Legendre rule.
+        P_0 = P [chi(N) - chi(2N)] - Q_diff.  The heat-kernel piece is the
+        radial moment of the annular cutoff (``_radial_moment``), which
+        resolves the small-t Gaussian ridge that defeats a plain tensor rule;
+        the fixed-scale compactly supported Q_diff piece takes a plain tensor
+        rule.
         """
-        kx = k[1:]
-        tn, tw = np.polynomial.legendre.leggauss(n_t)
-        ts, tws = 0.5 * (tn + 1.0), 0.5 * tw
-        if any(ki % 2 for ki in kx):
-            v1 = 0.0
-        else:
-            rho = np.linspace(0.0, 50.0, n_rho)
-            nu = (1.0 + rho ** 4) ** 0.25
-            radial = np.exp(-rho ** 2 / 4.0) * rho ** (sum(kx) + self.d - 1)
-            drho = rho[1] - rho[0]
-            v1 = 0.0
-            for tv, twt in zip(ts, tws):
-                ann = (_smoothstep(np.sqrt(tv) * nu)
-                       - _smoothstep(2.0 * np.sqrt(tv) * nu))
-                v1 += twt * tv ** (k[0] + sum(kx) / 2.0) * np.trapezoid(radial * ann, dx=drho)
-            v1 *= (4.0 * np.pi) ** (-self.d / 2.0) * _sphere_moment(kx)
+        v1 = _radial_moment(k, self.d, lambda s: _smoothstep(s) - _smoothstep(2.0 * s),
+                            n_t=160)
 
         # Q is a tensor product, so its moment reduces exactly to 1-d dual
         # moments (fine trapezoid; Gauss-Legendre stalls on the flat bumps)
@@ -315,38 +301,31 @@ def _sphere_moment(kx) -> float:
     return num / math.gamma(tot / 2.0)
 
 
-def _moments_of_G(d: int, r: int, n_t: int = 128, n_rho: int = 16001) -> dict:
-    """Moments int G(z) z^k dz through the self-similar radial reduction
+def _radial_moment(k, d: int, chi, n_t: int) -> float:
+    """int P(z) chi(N(z)) z^k dz over 0 < t < 1 through the self-similar
+    radial reduction
 
-        int G z^k = (4 pi)^{-d/2} A_{k'} int_0^1 t^{k0 + |k'|/2}
-                    [ int_0^inf e^{-rho^2/4} rho^{|k'| + d - 1}
-                      chi(sqrt(t) nu(rho)) drho ] dt,
+        (4 pi)^{-d/2} A_{k'} int_0^1 t^{k0 + |k'|/2}
+            [ int_0^inf e^{-rho^2/4} rho^{|k'| + d - 1} chi(sqrt(t) nu(rho)) drho ] dt,
 
-    with nu(rho) = (1 + rho^4)^{1/4} and A_{k'} the sphere moment; the cutoff
-    is radial, so this is exact.  Gauss-Legendre in t, fine trapezoid in rho
-    (the integrand is smooth and decays super-exponentially).
+    with nu(rho) = (1 + rho^4)^{1/4} and A_{k'} the sphere moment; a radial
+    cutoff chi makes this exact, and it vanishes for odd k'.  n_t-point
+    Gauss-Legendre in t, fine trapezoid in rho (the integrand is smooth and
+    decays super-exponentially).
     """
+    kx = k[1:]
+    if any(ki % 2 for ki in kx):
+        return 0.0
     tn, tw = np.polynomial.legendre.leggauss(n_t)
-    ts, tws = 0.5 * (tn + 1.0), 0.5 * tw
-    rho = np.linspace(0.0, 50.0, n_rho)
+    rho = np.linspace(0.0, 50.0, 16001)
     nu = (1.0 + rho ** 4) ** 0.25
-    gauss = np.exp(-rho ** 2 / 4.0)
+    radial = np.exp(-rho ** 2 / 4.0) * rho ** (sum(kx) + d - 1)
     drho = rho[1] - rho[0]
-
-    moments = {}
-    for k in _moment_indices(d, r):
-        kx = k[1:]
-        if any(ki % 2 for ki in kx):
-            moments[k] = 0.0  # even in every space axis
-            continue
-        kx_sum = sum(kx)
-        radial = gauss * rho ** (kx_sum + d - 1)
-        tot = 0.0
-        for tv, twt in zip(ts, tws):
-            inner = np.trapezoid(radial * _smoothstep(np.sqrt(tv) * nu), dx=drho)
-            tot += twt * tv ** (k[0] + kx_sum / 2.0) * inner
-        moments[k] = float((4.0 * np.pi) ** (-d / 2.0) * _sphere_moment(kx) * tot)
-    return moments
+    tot = 0.0
+    for tv, twt in zip(0.5 * (tn + 1.0), 0.5 * tw):
+        inner = np.trapezoid(radial * chi(np.sqrt(tv) * nu), dx=drho)
+        tot += twt * tv ** (k[0] + sum(kx) / 2.0) * inner
+    return float((4.0 * np.pi) ** (-d / 2.0) * _sphere_moment(kx) * tot)
 
 
 def decompose(d: int, r: int = 3) -> KernelDecomposition:
@@ -358,7 +337,9 @@ def decompose(d: int, r: int = 3) -> KernelDecomposition:
         raise ValueError(f"dimension must be 1, 2 or 3, got {d}")
     time_axis = _DualAxis(order=r // 2, lo=0.05, hi=0.95)
     space_axis = _DualAxis(order=r, lo=-0.9, hi=0.9)
-    lambdas = {k: v for k, v in _moments_of_G(d, r).items() if v != 0.0}
+    # the moments of G = P chi(N), even in every space axis
+    moments = {k: _radial_moment(k, d, _smoothstep, n_t=128) for k in _moment_indices(d, r)}
+    lambdas = {k: v for k, v in moments.items() if v != 0.0}
     dec = KernelDecomposition(d=d, r=r, lambdas=lambdas,
                               time_axis=time_axis, space_axis=space_axis,
                               cond=max(time_axis.cond, space_axis.cond))

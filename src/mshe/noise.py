@@ -126,15 +126,16 @@ def exp_bump(u):
 
 
 @functools.cache
-def bump_profile(n_tab: int = 8193, profile: str = "exp"):
+def bump_profile(profile: str):
     """Normalized 1-d bump b on (-1,1) and its self-convolution table on (-2,2).
 
     profile 'exp' is the standard exp(-1/(1-u^2)) bump; 'poly4' the polynomial
     (1-u^2)^4 alternative (used to demonstrate mollifier dependence).
-    Returns (grid_b, b, grid_bb, bb); both tables integrate to one.  Tables
-    are built once per (n_tab, profile) and shared, so they are read-only.
+    Returns (grid_b, b, grid_bb, bb) on 8193 and 16385 points; both tables
+    integrate to one.  Tables are built once per profile and shared, so they
+    are read-only.
     """
-    u = np.linspace(-1.0, 1.0, n_tab)
+    u = np.linspace(-1.0, 1.0, 8193)
     if profile == "exp":
         b = exp_bump(u)
     elif profile == "poly4":
@@ -144,7 +145,7 @@ def bump_profile(n_tab: int = 8193, profile: str = "exp"):
     b /= np.trapezoid(b, u)
     h = u[1] - u[0]
     bb = np.convolve(b, b) * h
-    s = np.linspace(-2.0, 2.0, 2 * n_tab - 1)
+    s = np.linspace(-2.0, 2.0, 2 * u.size - 1)
     bb /= np.trapezoid(bb, s)
     for a in (u, b, s, bb):
         a.setflags(write=False)
@@ -154,7 +155,7 @@ def bump_profile(n_tab: int = 8193, profile: str = "exp"):
 @functools.cache
 def _bb_cdf(profile: str):
     # built once per profile and shared, so read-only like the tables
-    _, _, gs, bb = bump_profile(profile=profile)
+    _, _, gs, bb = bump_profile(profile)
     h = gs[1] - gs[0]
     cdf = np.concatenate([[0.0], np.cumsum((bb[1:] + bb[:-1]) * h / 2)])
     cdf /= cdf[-1]
@@ -170,10 +171,10 @@ class Mollifier:
     profile: str = "exp"
 
     def __post_init__(self):
-        bump_profile(profile=self.profile)  # rejects an unknown profile
+        bump_profile(self.profile)  # rejects an unknown profile
 
     def _b(self, u):
-        gu, b, _, _ = bump_profile(profile=self.profile)
+        gu, b, _, _ = bump_profile(self.profile)
         return np.interp(u, gu, b, left=0.0, right=0.0)
 
     def rho(self, t, x):
@@ -192,7 +193,7 @@ class Mollifier:
 
     def bb(self, s):
         """1-d self-convolution (b*b)(s), unit scale."""
-        _, _, gs, bb = bump_profile(profile=self.profile)
+        _, _, gs, bb = bump_profile(self.profile)
         return np.interp(np.asarray(s, dtype=float), gs, bb, left=0.0, right=0.0)
 
     def bb_cdf(self):

@@ -51,6 +51,23 @@ __all__ = [
 #: symbol order: the coefficient channel layout of modelled distributions
 SYMBOLS = ("1", "X", "I(Xi)", "Xi", "X*Xi", "Xi*I(Xi)")
 
+#: the canonical re-expansion Gamma tau = tau + shift * lower: symbol ->
+#: (lower symbol, "x" or "Phi": the shift is the increment of x or of Phi)
+_TRANSPORT = {"X": ("1", "x"), "I(Xi)": ("1", "Phi"),
+              "X*Xi": ("Xi", "x"), "Xi*I(Xi)": ("Xi", "Phi")}
+
+
+def _transport(coeffs: dict, increments: dict) -> dict:
+    """Gamma applied to coefficient fields: each lower symbol picks up every
+    symbol above it times its increment, in _TRANSPORT order (x before Phi);
+    a rule whose increment is absent contributes nothing."""
+    out = dict(coeffs)
+    for sym, (lower, by) in _TRANSPORT.items():
+        if by in increments:
+            out[lower] = out[lower] + coeffs[sym] * increments[by]
+    return out
+
+
 #: homogeneity of each symbol at given kappa
 def symbol_homogeneity(sym: str, kappa: float) -> float:
     alpha = -1.5 - kappa
@@ -98,16 +115,12 @@ class Model:
 
         Returns (lower_symbol, shift) or None for invariant symbols.
         """
-        g = self.grid
-        if sym == "X":
-            return "1", g.xs[z_idx[1]] - g.xs[zp_idx[1]]
-        if sym == "I(Xi)":
-            return "1", self.phi_field[z_idx] - self.phi_field[zp_idx]
-        if sym == "X*Xi":
-            return "Xi", g.xs[z_idx[1]] - g.xs[zp_idx[1]]
-        if sym == "Xi*I(Xi)":
-            return "Xi", self.phi_field[z_idx] - self.phi_field[zp_idx]
-        return None
+        if sym not in _TRANSPORT:
+            return None
+        lower, by = _TRANSPORT[sym]
+        if by == "x":
+            return lower, self.grid.xs[z_idx[1]] - self.grid.xs[zp_idx[1]]
+        return lower, self.phi_field[z_idx] - self.phi_field[zp_idx]
 
     def _mesh(self):
         if getattr(self, "_mesh_cache", None) is None:
@@ -304,28 +317,18 @@ def sewing_check(result: dict, alpha: float, gamma: float, p: float = 2.0) -> di
 def _gamma_transport_space(f: ModelledDistribution, model: Model, dx_cells: int):
     """Coefficients of Gamma^t_{y,x} f(t,x) where y = x + dx_cells * dx,
     expressed in the basis at y (arrays indexed by (t, x))."""
-    g = f.grid
-    dxv = dx_cells * g.dx
     phi = model.phi_field
-    phi_shift = np.roll(phi, -dx_cells, axis=1)  # Phi(t, y)
-    dphi = phi_shift - phi
-    out = {s: f.get(s).copy() for s in SYMBOLS}
-    out["1"] = f.get("1") + f.get("X") * dxv + f.get("I(Xi)") * dphi
-    out["Xi"] = f.get("Xi") + f.get("X*Xi") * dxv + f.get("Xi*I(Xi)") * dphi
-    return out
+    dphi = np.roll(phi, -dx_cells, axis=1) - phi  # Phi(t, y) - Phi(t, x)
+    return _transport({s: f.get(s) for s in SYMBOLS},
+                      {"x": dx_cells * f.grid.dx, "Phi": dphi})
 
 
 def _gamma_transport_time(f: ModelledDistribution, model: Model, dt_cells: int):
     """Coefficients of Gamma^x_{t, t - dt_cells dt} f(t - dt_cells dt, x)."""
-    g = f.grid
     phi = model.phi_field
-    phi_past = np.roll(phi, dt_cells, axis=0)    # Phi(t - s, x)
-    dphi = phi - phi_past
-    fpast = {s: np.roll(f.get(s), dt_cells, axis=0) for s in SYMBOLS}
-    out = dict(fpast)
-    out["1"] = fpast["1"] + fpast["I(Xi)"] * dphi
-    out["Xi"] = fpast["Xi"] + fpast["Xi*I(Xi)"] * dphi
-    return out
+    dphi = phi - np.roll(phi, dt_cells, axis=0)  # Phi(t, x) - Phi(t - s, x)
+    return _transport({s: np.roll(f.get(s), dt_cells, axis=0) for s in SYMBOLS},
+                      {"Phi": dphi})
 
 
 def _zeta_groups(kappa: float):
@@ -336,15 +339,14 @@ def _zeta_groups(kappa: float):
 
 
 def dgamma_norm(f: ModelledDistribution, model: Model, gamma: float = None,
-                p: float = None, lambdas=(2, 3, 4, 5, 6),
-                max_offsets: int = 9) -> float:
+                p: float = None) -> float:
     """The three-term coherence norm by grid quadrature.
 
     Terms: pointwise L^p of |f|_zeta; the local-average space increment
     |f(t,y) - Gamma^t_{y,x} f(t,x)|_zeta / lambda^{gamma-zeta} over
-    y in B(x, lambda); the time increment with lambda^2 steps.  lambdas are
-    dyadic exponents (lambda = 2^-j); the ball average is subsampled to at
-    most max_offsets displacements.
+    y in B(x, lambda); the time increment with lambda^2 steps, for
+    lambda = 2^-j, j = 2..6.  The ball average is subsampled to at most 9
+    displacements.
     """
     g = f.grid
     gamma = f.gamma if gamma is None else gamma
@@ -369,11 +371,11 @@ def dgamma_norm(f: ModelledDistribution, model: Model, gamma: float = None,
         point = sum(np.abs(f.get(s)) for s in syms)
         best = max(best, lp_over_x(point))
 
-    for j in lambdas:
+    for j in range(2, 7):
         lam = 2.0 ** -j
         cells = max(1, int(round(lam / g.dx)))
         steps = max(1, int(round(lam ** 2 / g.dt)))
-        n_side = min(cells, max_offsets // 2)
+        n_side = min(cells, 4)
         offsets = np.unique(np.round(np.linspace(-cells, cells, 2 * n_side + 1))
                             .astype(int))
         acc = {z: np.zeros((g.M, g.N)) for z in groups}

@@ -48,7 +48,7 @@ import numpy as np
 from scipy.special import ndtri
 from scipy.stats import qmc
 
-from .kernel import heat_kernel
+from .kernel import _smoothstep, heat_kernel
 from .noise import Mollifier
 
 __all__ = [
@@ -63,18 +63,6 @@ __all__ = [
     "c12_eps",
     "compute_constants",
 ]
-
-
-def _cutoff(r, R):
-    """Smooth radial cutoff: 1 on [0, R/2], 0 on [R, inf)."""
-    s = np.clip((np.asarray(r, dtype=float) / R - 0.5) * 2.0, 0.0, 1.0)
-
-    def f(v):
-        with np.errstate(divide="ignore", over="ignore"):
-            return np.where(v > 0, np.exp(-1.0 / np.maximum(v, 1e-300)), 0.0)
-
-    near = f(1.0 - s)
-    return near / (near + f(s))
 
 
 @dataclass
@@ -94,7 +82,7 @@ class GreenFn:
             r = np.sqrt(np.sum(z ** 2, axis=-1))
             with np.errstate(divide="ignore"):
                 g = np.where(r > 0, 1.0 / (4.0 * np.pi * np.maximum(r, 1e-300)), 0.0)
-            return g * _cutoff(r, self.R_G)
+            return g * _smoothstep(r / self.R_G)
         if self.equation == "she1d":
             return heat_kernel(z[..., 0], z[..., 1:], 1)
         return self.custom(z)
@@ -115,7 +103,7 @@ class GreenFn:
             z = np.stack([r * sint * np.cos(phi), r * sint * np.sin(phi), r * cost],
                          axis=-1)
             # q(x) = 1 / (2 pi R_G^2 r)  =>  G/q = cutoff * R_G^2 / 2
-            w = _cutoff(r, self.R_G) * self.R_G ** 2 / 2.0
+            w = _smoothstep(r / self.R_G) * self.R_G ** 2 / 2.0
             return z, w
         if self.equation == "she1d":
             t = U[:, 0] * tmax
@@ -348,13 +336,11 @@ def c12_eps(moll: Mollifier, green: GreenFn, c_eps_value: float,
 
 @dataclass
 class RenormConstants:
-    epsilon: float
     c_eps: float
     c11_eps: float
     c11_err: float
     c12_eps: float
     c12_err: float
-    samples: int
 
     @property
     def C_eps(self) -> float:
@@ -375,7 +361,5 @@ def compute_constants(equation: str, eps: float,
     c = c_eps(moll, green)
     r11 = c11_eps(moll, green, n_samples, seed, threads)
     r12 = c12_eps(moll, green, c, n_samples, seed + 7919, threads)
-    return RenormConstants(epsilon=eps, c_eps=c,
-                           c11_eps=r11["value"], c11_err=r11["stderr"],
-                           c12_eps=r12["value"], c12_err=r12["stderr"],
-                           samples=n_samples)
+    return RenormConstants(c_eps=c, c11_eps=r11["value"], c11_err=r11["stderr"],
+                           c12_eps=r12["value"], c12_err=r12["stderr"])

@@ -152,12 +152,10 @@ class _Table:
 class WaveletBasis:
     """1-d orthonormal pair (phi, psi) plus the exact two-scale algebra."""
 
-    order: int                  # requested regularity r
     N: int                      # vanishing moments of psi
     refine_coeffs: np.ndarray   # c_k, sum = 2
     phi: _Table
     psi: _Table
-    depth: int
 
     @property
     def support(self) -> int:
@@ -224,10 +222,10 @@ class WaveletBasis:
             out[j] = s / 2.0 ** (j + 1)
         return out
 
-    def refinement_residual(self, n_test: int = 257) -> float:
-        """max |phi(x) - sum_k c_k phi(2x - k)| on a dyadic test grid."""
+    def refinement_residual(self) -> float:
+        """max |phi(x) - sum_k c_k phi(2x - k)| on a 257-point dyadic test grid."""
         S = self.support
-        x = np.arange(n_test) * (S / (n_test - 1))
+        x = np.arange(257) * (S / 256)
         # snap to the tabulation grid so both sides are exact lookups
         x = np.round(x / self.phi.step / 2) * 2 * self.phi.step
         lhs = self.phi(x)
@@ -246,16 +244,17 @@ def build_basis(r: int) -> WaveletBasis:
     if r not in (1, 2, 3, 4, 5):
         raise ValueError(f"unsupported regularity order r={r}; need r in 1..5")
     N = min(n for n, reg in _DB_REGULARITY.items() if reg > r and n >= r + 1)
-    return build_family(N, order=r)
+    return build_family(N)
 
 
-def build_family(N: int, order: int = None, depth: int = 12) -> WaveletBasis:
-    """Daubechies-N basis regardless of regularity.
+def build_family(N: int) -> WaveletBasis:
+    """Daubechies-N basis regardless of regularity, tabulated to 2^-12.
 
     The small-support families (N = 2, 3) matter for reconstruction, where
     the one-sided evaluation shift grows like the squared support diameter.
     """
     c = daubechies_coefficients(N)
+    depth = 12
     phi = _Table(_cascade(c, depth), lo=0.0, depth=depth)
     S = c.size - 1
     lo = (1 - S) / 2.0
@@ -265,10 +264,7 @@ def build_family(N: int, order: int = None, depth: int = 12) -> WaveletBasis:
         dk = (-1) ** k * c[1 - k]
         psi_vals += dk * phi(2 * xs - k)
     psi = _Table(psi_vals, lo=lo, depth=depth)
-    if order is None:
-        order = max((r for r, reg in _DB_REGULARITY.items() if reg < _DB_REGULARITY.get(N, 0)), default=1)
-        order = min(order, N - 1)
-    return WaveletBasis(order=order, N=N, refine_coeffs=c, phi=phi, psi=psi, depth=depth)
+    return WaveletBasis(N=N, refine_coeffs=c, phi=phi, psi=psi)
 
 
 # -- parabolic rescalings ---------------------------------------------------

@@ -302,3 +302,82 @@ def test_malformed_field_input_is_a_validation_error(tmp_path, capsys):
                        "--eps", "0.25"], tmp_path, "m")
     assert code == 1
     assert "short.shef: truncated header: 6 bytes" in capsys.readouterr().err
+
+
+def test_solve_auto_constant_is_the_renorm_constant(tmp_path, capsys):
+    # solve --ceps auto runs with the constant renorm reports for the same
+    # eps, seed and samples: the Green truncation radius is renorm's R_G = 1,
+    # so the constant keeps its log(1/eps) growth
+    seeded = ["--eps", "0.1", "--seed", "3", "--samples", "4096"]
+    code, ren = run_cli(["renorm", "--equation", "pam3d"] + seeded, tmp_path, "renorm")
+    assert code == 0
+    C = (ren / "renorm.csv").read_text().splitlines()[1].split(",")[-1]
+    solve = ["solve", "--equation", "pam3d", "--grid", "32,0,1,0.02", "--snapshots", "3"]
+    code, auto = run_cli(solve + seeded, tmp_path, "auto")
+    assert code == 0
+    code, given = run_cli(solve + seeded + ["--ceps", C], tmp_path, "given")
+    assert code == 0
+    snaps = sorted(p.name for p in auto.glob("snapshot-*.shef"))
+    assert len(snaps) == 3 and snaps == sorted(p.name for p in given.glob("snapshot-*.shef"))
+    for name in snaps + ["solve-diag.csv"]:
+        assert (auto / name).read_bytes() == (given / name).read_bytes(), name
+    # above R_G / 8 the plateau of G no longer holds the mollifier's support
+    code, _ = run_cli(["solve", "--equation", "pam3d", "--grid", "16,0,4,0.02",
+                       "--eps", "0.5", "--samples", "4096"], tmp_path, "coarse")
+    assert code == 1
+    assert "too large for truncation radius 1.0" in capsys.readouterr().err
+
+
+def test_unreadable_input_is_a_validation_error(tmp_path, capsys):
+    # an OSError other than a missing file (here: a directory) exits 1 with a
+    # message, not a traceback
+    code, _ = run_cli(["noise", "mollify", "--input", str(tmp_path), "--eps", "0.25"],
+                      tmp_path, "m")
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, accepted", [
+    (["renorm", "--equation", "she1d", "--eps", "0.1", "--samples", "1024"], True),
+    (["solve", "--equation", "she1d", "--eps", "0.25", "--ceps", "0",
+      "--grid", "64,64,4,0.25", "--snapshots", "1"], True),
+    (["converge", "--equation", "pam2d", "--eps-list", "1", "0.5",
+      "--grid", "16,0,4,0.01", "--seeds", "1"], True),
+    (["structure", "table", "--kappa", "0.01"], False),
+    (["noise", "sample", "--grid", "64,64,4,1"], False),
+    (["wavelet", "selftest"], False),
+], ids=lambda v: v[0] if isinstance(v, list) else str(v))
+def test_threads_only_where_read(tmp_path, argv, accepted):
+    # --threads belongs to the three commands that run a thread pool
+    code, _ = run_cli(argv + ["--threads", "2"], tmp_path, "t")
+    assert code == (0 if accepted else 1)
+
+
+def test_analysis_commands_leave_renorm_unimported(tmp_path):
+    # noise regularity and reconstruct never load mshe.renorm, whose
+    # scipy.stats import would add its seconds to every analysis run
+    script = f"""
+import sys
+from mshe.cli import _build_parser, main
+from mshe.noise import Grid
+from mshe.reconstruct import ModelledDistribution, write_modelled
+import numpy as np
+
+_build_parser()
+g = Grid(d=1, L=1.0, N=64, T=0.25, M=1024)
+tt, xx = np.meshgrid(g.ts, g.xs, indexing="ij")
+write_modelled({str(tmp_path / 'f.shef')!r},
+               ModelledDistribution(grid=g, coeffs={{"1": np.sin(2 * np.pi * xx)}}))
+assert main(["noise", "regularity", "--grid", "64,2048,1,1", "--seeds", "2",
+             "--nmax", "4", "--out", {str(tmp_path / 'reg')!r}]) == 0
+assert main(["reconstruct", "--input", {str(tmp_path / 'f.shef')!r}, "--nmin", "1",
+             "--nmax", "4", "--out", {str(tmp_path / 'rec')!r}]) == 0
+print(sorted(m for m in ("mshe.renorm", "scipy.stats") if m in sys.modules))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_PARENT,
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
