@@ -1,12 +1,15 @@
 """The three renormalisation constants from their explicit integrals.
 
 c_eps is a deterministic quadrature of G against the self-convolved
-mollifier and diverges exactly like c/eps.  The three-Green constants come
-from randomized quasi-Monte Carlo with importance sampling of the singular
-factors.  For the 3-d equation c11 diverges logarithmically; the measured
-log-slope matches the shell integral of G^3, namely -1/(16 pi^2).  For the
-1-d space-time equation the untruncated heat kernel is exactly parabolic
-self-similar, so c11 and c12 do not depend on eps at all.
+mollifier and diverges exactly like c/eps while the cutoff of the 3-d
+Green's function at R_G = 1 stays off the mollifier's support, that is for
+eps <= 1/(4 sqrt 3); at larger eps the cutoff lowers eps*c.  The three-Green
+constants come from randomized quasi-Monte Carlo with importance sampling of
+the singular factors.  For the 3-d equation c11 diverges logarithmically;
+the measured log-slope matches the shell integral of G^3, namely
+-1/(16 pi^2).  For the 1-d space-time equation the untruncated heat kernel
+is exactly parabolic self-similar, so c11 and c12 do not depend on eps at
+all.
 """
 
 import numpy as np
@@ -14,11 +17,12 @@ import numpy as np
 from mshe.noise import Mollifier
 from mshe.renorm import c11_eps, c12_eps, c_eps, pam_green, she_green
 
-print("inverse-scaling of c_eps (c_eps * eps is constant):")
+print("inverse-scaling of c_eps (c_eps * eps is constant at small eps):")
 for name, green in (("pam3d", pam_green()), ("she1d", she_green())):
     prods = [float(c_eps(Mollifier(epsilon=e), green)) * e
-             for e in (0.1, 0.05, 0.025)]
-    print(f"  {name}: c_eps*eps = {[round(p, 6) for p in prods]}")
+             for e in (1.0, 0.5, 0.1, 0.05, 0.025)]
+    print(f"  {name}: c_eps*eps at eps = 1, 0.5, 0.1, 0.05, 0.025: "
+          f"{[round(p, 6) for p in prods]}")
 
 print("\npam3d c11(eps): log divergence")
 green = pam_green()

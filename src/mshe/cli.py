@@ -226,7 +226,7 @@ def cmd_renorm(args, outdir: Path):
     rows = []
     for e in args.eps:
         rc = compute_constants(args.equation, e, n_samples=args.samples, seed=args.seed,
-                               threads=_threads(args), R_G=args.green_radius)
+                               threads=_threads(args))
         rows.append((e, rc.c_eps, rc.c11_eps, rc.c11_err, rc.c12_eps, rc.c12_err,
                      rc.C_eps))
     _write_csv(outdir / "renorm.csv",
@@ -397,7 +397,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--eps", type=float, nargs="+", required=True)
     q.add_argument("--samples", type=int, default=1 << 16)
     q.add_argument("--seed", type=_nonnegative_int, default=0)
-    q.add_argument("--green-radius", type=float, default=1.0)
     q.set_defaults(func=cmd_renorm)
 
     q = sub.add_parser("reconstruct", parents=[common],

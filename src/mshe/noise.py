@@ -163,7 +163,7 @@ def _bb_cdf(profile: str):
     return gs, cdf
 
 
-@dataclass
+@dataclass(frozen=True)
 class Mollifier:
     """Product bump at scale eps over the shared 1-d tables of its profile."""
 

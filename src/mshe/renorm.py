@@ -21,12 +21,15 @@ so z1 = z3 = -z2 and c11 approaches the shell integral of G^3,
 hence c11 = log(1/eps) / (16 pi^2) + O(1).
 
 c is a deterministic quadrature (radial for the 1/|x| singularity,
-sqrt(t)-substituted for the heat kernel).  It is exactly c_1/eps: rho2 at
-scale eps is eps^-|s| rho2(./eps) at unit scale (|s| = 3 for the spatial
-marginal on R^3, 2 + 1 for the space-time kernel on R), and G is homogeneous
-of degree -1 in the same scaling (1/(4 pi |x|) on the plateau that holds the
-support of rho2 once eps <= R_G/8; the heat kernel in the parabolic
-scaling).  So the quadrature runs once per mollifier profile, at eps = 1.
+sqrt(t)-substituted for the heat kernel).  Every constant is a unit-scale
+value: rho2 at scale eps is eps^-|s| rho2(./eps) at unit scale (|s| = 3 for
+the spatial marginal on R^3, 2 + 1 for the space-time kernel on R), and G is
+homogeneous of degree -1 in the same scaling, its cutoff moving from R_G to
+the ratio R_G/eps.  So C(eps) = c_1(R_G/eps)/eps + K(R_G/eps), with c_1 and
+K = c11 + c12 computed once at eps = 1.  pam3d truncates G at R_G = 1 in
+every command, so C depends on eps alone; the cutoff weights each shell of
+its radial rule, and is exactly 1 on the support of rho2 once R_G/eps >=
+4 sqrt(3).  The heat kernel is untruncated (R_G = inf): one ratio.
 
 c11 and the two split pieces of c12 are randomized-QMC integrals: the
 mollifier factors are importance sampled exactly through per-axis inverse
@@ -42,7 +45,7 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtri
@@ -65,13 +68,13 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GreenFn:
     """Green's function plus the importance sampler for one of its factors."""
 
     equation: str          # "pam3d" | "she1d" | "smooth"
     dim: int               # dims of one integration variable z_i
-    R_G: float = 1.0       # pam3d truncation radius
+    R_G: float = math.inf  # truncation radius (pam3d)
     custom: callable = None
     support: tuple = None  # smooth kind: ((t_lo, t_hi), (x_lo, x_hi))
 
@@ -93,7 +96,7 @@ class GreenFn:
         pam3d: radius R_G sqrt(U) with density ~ 1/r (cancels the Green
         singularity exactly inside the plateau); she1d: the heat kernel's own
         normalized density on (0, tmax) (weight tmax); smooth: uniform on the
-        support box.
+        support box.  Only she1d reads tmax.
         """
         if self.equation == "pam3d":
             r = self.R_G * np.sqrt(U[:, 0])
@@ -139,19 +142,13 @@ def rho_sq(moll: Mollifier, green: GreenFn):
     return lambda z: moll.rho_sq(np.asarray(z)[..., 0], np.asarray(z)[..., 1:])
 
 
-def _moll_inv_cdf(moll: Mollifier):
-    gs, cdf = moll.bb_cdf()
-    return lambda U: np.interp(U, cdf, gs)
-
-
 def _sample_rho_sq(moll: Mollifier, green: GreenFn, U: np.ndarray) -> np.ndarray:
     """Inverse-CDF samples of rho_eps^{*2} per axis: (eps^2-time, eps-space)
     for she1d, (eps-space)^3 for pam3d."""
-    inv = _moll_inv_cdf(moll)
+    gs, cdf = moll.bb_cdf()
     e = moll.epsilon
-    if green.equation == "pam3d":
-        return e * np.stack([inv(U[:, i]) for i in range(3)], axis=-1)
-    return np.stack([e ** 2 * inv(U[:, 0]), e * inv(U[:, 1])], axis=-1)
+    scales = (e, e, e) if green.equation == "pam3d" else (e ** 2, e)
+    return np.stack([s * np.interp(U[:, i], cdf, gs) for i, s in enumerate(scales)], axis=-1)
 
 
 # -- c_eps: deterministic quadrature ----------------------------------------
@@ -160,16 +157,13 @@ def _sample_rho_sq(moll: Mollifier, green: GreenFn, U: np.ndarray) -> np.ndarray
 def c_eps(moll: Mollifier, green: GreenFn) -> float:
     """int G rho_eps^{*2} by adaptive-resolution deterministic quadrature.
 
-    For pam3d and she1d this is c_1 / eps (module docstring), with c_1 the
-    quadrature at eps = 1 for the mollifier's profile, cached per process.
-    The pam3d rule never reads R_G: it uses the exact 1/(4 pi |x|) of the
-    plateau, which the eps <= R_G/8 check keeps valid.
+    For pam3d and she1d this is c_1(R_G/eps) / eps (module docstring), with
+    c_1 the quadrature at eps = 1 for the profile and truncation ratio.
     """
     e = moll.epsilon
-    if green.equation == "pam3d" and e > green.R_G / 8.0 + 1e-12:
-        raise ValueError(f"eps = {e} too large for truncation radius {green.R_G}")
     if green.equation in ("pam3d", "she1d"):
-        return _unit_c(green.equation, moll.profile) / e
+        return _quadrature(Mollifier(epsilon=1.0, profile=moll.profile),
+                           replace(green, R_G=green.R_G / e), 1e-5) / e
     # smooth test kind: plain tensor rule on the rho^2 support
     ts = np.linspace(-2 * e ** 2, 2 * e ** 2, 801)
     xs = np.linspace(-2 * e, 2 * e, 801)
@@ -180,35 +174,31 @@ def c_eps(moll: Mollifier, green: GreenFn) -> float:
 
 
 @functools.cache
-def _unit_c(equation: str, profile: str) -> float:
-    """c at eps = 1 to relative 1e-5, computed once per process for each profile."""
-    return _quadrature(Mollifier(epsilon=1.0, profile=profile), equation, 1e-5)
-
-
-def _quadrature(moll: Mollifier, equation: str, tol: float) -> float:
+def _quadrature(moll: Mollifier, green: GreenFn, tol: float) -> float:
     """The pam3d or she1d rule at doubling resolutions, until two successive
-    values agree to relative tol."""
-    rule, sizes = {"pam3d": (_c_eps_pam, (128, 256, 512)),
-                   "she1d": (_c_eps_she, (256, 512, 1024))}[equation]
+    values agree to relative tol; computed once per process for each input."""
+    rule, sizes = {"pam3d": (lambda n: _c_eps_pam(moll, n, green.R_G), (128, 256, 512)),
+                   "she1d": (lambda n: _c_eps_she(moll, n), (256, 512, 1024))}[green.equation]
     prev = None
     for n in sizes:
-        val = rule(moll, n)
+        val = rule(n)
         if prev is not None and abs(val - prev) <= tol * abs(val):
             return val
         prev = val
     raise RuntimeError(f"quadrature did not converge to rel {tol}")
 
 
-def _pam_shells(moll: Mollifier, n_r: int):
+@functools.cache
+def _pam_shells(moll: Mollifier, n_r: int) -> tuple:
     """Gauss-Legendre radii r over the support of rho2, each with its weight
     and the sphere integral int_{S^2} rho2(r w) dw.
 
     rho2 is a product of per-axis bb tables, so its support is the cube
-    [-2 eps, 2 eps]^3: the radii run to its corners at 2 sqrt(3) eps.
+    [-2 eps, 2 eps]^3: the radii run to its corners at 2 sqrt(3) eps.  G does
+    not enter, so c_eps computes them once per profile and n_r, at eps = 1.
     """
-    e = moll.epsilon
     rn, rw = np.polynomial.legendre.leggauss(n_r)
-    half = math.sqrt(3.0) * e
+    half = math.sqrt(3.0) * moll.epsilon
     n_c, n_p = 64, 128
     cn, cw = np.polynomial.legendre.leggauss(n_c)
     phi = (np.arange(n_p) + 0.5) * 2.0 * np.pi / n_p
@@ -216,15 +206,15 @@ def _pam_shells(moll: Mollifier, n_r: int):
     dirs = np.stack([np.outer(st, np.cos(phi)),
                      np.outer(st, np.sin(phi)),
                      np.tile(cn[:, None], (1, n_p))], axis=-1)  # (n_c, n_p, 3)
-    for rv, rwt in zip(half * (rn + 1.0), half * rw):
-        vals = moll.rho_sq_spatial(rv * dirs)
-        yield rv, rwt, np.sum(vals * cw[:, None]) * (2.0 * np.pi / n_p)
+    return tuple((rv, rwt, np.sum(moll.rho_sq_spatial(rv * dirs) * cw[:, None])
+                  * (2.0 * np.pi / n_p)) for rv, rwt in zip(half * (rn + 1.0), half * rw))
 
 
-def _c_eps_pam(moll: Mollifier, n_r: int) -> float:
-    # (1/4pi) int_0^{2 sqrt(3) eps} r [int_{S^2} rho2(r w) dw] dr  (G exact
-    # there, since 2 sqrt(3) eps <= R_G/2)
-    return sum(rwt * rv * sphere for rv, rwt, sphere in _pam_shells(moll, n_r)) / (4.0 * np.pi)
+def _c_eps_pam(moll: Mollifier, n_r: int, R: float) -> float:
+    # (1/4pi) int_0^{2 sqrt(3) eps} r chi(r/R) [int_{S^2} rho2(r w) dw] dr
+    # for G = chi(r/R) / (4 pi r)
+    return sum(rwt * rv * sphere * _smoothstep(rv / R)
+               for rv, rwt, sphere in _pam_shells(moll, n_r)) / (4.0 * np.pi)
 
 
 def _c_eps_she(moll: Mollifier, n: int) -> float:
@@ -258,9 +248,13 @@ def _qmc_mean(fn, dim: int, n_samples: int, seed: int, threads: int = 1):
 
     fn maps an (n, dim) uniform block to one value per row.  Returns
     (mean, stderr).  Per-replicate seeds come from a spawned SeedSequence, so
-    the result is independent of the thread count.
+    the result is independent of the thread count.  n_samples is the count
+    run: a power of two, at least 2^6 Sobol points per replicate.
     """
-    m = max(6, int(math.ceil(math.log2(max(2, n_samples // _REPLICATES)))))
+    if n_samples < _REPLICATES << 6 or n_samples & (n_samples - 1):
+        raise ValueError(f"QMC samples must be a power of two >= {_REPLICATES << 6}, "
+                         f"got {n_samples}")
+    m = (n_samples // _REPLICATES).bit_length() - 1
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(_REPLICATES)]
 
     def one(rep_seed):
@@ -289,8 +283,7 @@ def c11_eps(moll: Mollifier, green: GreenFn, n_samples: int = 1 << 17,
     def fn(U):
         u = _sample_rho_sq(moll, green, U[:, :dz])
         v = _sample_rho_sq(moll, green, U[:, dz:2 * dz])
-        tmax = 4.0 * e ** 2 if green.equation != "pam3d" else None
-        z2, w = green.sample_factor(U[:, 2 * dz:], tmax=tmax)
+        z2, w = green.sample_factor(U[:, 2 * dz:], tmax=4.0 * e ** 2)
         return w * green(u - z2) * green(v - z2)
 
     mean, err = _qmc_mean(fn, 3 * dz, n_samples, seed, threads)
@@ -313,14 +306,12 @@ def c12_eps(moll: Mollifier, green: GreenFn, c_eps_value: float,
     def fn_a(U):
         w = _sample_rho_sq(moll, green, U[:, :dz])
         z3 = _sample_rho_sq(moll, green, U[:, dz:2 * dz])
-        tmax = 8.0 * e ** 2 if green.equation != "pam3d" else None
-        z1, wt = green.sample_factor(U[:, 2 * dz:], tmax=tmax)
+        z1, wt = green.sample_factor(U[:, 2 * dz:], tmax=8.0 * e ** 2)
         return wt * green(w - z1 - z3) * green(z3)
 
     def fn_b(U):
         u = _sample_rho_sq(moll, green, U[:, :dz])
-        tmax = 4.0 * e ** 2 if green.equation != "pam3d" else None
-        z1, wt = green.sample_factor(U[:, dz:], tmax=tmax)
+        z1, wt = green.sample_factor(U[:, dz:], tmax=4.0 * e ** 2)
         return wt * green(u - z1)
 
     a, a_err = _qmc_mean(fn_a, 3 * dz, n_samples, seed, threads)
@@ -347,19 +338,28 @@ class RenormConstants:
         return self.c_eps + self.c11_eps + self.c12_eps
 
 
+#: (c11, c12) results per (mollifier and G at unit scale, samples, seed); the
+#: thread count never changes a result, so it is not in the key
+_FINITE_PARTS = {}
+
+
 def compute_constants(equation: str, eps: float,
-                      n_samples: int = 1 << 16, seed: int = 0, threads: int = 1,
-                      R_G: float = 1.0) -> RenormConstants:
-    """All constants for one epsilon; equation is 'pam3d' or 'she1d'."""
-    if equation == "pam3d":
-        green = pam_green(R_G)
-    elif equation == "she1d":
-        green = she_green()
-    else:
+                      n_samples: int = 1 << 16, seed: int = 0,
+                      threads: int = 1) -> RenormConstants:
+    """All constants for one epsilon; equation is 'pam3d' (G truncated at
+    R_G = 1) or 'she1d'.  c11 and c12 are computed at eps = 1 (module
+    docstring), once per process for each truncation ratio, samples and seed.
+    """
+    if equation not in ("pam3d", "she1d"):
         raise ValueError(f"unknown equation {equation!r}")
+    green = pam_green() if equation == "pam3d" else she_green()
     moll = Mollifier(epsilon=eps)
-    c = c_eps(moll, green)
-    r11 = c11_eps(moll, green, n_samples, seed, threads)
-    r12 = c12_eps(moll, green, c, n_samples, seed + 7919, threads)
-    return RenormConstants(c_eps=c, c11_eps=r11["value"], c11_err=r11["stderr"],
-                           c12_eps=r12["value"], c12_err=r12["stderr"])
+    unit = (Mollifier(epsilon=1.0, profile=moll.profile), replace(green, R_G=green.R_G / eps))
+    key = unit + (n_samples, seed)
+    if key not in _FINITE_PARTS:
+        _FINITE_PARTS[key] = (c11_eps(*unit, n_samples, seed, threads),
+                              c12_eps(*unit, c_eps(*unit), n_samples, seed + 7919, threads))
+    r11, r12 = _FINITE_PARTS[key]
+    return RenormConstants(c_eps=c_eps(moll, green), c11_eps=r11["value"],
+                           c11_err=r11["stderr"], c12_eps=r12["value"],
+                           c12_err=r12["stderr"])

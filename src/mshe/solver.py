@@ -21,8 +21,8 @@ low-variance.
 
 Convergence studies fix one noise realization per seed at the finest grid,
 Fourier-transform it once, mollify it at each epsilon of a dyadic list
-(with the renormalisation constant computed per epsilon for the same
-mollifier), and report pairwise distances in the exponentially weighted norm
+(each with renorm's constant for that epsilon and mollifier), and report
+pairwise distances in the exponentially weighted norm
 
     d(u, v) = max_snapshots || (u - v)(t, .) e^{-(t + ell)(1 + |x|)} ||_{L^2}.
 
@@ -95,6 +95,8 @@ class SolverConfig:
                              f"grid.T = {self.grid.T}")
         if self.dt is None:
             self.dt = self.grid.dx ** 2 / 4.0
+        if self.snapshots < 1:
+            raise ValueError(f"snapshots must be at least 1, got {self.snapshots}")
         if self.eps < 2 * self.grid.dx - 1e-12:
             raise ValueError(
                 f"mollification under-resolved: eps = {self.eps} < 2 dx = {2 * self.grid.dx}")
@@ -299,9 +301,10 @@ def convergence_study(equation: str, grid: Grid, eps_list, T: float,
                       u0: object = ("const", 1.0), dt: float = None) -> dict:
     """Coupled-noise dyadic epsilon study.
 
-    One noise realization per seed is mollified at every epsilon; the
-    renormalisation constant is computed per epsilon (shared across seeds)
-    unless supplied.  Reports pairwise weighted distances per seed and, for
+    One noise realization per seed is mollified at every epsilon.  Unless
+    supplied, each epsilon's renormalisation constant (shared across seeds)
+    is the one renorm reports for it at seed 1000 and n_qmc samples, whatever
+    else is listed.  Reports pairwise weighted distances per seed and, for
     she1d with include_ito, the distance to the Ito reference.
     """
     from scipy.fft import next_fast_len
@@ -309,19 +312,15 @@ def convergence_study(equation: str, grid: Grid, eps_list, T: float,
     from .renorm import compute_constants
 
     _, eq_renorm, kind = EQUATIONS[equation]
+    if not seeds:
+        raise ValueError("a convergence study needs at least 1 seed")
     # every config is checked before any constant is computed
     cfgs = {e: SolverConfig(equation=equation, grid=grid, eps=e, u0=u0, T=T, snapshots=6,
                             snapshot_t0=snapshot_t0, dt=dt) for e in eps_list}
     if constants is None:
-        constants = {}
-        R_G = 8.0 * max(eps_list)  # keep every eps inside the exact-Green region
-        for e in eps_list:
-            if eq_renorm is None:
-                constants[e] = 0.0
-            else:
-                rc = compute_constants(eq_renorm, e, n_samples=n_qmc,
-                                       seed=1000, threads=threads, R_G=R_G)
-                constants[e] = rc.C_eps
+        constants = {e: 0.0 if eq_renorm is None else
+                     compute_constants(eq_renorm, e, n_samples=n_qmc, seed=1000,
+                                       threads=threads).C_eps for e in eps_list}
 
     # pad the time axis so each mollification is a clean linear convolution
     # on [0, T]: all epsilons then share one noise realization with no

@@ -10,6 +10,7 @@ import pytest
 import mshe
 from mshe.cli import main
 from mshe.noise import Grid, regularity_study
+from mshe.solver import convergence_study
 from mshe.wavelet import build_basis
 
 #: the directory that holds the mshe package, for child processes
@@ -169,7 +170,7 @@ def test_resolved_config_reruns(tmp_path):
     code, noise = run_cli(["noise", "sample", "--grid", "64,64,4,1"], tmp_path, "a b")
     assert code == 0
     runs = [["renorm", "--equation", "she1d", "--eps", "0.2", "0.1",
-             "--samples", "4096", "--seed", "7", "--green-radius", "2"],
+             "--samples", "4096", "--seed", "7"],
             ["converge", "--equation", "she1d", "--eps-list", "0.4", "0.2",
              "--grid", "64,512,4,0.25", "--seeds", "1", "--first-seed", "2",
              "--samples", "4096", "--ito"],
@@ -304,28 +305,59 @@ def test_malformed_field_input_is_a_validation_error(tmp_path, capsys):
     assert "short.shef: truncated header: 6 bytes" in capsys.readouterr().err
 
 
-def test_solve_auto_constant_is_the_renorm_constant(tmp_path, capsys):
+def _renorm_C(tmp_path, name, argv, env_threads=None) -> dict:
+    code, out = run_cli(["renorm", "--equation", "pam3d"] + argv, tmp_path, name, env_threads)
+    assert code == 0
+    rows = [r.split(",") for r in (out / "renorm.csv").read_text().splitlines()[1:]]
+    return {float(r[0]): r[-1] for r in rows}
+
+
+def test_solve_auto_constant_is_the_renorm_constant(tmp_path):
     # solve --ceps auto runs with the constant renorm reports for the same
     # eps, seed and samples: the Green truncation radius is renorm's R_G = 1,
-    # so the constant keeps its log(1/eps) growth
-    seeded = ["--eps", "0.1", "--seed", "3", "--samples", "4096"]
-    code, ren = run_cli(["renorm", "--equation", "pam3d"] + seeded, tmp_path, "renorm")
-    assert code == 0
-    C = (ren / "renorm.csv").read_text().splitlines()[1].split(",")[-1]
-    solve = ["solve", "--equation", "pam3d", "--grid", "32,0,1,0.02", "--snapshots", "3"]
-    code, auto = run_cli(solve + seeded, tmp_path, "auto")
-    assert code == 0
-    code, given = run_cli(solve + seeded + ["--ceps", C], tmp_path, "given")
-    assert code == 0
-    snaps = sorted(p.name for p in auto.glob("snapshot-*.shef"))
-    assert len(snaps) == 3 and snaps == sorted(p.name for p in given.glob("snapshot-*.shef"))
-    for name in snaps + ["solve-diag.csv"]:
-        assert (auto / name).read_bytes() == (given / name).read_bytes(), name
-    # above R_G / 8 the plateau of G no longer holds the mollifier's support
-    code, _ = run_cli(["solve", "--equation", "pam3d", "--grid", "16,0,4,0.02",
-                       "--eps", "0.5", "--samples", "4096"], tmp_path, "coarse")
+    # so the constant keeps its log(1/eps) growth; eps = 0.5, where the
+    # cutoff of G reaches into the mollifier's support, is no exception
+    for eps, grid in (("0.1", "32,0,1,0.02"), ("0.5", "16,0,4,0.1")):
+        seeded = ["--eps", eps, "--seed", "3", "--samples", "4096"]
+        C = _renorm_C(tmp_path, f"renorm-{eps}", seeded)[float(eps)]
+        solve = ["solve", "--equation", "pam3d", "--grid", grid, "--snapshots", "3"]
+        code, auto = run_cli(solve + seeded, tmp_path, f"auto-{eps}")
+        assert code == 0
+        code, given = run_cli(solve + seeded + ["--ceps", C], tmp_path, f"given-{eps}")
+        assert code == 0
+        snaps = sorted(p.name for p in auto.glob("snapshot-*.shef"))
+        assert len(snaps) == 3 and snaps == sorted(p.name for p in given.glob("snapshot-*.shef"))
+        for name in snaps + ["solve-diag.csv"]:
+            assert (auto / name).read_bytes() == (given / name).read_bytes(), name
+
+
+def test_one_constant_per_eps(tmp_path):
+    # renorm and converge (which draws its constants at seed 1000) give one C
+    # per eps, samples and seed, whatever else converge lists; renorm runs in
+    # a child process, so no constant is shared through a cache
+    want = _renorm_C(tmp_path, "renorm", ["--eps", "1", "0.5", "0.25", "0.125",
+                                          "--seed", "1000", "--samples", "4096"], 1)
+    grid = Grid(d=3, L=2.0, N=32, T=0.02)
+    for eps_list in ([1.0, 0.5, 0.25, 0.125], [0.25, 0.125]):
+        got = convergence_study("pam3d", grid, eps_list, T=0.02, n_qmc=4096)["constants"]
+        assert got == {e: float(want[e]) for e in eps_list}
+
+
+@pytest.mark.parametrize("argv, match", [
+    (["converge", "--equation", "she1d", "--eps-list", "0.4", "0.2",
+      "--grid", "64,256,4,0.25", "--seeds", "0"], "at least 1 seed"),
+    (["solve", "--equation", "she1d", "--eps", "0.25", "--ceps", "0",
+      "--grid", "64,64,4,0.25", "--snapshots", "0"], "snapshots must be at least 1, got 0"),
+    (["renorm", "--equation", "she1d", "--eps", "0.1", "--samples", "0"],
+     "power of two >= 1024, got 0"),
+], ids=["converge-seeds", "solve-snapshots", "renorm-samples"])
+def test_empty_counts_rejected(tmp_path, capsys, argv, match):
+    # no seeds, no snapshots or no QMC samples is an input error, not an
+    # empty result, a traceback or a silently raised count
+    code, out = run_cli(argv, tmp_path, "empty")
     assert code == 1
-    assert "too large for truncation radius 1.0" in capsys.readouterr().err
+    assert match in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
 
 
 def test_unreadable_input_is_a_validation_error(tmp_path, capsys):

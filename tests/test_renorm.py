@@ -51,7 +51,7 @@ def test_c_eps_matches_direct_quadrature(equation, eps_list, profile):
     green = pam_green() if equation == "pam3d" else she_green()
     for e in eps_list:
         moll = Mollifier(epsilon=e, profile=profile)
-        direct = _quadrature(moll, equation, 1e-5)
+        direct = _quadrature(moll, green, 1e-5)
         assert c_eps(moll, green) == pytest.approx(direct, rel=1e-14, abs=0)
     other = "poly4" if profile == "exp" else "exp"
     e = eps_list[0]
@@ -106,9 +106,17 @@ def test_pam_shells_cover_the_support_cube(profile):
         assert mass == pytest.approx(1.0, abs=1e-8)
 
 
-def test_c_eps_pam_requires_small_eps():
-    with pytest.raises(ValueError, match="too large"):
-        c_eps(_moll(0.2), pam_green(R_G=1.0))
+@pytest.mark.parametrize("eps", [1.0, 0.5, 0.25])
+def test_c_eps_pam_cutoff_against_monte_carlo(eps):
+    # at eps > R_G / (4 sqrt 3) the cutoff of G reaches into the support of
+    # rho2: c is still E G(z), z ~ rho2, here by plain Monte Carlo with
+    # per-axis inverse-CDF draws and G evaluated pointwise
+    m = _moll(eps)
+    gs, cdf = m.bb_cdf()
+    z = eps * np.interp(np.random.default_rng(5).random((1 << 20, 3)), cdf, gs)
+    g = pam_green()(z)
+    stderr = g.std(ddof=1) / np.sqrt(g.size)
+    assert abs(c_eps(m, pam_green()) - g.mean()) <= 4 * stderr
 
 
 def test_c11_pam_log_slope():
@@ -116,12 +124,32 @@ def test_c11_pam_log_slope():
     green = pam_green()
     vals = {}
     for e in (0.2, 0.1, 0.05, 0.025):
-        vals[e] = c11_eps(_moll(e), green, n_samples=1 << 17, seed=3)
+        vals[e] = c11_eps(_moll(e), green, n_samples=1 << 17, seed=11)
     es = sorted(vals, reverse=True)
     slopes = [(vals[b]["value"] - vals[a]["value"]) / (np.log(b) - np.log(a))
               for a, b in zip(es, es[1:])]
     target = -1.0 / (16 * np.pi ** 2)
     assert np.mean(slopes) == pytest.approx(target, rel=0.10)
+
+
+def test_c11_pam_depends_on_the_ratio_only():
+    # every sample scales exactly by a power of two: eps = 1/8 under R_G = 1
+    # is eps = 1 under R_G = 8, bit for bit
+    a = c11_eps(_moll(0.125), pam_green(1.0), n_samples=1 << 14, seed=1000)
+    b = c11_eps(_moll(1.0), pam_green(8.0), n_samples=1 << 14, seed=1000)
+    assert a == b
+
+
+def test_she_constants_equal_at_every_eps():
+    # the untruncated heat kernel scales exactly: at one seed, c11 and c12
+    # are the same numbers at dyadic multiples of one eps
+    green = she_green()
+    vals = []
+    for e in (0.4, 0.2, 0.1, 0.05):
+        m = _moll(e)
+        vals.append((c11_eps(m, green, n_samples=1 << 13, seed=8),
+                     c12_eps(m, green, c_eps(m, green), n_samples=1 << 13, seed=9)))
+    assert all(v == vals[0] for v in vals)
 
 
 def test_c11_zero_green():
