@@ -9,6 +9,7 @@ eta = -d + d/p.
 import numpy as np
 
 from mshe import besov
+from mshe.noise import Field, Grid
 from mshe.wavelet import analyze, build_basis
 
 basis = build_basis(2)
@@ -23,7 +24,8 @@ t = np.arange(M) / M * T
 x = -L / 2 + np.arange(N) / N * L
 tt, xx = np.meshgrid(t, x, indexing="ij")
 f = np.exp(-8 * (xx - 0.3) ** 2 - 30 * (tt - 0.5) ** 2) * np.sin(6 * xx + 4 * tt)
-pyr = analyze(f, basis, 0, 4, T, L)
+pyr = analyze(Field(grid=Grid(d=1, L=L, N=N, T=T, M=M), values=f, kind="spacetime"),
+              basis, 0, 4)
 ratio = pyr.total_sq() / (np.sum(f ** 2) * (T / M) * (L / N))
 print(f"Parseval ratio on a band-limited field: {ratio:.8f}")
 

@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import partial
+from itertools import product
 
 import numpy as np
-
-from fractions import Fraction
 
 from .structure import Homogeneity, StructureParams, build_structure
 
@@ -97,20 +98,8 @@ class SolutionWeights:
         vals = [self.log_w(i, t, r, z) for i in (1, 2) for z in zetas]
         return np.minimum.reduce(vals)
 
-    def weight_at(self, i: int, t: float, zeta: float) -> Weight:
-        return Weight(lambda r: self.log_w(i, t, r, zeta))
-
 
 # -- norms -------------------------------------------------------------------
-
-
-def _lattice_radii(pyr, n) -> np.ndarray:
-    lat = pyr.lattice(n)
-    xs = lat.xs
-    if pyr.d == 1:
-        return np.abs(xs)
-    grids = np.meshgrid(*([xs] * pyr.d), indexing="ij")
-    return np.sqrt(sum(g ** 2 for g in grids))
 
 
 def row_aggregate(arr, wvals, vol, p, reduce="max"):
@@ -140,32 +129,32 @@ def level_aggregate(pyr, n: int, p: float = 2.0, weight: Weight = None,
     (used by the regularity estimator to avoid small-sample maximum bias at
     coarse levels).
     """
-    r = _lattice_radii(pyr, n)
-    wvals = weight(r) if weight is not None else np.ones_like(r)
-    per = [row_aggregate(arr, wvals, 2.0 ** (-n * pyr.d), p, reduce=reduce)
-           for arr in pyr.levels[n].values()]
+    per = _row_aggregates(pyr, n, pyr.levels[n].values(), p, weight, reduce)
     if reduce == "mean" and not math.isinf(p):
         return float(np.mean(np.asarray(per) ** p) ** (1.0 / p))
     return max(per)
 
 
+def _row_aggregates(pyr, n: int, arrays, p: float, weight: Weight, reduce: str) -> list:
+    """row_aggregate of each level-n coefficient array, with the weight at the
+    radii of the level-n lattice divided out."""
+    grids = np.meshgrid(*([pyr.xs(n)] * pyr.d), indexing="ij")
+    r = np.sqrt(sum(g ** 2 for g in grids))
+    wvals = weight(r) if weight is not None else np.ones_like(r)
+    return [row_aggregate(arr, wvals, 2.0 ** (-n * pyr.d), p, reduce=reduce)
+            for arr in arrays]
+
+
 def besov_norm(pyr, alpha: float, p: float = 2.0, weight: Weight = None) -> float:
-    """Weighted Besov norm of the distribution behind a coefficient pyramid."""
+    """Weighted Besov norm of the distribution behind a coefficient pyramid:
+    the max over the wavelet levels and the coarsest scaling term."""
     if not pyr.levels:
         raise ValueError("empty pyramid")
     s_norm = (2 + pyr.d) if pyr.spacetime else pyr.d
-    best = 0.0
-    for n in sorted(pyr.levels):
-        normalizer = 2.0 ** (-n * s_norm / 2.0 - n * alpha)
-        best = max(best, level_aggregate(pyr, n, p, weight) / normalizer)
-    # scaling-coefficient term at the coarsest level
-    n0 = pyr.n_min
-    r = _lattice_radii(pyr, n0)
-    wvals = weight(r) if weight is not None else np.ones_like(r)
-    normalizer = 2.0 ** (-n0 * s_norm / 2.0 - n0 * alpha)
-    best = max(best, row_aggregate(pyr.phi_level, wvals, 2.0 ** (-n0 * pyr.d), p)
-               / normalizer)
-    return best
+    terms = [(n, pyr.levels[n].values()) for n in sorted(pyr.levels)]
+    terms.append((pyr.n_min, [pyr.phi_level]))
+    return max(max(_row_aggregates(pyr, n, arrays, p, weight, "max"))
+               / 2.0 ** (-n * s_norm / 2.0 - n * alpha) for n, arrays in terms)
 
 
 # -- weight validators -------------------------------------------------------
@@ -190,18 +179,6 @@ def check_weight(w: Weight, box: float = 100.0, n_samples: int = 512) -> dict:
     c2 = sup_log_ratio(box * 10.0)
     ok = np.isfinite(c2) and c2 <= c1 * 1.05 + 1e-9
     return {"ok": bool(ok), "C_est": float(np.exp(c2)) if c2 < 700 else float("inf")}
-
-
-def _monomial_degrees(d: int, below: float):
-    """Scaled degrees |k| of monomials X^k, k in N^{d+1}, with |k| < below."""
-    out = set()
-    kmax = int(math.floor(below))
-    for k0 in range(kmax // 2 + 1):
-        for rest in range(kmax + 1):
-            deg = 2 * k0 + rest
-            if deg < below:
-                out.add(deg)
-    return sorted(out)
 
 
 def check_assumption_w(kappa: float, c: float = None, ell: float = 0.0,
@@ -230,7 +207,9 @@ def check_assumption_w(kappa: float, c: float = None, ell: float = 0.0,
     gamma_prime = params.gamma.value(kappa) + alpha + 2.0 - c
     u_homs = sorted({s.homogeneity.value(kappa) for s in rs.symbols_U
                      if s.homogeneity.value(kappa) < gamma_prime})
-    k_degs = _monomial_degrees(d, gamma_prime)
+    # the scaled degrees |k| = 2 k_0 + k_1 + ... + k_d of the monomials X^k
+    # below gamma': every integer in [0, gamma')
+    k_degs = range(math.ceil(gamma_prime))
     sw = SolutionWeights(c=c, kappa=kappa, ell=ell)
 
     r = np.concatenate([np.linspace(0, 10, 64), np.geomspace(10.5, 1e3, 64)])
@@ -250,59 +229,40 @@ def check_assumption_w(kappa: float, c: float = None, ell: float = 0.0,
         # effective homogeneity at which w(., tau*Xi) is evaluated
         return zu if interpretation == "extend" else zu + alpha
 
+    family = (1, 2)
+    log_w = sw.log_w
     # W-0: bounded ratios at unit distance
-    worst = 1.0
-    for i in (1, 2):
-        for t in times:
-            for z in u_homs:
-                w = sw.weight_at(i, t, z)
-                worst = max(worst, check_weight(w, box=50.0, n_samples=128)["C_est"])
+    worst = max((check_weight(Weight(partial(log_w, i, t, zeta=z)), box=50.0,
+                              n_samples=128)["C_est"]
+                 for i, t, z in product(family, times, u_homs)), default=1.0)
     report["conditions"]["W-0"] = {"ok": bool(np.isfinite(worst)), "K_est": worst}
 
     # W-1: w_pi^2 w_s / w_t <= K (t-s)^{-c/2}, estimated in log space
-    logK1 = -np.inf
-    for (s, t) in pairs:
-        log_wt = sw.log_w_t(t, r, u_homs)
-        for i in (1, 2):
-            for z in u_homs:
-                log_lhs = 2 * sw.log_w_pi(r) + sw.log_w(i, s, r, z) - log_wt
-                logK1 = max(logK1, float(np.max(log_lhs)) + (c / 2.0) * np.log(t - s))
+    log_wt = {t: sw.log_w_t(t, r, u_homs) for _, t in pairs}
+    logK1 = max((float(np.max(2 * sw.log_w_pi(r) + log_w(i, s, r, z) - log_wt[t]))
+                 + (c / 2.0) * np.log(t - s)
+                 for (s, t), i, z in product(pairs, family, u_homs)), default=-np.inf)
     K1 = float(np.exp(logK1))
     report["conditions"]["W-1"] = {"ok": bool(np.isfinite(K1)), "K_est": K1}
 
     # W-2: w_i(t, x, tau) <= w_i(t, x, I(tau Xi)), margin in log
-    m2 = np.inf
-    for i in (1, 2):
-        for t in times:
-            for zu in u_homs:
-                z_int = zu + alpha + 2.0
-                diff = sw.log_w(i, t, r, z_int) - sw.log_w(i, t, r, zu)
-                m2 = min(m2, float(np.min(diff)))
+    m2 = min((float(np.min(log_w(i, t, r, zu + alpha + 2.0) - log_w(i, t, r, zu)))
+              for i, t, zu in product(family, times, u_homs)), default=np.inf)
     report["conditions"]["W-2"] = {"ok": bool(m2 >= -1e-12), "min_log_margin": m2}
 
     # W-3: w_pi * w_i(tau Xi) <= w_i(X^k) whenever |tau| + alpha <= |k| - 2
-    m3 = np.inf
-    checked3 = 0
-    for i in (1, 2):
-        for t in times:
-            for zu in u_homs:
-                for kd in k_degs:
-                    if zu + alpha <= kd - 2.0 + 1e-9:
-                        diff = (sw.log_w(i, t, r, float(kd))
-                                - sw.log_w_pi(r) - sw.log_w(i, t, r, zeta_eval(zu)))
-                        m3 = min(m3, float(np.min(diff)))
-                        checked3 += 1
+    cases3 = [(i, t, zu, kd) for i, t, zu, kd in product(family, times, u_homs, k_degs)
+              if zu + alpha <= kd - 2.0 + 1e-9]
+    m3 = min((float(np.min(log_w(i, t, r, float(kd)) - sw.log_w_pi(r)
+                           - log_w(i, t, r, zeta_eval(zu))))
+              for i, t, zu, kd in cases3), default=np.inf)
     report["conditions"]["W-3"] = {"ok": bool(m3 >= -1e-9), "min_log_margin": m3,
-                                   "pairs_checked": checked3}
+                                   "pairs_checked": len(cases3)}
 
     # W-4: w_pi * w_1(tau Xi) <= w_2(X^k), all k with |k| < gamma'
-    m4 = np.inf
-    for t in times:
-        for zu in u_homs:
-            for kd in k_degs:
-                diff = (sw.log_w(2, t, r, float(kd))
-                        - sw.log_w_pi(r) - sw.log_w(1, t, r, zeta_eval(zu)))
-                m4 = min(m4, float(np.min(diff)))
+    m4 = min((float(np.min(log_w(2, t, r, float(kd)) - sw.log_w_pi(r)
+                           - log_w(1, t, r, zeta_eval(zu))))
+              for t, zu, kd in product(times, u_homs, k_degs)), default=np.inf)
     report["conditions"]["W-4"] = {"ok": bool(m4 >= -1e-9), "min_log_margin": m4}
 
     # W-5: w_i(x, tau Xi) = w_i(x, tau)
@@ -310,23 +270,16 @@ def check_assumption_w(kappa: float, c: float = None, ell: float = 0.0,
         report["conditions"]["W-5"] = {"ok": True, "max_abs_log": 0.0,
                                        "note": "holds by definition under 'extend'"}
     else:
-        dev = 0.0
-        for i in (1, 2):
-            for t in times:
-                for zu in u_homs:
-                    diff = sw.log_w(i, t, r, zu + alpha) - sw.log_w(i, t, r, zu)
-                    dev = max(dev, float(np.max(np.abs(diff))))
+        dev = max((float(np.max(np.abs(log_w(i, t, r, zu + alpha) - log_w(i, t, r, zu))))
+                   for i, t, zu in product(family, times, u_homs)), default=0.0)
         report["conditions"]["W-5"] = {"ok": bool(dev < 1e-12), "max_abs_log": dev}
 
     # increasing in time
-    inc = np.inf
-    for i in (1, 2):
-        for zu in u_homs:
-            for t1, t2 in zip(times[:-1], times[1:]):
-                diff = sw.log_w(i, t2, r, zu) - sw.log_w(i, t1, r, zu)
-                inc = min(inc, float(np.min(diff)))
+    inc = min((float(np.min(log_w(i, t2, r, zu) - log_w(i, t1, r, zu)))
+               for i, zu, (t1, t2) in product(family, u_homs, zip(times[:-1], times[1:]))),
+              default=np.inf)
     report["conditions"]["time-increasing"] = {"ok": bool(inc >= -1e-12),
-                                               "min_log_ratio": inc}
+                                               "min_log_margin": inc}
     report["ok"] = all(v["ok"] for v in report["conditions"].values())
     return report
 
@@ -350,7 +303,8 @@ def dirac_norm_growth(d: int, p: float, eta: float, basis, exponents,
     exponents are grid exponents (N = 2**e); returns one norm per resolution.
     Bounded sequence <=> membership (off the boundary line).
     """
-    from .wavelet import analyze_spatial
+    from .noise import Field, Grid
+    from .wavelet import analyze
 
     norms = []
     for e in exponents:
@@ -359,6 +313,6 @@ def dirac_norm_growth(d: int, p: float, eta: float, basis, exponents,
         vals = np.zeros((N,) * d)
         vals[(N // 2,) * d] = dx ** -d
         n_max = e - 2 - int(round(math.log2(1 / L)))
-        pyr = analyze_spatial(vals, basis, 0, n_max, L)
+        pyr = analyze(Field(grid=Grid(d=d, L=L, N=N), values=vals), basis, 0, n_max)
         norms.append(besov_norm(pyr, eta, p))
     return norms

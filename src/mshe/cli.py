@@ -143,7 +143,7 @@ def cmd_wavelet_selftest(args, outdir: Path):
 def cmd_besov_norm(args, outdir: Path):
     from . import besov
     from .noise import read_field
-    from .wavelet import analyze, analyze_spatial, build_basis
+    from .wavelet import analyze, build_basis
 
     fld = read_field(args.input)
     basis = build_basis(args.r)
@@ -156,11 +156,7 @@ def cmd_besov_norm(args, outdir: Path):
             weight = besov.exponential_weight(float(param))
         else:
             raise ValueError(f"unknown weight {args.weight!r} (use poly:a or exp:l)")
-    g = fld.grid
-    if fld.kind == "spacetime":
-        pyr = analyze(fld.values, basis, args.nmin, args.nmax, g.T, g.L)
-    else:
-        pyr = analyze_spatial(fld.values, basis, args.nmin, args.nmax, g.L)
+    pyr = analyze(fld, basis, args.nmin, args.nmax)
     val = besov.besov_norm(pyr, args.alpha, p=args.p, weight=weight)
     _write_csv(outdir / "besov-norm.csv",
                ["alpha", "p", "weight", "norm"],

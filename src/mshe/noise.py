@@ -323,19 +323,18 @@ def estimate_regularity(fld: Field, basis, n_min: int = 1, n_max: int = None) ->
     slope, where |s| is 2 + d for space-time fields and d for spatial ones.
     """
     from . import besov
-    from .wavelet import analyze, analyze_spatial
+    from .wavelet import analyze
 
     g = fld.grid
     if fld.kind == "spacetime":
         if n_max is None:
             n_max = int(np.log2(min(2 ** -2 * g.N / g.L, np.sqrt(g.M / g.T) / 2)))
-        pyr = analyze(fld.values, basis, n_min, n_max, g.T, g.L)
         s_half = (2 + g.d) / 2.0
     else:
         if n_max is None:
             n_max = int(np.log2(g.N / g.L / 4))
-        pyr = analyze_spatial(fld.values, basis, n_min, n_max, g.L)
         s_half = g.d / 2.0
+    pyr = analyze(fld, basis, n_min, n_max)
     levels = sorted(pyr.levels)
     if len(levels) < 4:
         raise ValueError(f"need at least 4 usable levels, got {len(levels)}")

@@ -194,7 +194,7 @@ def canonical_model(xi_eps: Field, dec, kappa: float = 0.05) -> Model:
 def time_shift_cells(basis: WaveletBasis, n: int, g: Grid) -> int:
     """The one-sided evaluation shift t_dn = t - (7 M^2 + 1) 2^{-2n} in grid
     steps (M = support diameter bound)."""
-    C = 7 * basis.support_radius ** 2 + 1
+    C = 7 * basis.support ** 2 + 1
     return int(round(C * 4.0 ** -n / g.dt))
 
 

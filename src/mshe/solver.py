@@ -97,6 +97,10 @@ class SolverConfig:
             self.dt = self.grid.dx ** 2 / 4.0
         if self.snapshots < 1:
             raise ValueError(f"snapshots must be at least 1, got {self.snapshots}")
+        distinct = min(self.n_steps, self.snapshot_steps.size)
+        if distinct < self.snapshots:
+            raise ValueError(f"T = {self.T} and dt = {self.dt:.6g} give {distinct} distinct "
+                             f"snapshot steps, fewer than the {self.snapshots} snapshots")
         if self.eps < 2 * self.grid.dx - 1e-12:
             raise ValueError(
                 f"mollification under-resolved: eps = {self.eps} < 2 dx = {2 * self.grid.dx}")
@@ -109,6 +113,19 @@ class SolverConfig:
     @property
     def noise_kind(self) -> str:
         return EQUATIONS[self.equation][2]
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.T / self.dt))
+
+    @property
+    def snapshot_steps(self) -> np.ndarray:
+        """The distinct steps closest to the target times linspace(t0, T,
+        snapshots).  Every solver shares the targets, so trajectories from
+        solvers with different dt are comparable."""
+        t0 = self.T / self.snapshots if self.snapshot_t0 is None else self.snapshot_t0
+        targets = np.linspace(t0, self.T, self.snapshots)
+        return np.unique(np.clip(np.round(targets / self.dt).astype(int), 1, self.n_steps))
 
 
 @dataclass
@@ -150,20 +167,16 @@ def _initial_field(cfg: SolverConfig) -> np.ndarray:
 
 
 def _split_step(cfg: SolverConfig, u: np.ndarray, react, symbol: np.ndarray) -> Trajectory:
-    """The time-stepping loop of every solver: for k < T/dt,
+    """The time-stepping loop of every solver: for k < cfg.n_steps,
 
         u <- irfftn(rfftn(react(k, u)) * symbol),
 
-    stopped by the overflow guard.  Snapshots are taken at the steps closest
-    to the target times linspace(t0, T, snapshots), which every solver shares,
-    so trajectories from solvers with different dt are comparable."""
-    n_steps = int(round(cfg.T / cfg.dt))
-    n = min(cfg.snapshots, n_steps)
-    targets = np.linspace(cfg.T / n if cfg.snapshot_t0 is None else cfg.snapshot_t0, cfg.T, n)
-    snaps = np.unique(np.clip(np.round(targets / cfg.dt).astype(int), 1, n_steps))
+    stopped by the overflow guard.  Snapshots are taken at
+    cfg.snapshot_steps."""
+    snaps = cfg.snapshot_steps
     axes = tuple(range(u.ndim))
     times, fields = [], []
-    for k in range(n_steps):
+    for k in range(cfg.n_steps):
         u = np.fft.irfftn(np.fft.rfftn(react(k, u)) * symbol, s=u.shape, axes=axes)
         if not np.all(np.abs(u) < _GUARD):
             raise BlowUpError((k + 1) * cfg.dt)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -29,10 +30,8 @@ __all__ = [
     "build_basis",
     "rescale_phi",
     "rescale_psi",
-    "Lattice",
     "CoeffPyramid",
     "analyze",
-    "analyze_spatial",
     "LevelTransform",
     "correlate_axis",
 ]
@@ -161,11 +160,6 @@ class WaveletBasis:
     def support(self) -> int:
         """Length of supp phi (= 2N - 1)."""
         return self.refine_coeffs.size - 1
-
-    @property
-    def support_radius(self) -> int:
-        """M constant: support diameter bound used by reconstruction shifts."""
-        return self.support
 
     # -- exact two-scale algebra ------------------------------------------
 
@@ -310,55 +304,28 @@ def rescale_psi(basis: WaveletBasis, n: int, center, combo, d: int = 1):
     return _eval
 
 
-# -- lattices, pyramids, transforms -----------------------------------------
-
-
-@dataclass
-class Lattice:
-    """Dyadic parabolic lattice on the periodic box [0,T) x [-L/2, L/2)^d."""
-
-    n: int
-    d: int
-    T: float
-    L: float
-
-    @property
-    def nt(self) -> int:
-        return max(1, int(round(self.T * 4 ** self.n)))
-
-    @property
-    def nx(self) -> int:
-        return max(1, int(round(self.L * 2 ** self.n)))
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.nt) * 4.0 ** -self.n
-
-    @property
-    def xs(self) -> np.ndarray:
-        return -self.L / 2 + np.arange(self.nx) * 2.0 ** -self.n
+# -- pyramids, transforms ----------------------------------------------------
 
 
 @dataclass
 class CoeffPyramid:
     """Wavelet coefficients of a grid field per level / tensor combination.
 
-    levels[n][combo] is an array over the level-n lattice (time axis first
-    for space-time pyramids); phi_level holds the all-phi coefficients at
-    n_min.
+    levels[n][combo] is an array over the level-n lattice Lambda_n of the
+    periodic box [0,T) x [-L/2, L/2)^d (time axis first for space-time
+    pyramids); phi_level holds the all-phi coefficients at n_min.
     """
 
     d: int
-    T: float
     L: float
     n_min: int
-    n_max: int
     spacetime: bool
     levels: dict = field(default_factory=dict)
     phi_level: np.ndarray = None
 
-    def lattice(self, n: int) -> Lattice:
-        return Lattice(n=n, d=self.d, T=self.T, L=self.L)
+    def xs(self, n: int) -> np.ndarray:
+        """Space coordinates of the level-n lattice along one axis."""
+        return -self.L / 2 + np.arange(max(1, int(round(self.L * 2 ** n)))) * 2.0 ** -n
 
     def total_sq(self) -> float:
         s = float(np.sum(self.phi_level ** 2))
@@ -496,61 +463,39 @@ def _check_resolution(dx: float, dt, n_max: int):
             f"(4x finer than level {n_max}), got dt = {dt:.4g}")
 
 
-def _iter_combos(n_axes: int):
-    if n_axes == 0:
-        yield ()
-        return
-    for rest in _iter_combos(n_axes - 1):
-        yield ("phi",) + rest
-        yield ("psi",) + rest
+def _space_combos(d: int) -> list:
+    """The 2^d phi/psi codes of d space axes, the first axis varying fastest."""
+    return [c[::-1] for c in product(("phi", "psi"), repeat=d)]
 
 
 def spacetime_combos(d: int):
     """The set Psi for the parabolic tensor construction at one level:
     time code x space codes, minus the all-phi scaling combination."""
-    out = []
-    for tcode in ("phi", "psi0", "psi1a", "psi1b"):
-        for sc in _iter_combos(d):
-            if tcode == "phi" and "psi" not in sc:
-                continue
-            out.append((tcode,) + sc)
-    return out
+    return [(t,) + sc for t in _TIME_CODES for sc in _space_combos(d)
+            if t != "phi" or "psi" in sc]
 
 
-def _analyze_levels(pyr: CoeffPyramid, values: np.ndarray, basis: WaveletBasis,
-                    dx: float, dt, combos: list, cell: float) -> CoeffPyramid:
-    _check_resolution(dx, dt, pyr.n_max)
-    all_phi = ("phi",) * values.ndim
-    for n in range(pyr.n_min, pyr.n_max + 1):
-        coeffs = LevelTransform(basis, n, dx, dt).forward(
-            values, combos + [all_phi] * (n == pyr.n_min))
+def analyze(fld, basis: WaveletBasis, n_min: int, n_max: int) -> CoeffPyramid:
+    """Wavelet coefficients of a ``noise.Field`` on its periodic box.
+
+    A space-time field (time axis first, covering [0,T) x [-L/2,L/2)^d) is
+    analysed by the parabolic combinations of ``spacetime_combos``, a spatial
+    one by the isotropic d-dimensional ones.  Values sit at cell corners;
+    inner products are Riemann sums on the field's grid with periodic wrap.
+    """
+    g = fld.grid
+    dt = g.dt if fld.kind == "spacetime" else None
+    _check_resolution(g.dx, dt, n_max)
+    if dt is None:
+        combos, cell = [c for c in _space_combos(g.d) if "psi" in c], g.dx ** g.d
+    else:
+        combos, cell = spacetime_combos(g.d), dt * g.dx ** g.d
+    pyr = CoeffPyramid(d=g.d, L=g.L, n_min=n_min, spacetime=dt is not None)
+    all_phi = ("phi",) * fld.values.ndim
+    for n in range(n_min, n_max + 1):
+        coeffs = LevelTransform(basis, n, g.dx, dt).forward(
+            fld.values, combos + [all_phi] * (n == n_min))
         pyr.levels[n] = {c: coeffs[c] * cell for c in combos}
-        if n == pyr.n_min:
+        if n == n_min:
             pyr.phi_level = coeffs[all_phi] * cell
     return pyr
-
-
-def analyze(values: np.ndarray, basis: WaveletBasis, n_min: int, n_max: int,
-            T: float, L: float) -> CoeffPyramid:
-    """Space-time wavelet coefficients of a grid field on the periodic box.
-
-    values has shape (M, N, ..., N), time axis first, covering the box
-    [0,T) x [-L/2,L/2)^d sampled at cell corners.  Inner products are Riemann
-    sums on the field's grid with periodic wrap.
-    """
-    d = values.ndim - 1
-    M, N = values.shape[0], values.shape[1]
-    dt, dx = T / M, L / N
-    pyr = CoeffPyramid(d=d, T=T, L=L, n_min=n_min, n_max=n_max, spacetime=True)
-    return _analyze_levels(pyr, values, basis, dx, dt, spacetime_combos(d), dt * dx ** d)
-
-
-def analyze_spatial(values: np.ndarray, basis: WaveletBasis, n_min: int, n_max: int,
-                    L: float) -> CoeffPyramid:
-    """Isotropic d-dimensional analysis (no time axis)."""
-    d = values.ndim
-    N = values.shape[0]
-    dx = L / N
-    pyr = CoeffPyramid(d=d, T=0.0, L=L, n_min=n_min, n_max=n_max, spacetime=False)
-    combos = [c for c in _iter_combos(d) if "psi" in c]
-    return _analyze_levels(pyr, values, basis, dx, None, combos, dx ** d)

@@ -110,7 +110,8 @@ def test_03_wavelet_selftest(r):
     x = -L / 2 + np.arange(N) / N * L
     ttg, xxg = np.meshgrid(t, x, indexing="ij")
     f = np.exp(-8 * (xxg - 0.3) ** 2 - 30 * (ttg - 0.5) ** 2) * np.sin(6 * xxg + 4 * ttg)
-    pyr = analyze(f, b, 0, 4, T, L)
+    grid = Grid(d=1, L=L, N=N, T=T, M=M)
+    pyr = analyze(Field(grid=grid, values=f, kind="spacetime"), b, 0, 4)
     parseval = pyr.total_sq() / (np.sum(f ** 2) * (T / M) * (L / N))
     elapsed = time.time() - t0
     ok = (ortho < 1e-9 and refine < 1e-9 and annihilation < 1e-8

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mshe import besov
-from mshe.noise import Grid, sample_white_noise
+from mshe.noise import Field, Grid, sample_white_noise
 from mshe.wavelet import analyze, build_basis, rescale_psi
 
 
@@ -11,8 +11,14 @@ def basis():
     return build_basis(2)
 
 
+def _spacetime(values, T, L):
+    """A (time, space) array as a space-time Field on [0, T) x [-L/2, L/2)."""
+    M, N = values.shape
+    return Field(grid=Grid(d=1, L=L, N=N, T=T, M=M), values=values, kind="spacetime")
+
+
 def test_zero_field_norm(basis):
-    pyr = analyze(np.zeros((64, 64)), basis, 0, 1, 1.0, 1.0)
+    pyr = analyze(_spacetime(np.zeros((64, 64)), 1.0, 1.0), basis, 0, 1)
     assert besov.besov_norm(pyr, -1.0, p=2.0) == 0.0
 
 
@@ -24,7 +30,7 @@ def test_single_wavelet_norm(basis):
     tt, xx = np.meshgrid(t, x, indexing="ij")
     n0, combo = 2, ("psi0", "psi")
     f = rescale_psi(basis, n0, (6 * 4.0 ** -n0, -0.5), combo, d=1)(tt, xx)
-    pyr = analyze(f, basis, n0, 4, T, L)
+    pyr = analyze(_spacetime(f, T, L), basis, n0, 4)
     alpha, p, d, s = -1.2, 2.0, 1, 3
     expected = 2.0 ** (-n0 * d / p) / 2.0 ** (-n0 * s / 2.0 - n0 * alpha)
     got = besov.besov_norm(pyr, alpha, p=p)
@@ -34,8 +40,8 @@ def test_single_wavelet_norm(basis):
 def test_norm_homogeneous(basis):
     rng = np.random.default_rng(1)
     f = rng.normal(size=(256, 128))
-    pyr1 = analyze(f, basis, 0, 2, 1.0, 1.0)
-    pyr2 = analyze(-3.5 * f, basis, 0, 2, 1.0, 1.0)
+    pyr1 = analyze(_spacetime(f, 1.0, 1.0), basis, 0, 2)
+    pyr2 = analyze(_spacetime(-3.5 * f, 1.0, 1.0), basis, 0, 2)
     n1 = besov.besov_norm(pyr1, -1.5, p=3.0)
     n2 = besov.besov_norm(pyr2, -1.5, p=3.0)
     assert n2 == pytest.approx(3.5 * n1, rel=1e-12)
@@ -44,7 +50,7 @@ def test_norm_homogeneous(basis):
 def test_norm_monotone_in_alpha(basis):
     rng = np.random.default_rng(2)
     f = rng.normal(size=(256, 128))
-    pyr = analyze(f, basis, 0, 2, 1.0, 1.0)
+    pyr = analyze(_spacetime(f, 1.0, 1.0), basis, 0, 2)
     alphas = [-2.0, -1.5, -1.0, -0.5]
     norms = [besov.besov_norm(pyr, a, p=2.0) for a in alphas]
     assert all(n1 <= n2 * (1 + 1e-12) for n1, n2 in zip(norms, norms[1:]))
@@ -56,7 +62,7 @@ def test_embedding_into_sup_norm(basis):
     alpha, p = -1.6, 2.0
     for seed in range(20):
         f = sample_white_noise(grid, "spacetime", seed=seed)
-        pyr = analyze(f.values, basis, 1, 3, grid.T, grid.L)
+        pyr = analyze(f, basis, 1, 3)
         n_p = besov.besov_norm(pyr, alpha, p=p)
         n_inf = besov.besov_norm(pyr, alpha - grid.d / p, p=np.inf)
         assert n_inf <= n_p * (1 + 1e-9)

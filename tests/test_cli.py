@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -121,6 +122,19 @@ def test_besov_checkw_command(tmp_path):
     assert code == 0
     text = (out / "besov-checkw.csv").read_text()
     assert "overall,1" in text
+
+
+@pytest.mark.parametrize("interpretation", ["extend", "strict"])
+def test_besov_checkw_every_margin_written(tmp_path, interpretation):
+    # each condition row carries the margin or constant its check computed
+    code, out = run_cli(["besov", "check-w", "--kappa", "0.1", "--interpretation",
+                         interpretation], tmp_path, interpretation)
+    assert code == 0
+    rows = [line.split(",") for line in
+            (out / "besov-checkw.csv").read_text().splitlines()[1:]]
+    assert [r[0] for r in rows][-2:] == ["time-increasing", "overall"]
+    for name, _, margin in rows[:-1]:
+        assert math.isfinite(float(margin)), (name, margin)
 
 
 def test_wavelet_selftest_command(tmp_path):
@@ -350,14 +364,18 @@ def test_one_constant_per_eps(tmp_path):
       "--grid", "64,64,4,0.25", "--snapshots", "0"], "snapshots must be at least 1, got 0"),
     (["renorm", "--equation", "she1d", "--eps", "0.1", "--samples", "0"],
      "power of two >= 1024, got 0"),
-], ids=["converge-seeds", "solve-snapshots", "renorm-samples"])
+    (["solve", "--equation", "pam3d", "--eps", "0.5", "--grid", "16,0,4,0.02",
+      "--snapshots", "3"], "give 1 distinct snapshot steps, fewer than the 3 snapshots"),
+], ids=["converge-seeds", "solve-snapshots", "renorm-samples", "solve-steps"])
 def test_empty_counts_rejected(tmp_path, capsys, argv, match):
     # no seeds, no snapshots or no QMC samples is an input error, not an
-    # empty result, a traceback or a silently raised count
+    # empty result, a traceback or a silently raised count; so is a schedule
+    # with fewer distinct steps than snapshots (T = 0.02 is one step of
+    # dt = dx^2/4 = 0.0156), not a silently lowered count
     code, out = run_cli(argv, tmp_path, "empty")
     assert code == 1
     assert match in capsys.readouterr().err
-    assert not list(out.glob("*.csv"))
+    assert not list(out.glob("*.csv")) and not list(out.glob("snapshot-*.shef"))
 
 
 def test_unreadable_input_is_a_validation_error(tmp_path, capsys):
@@ -374,7 +392,7 @@ def test_unreadable_input_is_a_validation_error(tmp_path, capsys):
     (["solve", "--equation", "she1d", "--eps", "0.25", "--ceps", "0",
       "--grid", "64,64,4,0.25", "--snapshots", "1"], True),
     (["converge", "--equation", "pam2d", "--eps-list", "1", "0.5",
-      "--grid", "16,0,4,0.01", "--seeds", "1"], True),
+      "--grid", "16,0,4,0.1", "--seeds", "1"], True),
     (["structure", "table", "--kappa", "0.01"], False),
     (["noise", "sample", "--grid", "64,64,4,1"], False),
     (["wavelet", "selftest"], False),

@@ -209,7 +209,7 @@ def test_function_level_reconstruction_identity(setup):
     n_max = 6
     res = reconstruct(f, model, basis, 4, n_max)
     # coherence order 1 here: error ~ (C 4^-n + 2^-n) ||grad g||
-    C = 7 * basis.support_radius ** 2 + 1
+    C = 7 * basis.support ** 2 + 1
     grad = np.abs(np.diff(gf, axis=1)).max() / g.dx
     dt_g = np.abs(np.diff(gf, axis=0)).max() / g.dt
     tol = 3 * (C * 4.0 ** -n_max * dt_g + 2.0 ** -n_max * grad)
@@ -263,7 +263,7 @@ def test_local_defect_lambda_scaling(setup):
 
 def test_time_shift_cells(setup):
     basis, g, _, _ = setup
-    C = 7 * basis.support_radius ** 2 + 1
+    C = 7 * basis.support ** 2 + 1
     n = 4
     assert time_shift_cells(basis, n, g) == int(round(C * 4.0 ** -n / g.dt))
 

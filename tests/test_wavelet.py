@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mshe.noise import Field, Grid
 from mshe.wavelet import (
     LevelTransform,
     analyze,
-    analyze_spatial,
     build_basis,
     correlate_axis,
     daubechies_coefficients,
@@ -23,6 +23,12 @@ def basis2():
 @pytest.fixture(scope="module")
 def basis3():
     return build_basis(3)
+
+
+def _spacetime(values, T, L):
+    """A (time, space) array as a space-time Field on [0, T) x [-L/2, L/2)."""
+    M, N = values.shape
+    return Field(grid=Grid(d=1, L=L, N=N, T=T, M=M), values=values, kind="spacetime")
 
 
 def _smooth_field(M, N, T, L):
@@ -106,7 +112,7 @@ def test_support_shrinks_parabolically(basis2):
 
 def test_analyze_zero_field(basis2):
     f = np.zeros((64, 64))
-    pyr = analyze(f, basis2, 0, 1, 1.0, 1.0)
+    pyr = analyze(_spacetime(f, 1.0, 1.0), basis2, 0, 1)
     assert pyr.total_sq() == 0.0
 
 
@@ -115,9 +121,9 @@ def test_analyze_linear(basis2):
     f = rng.normal(size=(128, 64))
     g = rng.normal(size=(128, 64))
     a, be = 1.7, -0.4
-    p1 = analyze(f, basis2, 0, 2, 1.0, 1.0)
-    p2 = analyze(g, basis2, 0, 2, 1.0, 1.0)
-    p3 = analyze(a * f + be * g, basis2, 0, 2, 1.0, 1.0)
+    p1 = analyze(_spacetime(f, 1.0, 1.0), basis2, 0, 2)
+    p2 = analyze(_spacetime(g, 1.0, 1.0), basis2, 0, 2)
+    p3 = analyze(_spacetime(a * f + be * g, 1.0, 1.0), basis2, 0, 2)
     for n in p3.levels:
         for c in p3.levels[n]:
             assert np.allclose(p3.levels[n][c], a * p1.levels[n][c] + be * p2.levels[n][c],
@@ -127,7 +133,7 @@ def test_analyze_linear(basis2):
 def test_parseval_bandlimited(basis2):
     M, N, T, L = 1024, 512, 1.0, 4.0
     _, _, f = _smooth_field(M, N, T, L)
-    pyr = analyze(f, basis2, 0, 4, T, L)
+    pyr = analyze(_spacetime(f, T, L), basis2, 0, 4)
     l2 = np.sum(f ** 2) * (T / M) * (L / N)
     assert pyr.total_sq() / l2 == pytest.approx(1.0, abs=1e-4)
 
@@ -137,7 +143,7 @@ def test_parseval_spatial(basis2):
     xs = -L / 2 + np.arange(N) / N * L
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     g = np.exp(-6 * (X - 0.1) ** 2 - 7 * (Y + 0.2) ** 2) * np.cos(5 * X - 3 * Y)
-    pyr = analyze_spatial(g, basis2, 0, 3, L)
+    pyr = analyze(Field(grid=Grid(d=2, L=L, N=N), values=g), basis2, 0, 3)
     l2 = np.sum(g ** 2) * (L / N) ** 2
     assert pyr.total_sq() / l2 == pytest.approx(1.0, abs=1e-4)
 
@@ -151,7 +157,7 @@ def test_scaling_function_orthogonal_to_finer_wavelets(basis2):
     tt, xx = np.meshgrid(t, x, indexing="ij")
     n0 = 2
     f = rescale_phi(basis2, n0, (2 * 4.0 ** -n0, -1.5), d=1)(tt, xx)
-    pyr = analyze(f, basis2, n0, 4, T, L)
+    pyr = analyze(_spacetime(f, T, L), basis2, n0, 4)
     worst = max(np.max(np.abs(pyr.levels[n][c])) for n in (2, 3, 4) for c in pyr.levels[n])
     assert worst < 1e-6
 
@@ -165,15 +171,15 @@ def test_wavelets_annihilate_polynomials_on_grid(basis2):
     x = -L / 2 + np.arange(N) / N * L
     tt, xx = np.meshgrid(t, x, indexing="ij")
     f = 0.3 + 1.2 * xx + 0.5 * tt + 0.25 * xx ** 2
-    pyr = analyze(f, basis2, 4, 5, T, L)
+    pyr = analyze(_spacetime(f, T, L), basis2, 4, 5)
     S = basis2.support
     worst = 0.0
     for n in (4, 5):
-        lat = pyr.lattice(n)
+        times, xs = np.arange(int(T * 4 ** n)) * 4.0 ** -n, pyr.xs(n)
         margin_t = S * 4.0 ** -n
         margin_x = S * 2.0 ** -n
-        sel_t = (lat.times > margin_t) & (lat.times < T - margin_t)
-        sel_x = (lat.xs > -L / 2 + margin_x) & (lat.xs < L / 2 - margin_x)
+        sel_t = (times > margin_t) & (times < T - margin_t)
+        sel_x = (xs > -L / 2 + margin_x) & (xs < L / 2 - margin_x)
         for c, arr in pyr.levels[n].items():
             worst = max(worst, np.max(np.abs(arr[np.ix_(sel_t, sel_x)])))
     assert worst < 1e-7
@@ -211,7 +217,7 @@ def test_refinement_identity_rescaled(basis2):
 def test_resolution_precondition(basis2):
     f = np.zeros((32, 32))
     with pytest.raises(ValueError, match="resolution too coarse"):
-        analyze(f, basis2, 0, 3, 1.0, 1.0)
+        analyze(_spacetime(f, 1.0, 1.0), basis2, 0, 3)
 
 
 def test_unsupported_order():
