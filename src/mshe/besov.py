@@ -296,9 +296,9 @@ def dirac_membership(d: int, p: float, eta: float) -> bool:
     return eta < -d + dp
 
 
-def dirac_norm_growth(d: int, p: float, eta: float, basis, exponents,
-                      L: float = 1.0) -> list:
-    """Spatial Besov norms of the grid Dirac at increasing resolution.
+def dirac_norm_growth(d: int, p: float, eta: float, basis, exponents) -> list:
+    """Spatial Besov norms of the grid Dirac on the unit box at increasing
+    resolution.
 
     exponents are grid exponents (N = 2**e); returns one norm per resolution.
     Bounded sequence <=> membership (off the boundary line).
@@ -309,10 +309,9 @@ def dirac_norm_growth(d: int, p: float, eta: float, basis, exponents,
     norms = []
     for e in exponents:
         N = 2 ** e
-        dx = L / N
+        dx = 1.0 / N
         vals = np.zeros((N,) * d)
         vals[(N // 2,) * d] = dx ** -d
-        n_max = e - 2 - int(round(math.log2(1 / L)))
-        pyr = analyze(Field(grid=Grid(d=d, L=L, N=N), values=vals), basis, 0, n_max)
+        pyr = analyze(Field(grid=Grid(d=d, L=1.0, N=N), values=vals), basis, 0, e - 2)
         norms.append(besov_norm(pyr, eta, p))
     return norms

@@ -265,7 +265,10 @@ def cmd_solve(args, outdir: Path):
     cfg = SolverConfig(equation=args.equation, grid=grid, eps=args.eps,
                        C_eps=0.0 if auto else float(args.ceps), u0=_parse_u0(args.u0),
                        T=args.T or grid.T, seed=args.seed, snapshots=args.snapshots)
-    if auto and eq is not None:
+    if auto:
+        if eq is None:
+            raise ValueError(f"--ceps auto: no renormalisation constant is computed for "
+                             f"{args.equation}; give --ceps C")
         from .renorm import compute_constants
 
         # the constant of renorm --eps at the same --seed and --samples

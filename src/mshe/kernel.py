@@ -27,6 +27,7 @@ x = sqrt(t) u, in which the gauge is exactly sqrt(t) (1 + |u|^4)^{1/4}.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import product as _iproduct
@@ -104,23 +105,13 @@ class _DualAxis:
         return out * base
 
 
-def _fd_weights(m: int, offsets: np.ndarray) -> np.ndarray:
-    """Finite-difference weights for the m-th derivative on given offsets
-    (Vandermonde solve; exact for polynomials up to len(offsets)-1)."""
-    n = offsets.size
-    A = np.vander(offsets, n, increasing=True).T
-    b = np.zeros(n)
-    b[m] = math.factorial(m)
-    return np.linalg.solve(A, b)
-
-
 def _scaled_degree(k) -> int:
     return 2 * k[0] + sum(k[1:])
 
 
 @dataclass
 class KernelDecomposition:
-    """Evaluators for P_0, P_n, D^k P_n and the smooth remainder P_-."""
+    """Evaluators for P_0, P_n and the smooth remainder P_-."""
 
     d: int
     r: int
@@ -179,55 +170,6 @@ class KernelDecomposition:
             out = out + self.pn(n, t, x)
         return out
 
-    def _dk(self, fn, k, t, x):
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        if x.ndim == t.ndim:
-            x = x[..., None]
-        h = 0.01  # finite-difference step
-
-        def rec(axis, tt, xx):
-            if axis > self.d:
-                return fn(tt, xx)
-            m = k[0] if axis == 0 else k[axis]
-            if m == 0:
-                return rec(axis + 1, tt, xx)
-            offs = np.arange(-(m // 2 + 2), m // 2 + 3, dtype=float)
-            wts = _fd_weights(m, offs * h)
-            acc = 0.0
-            for o, wgt in zip(offs, wts):
-                if axis == 0:
-                    acc = acc + wgt * rec(axis + 1, tt + o * h, xx)
-                else:
-                    shift = np.zeros(self.d)
-                    shift[axis - 1] = o * h
-                    acc = acc + wgt * rec(axis + 1, tt, xx + shift)
-            return acc
-
-        return rec(0, t, x)
-
-    def dk_p0(self, k, t, x):
-        if _scaled_degree(k) > self.r:
-            raise ValueError(f"derivative index {k} exceeds order r={self.r}")
-        if all(ki == 0 for ki in k):
-            return self.p0(t, x)
-        return self._dk(self.p0, k, t, x)
-
-    def dk_pn(self, n: int, k, t, x):
-        """D^k P_n via the exact scaling D^k P_n(z) =
-        2^{n(d + |k|)} (D^k P_0)(2^{2n} t, 2^n x), |k| the scaled degree."""
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        amp = 2.0 ** (n * (self.d + _scaled_degree(k)))
-        return amp * self.dk_p0(k, 4.0 ** n * t, 2.0 ** n * x)
-
-    def dk_pminus(self, k, t, x):
-        if _scaled_degree(k) > self.r + 2:
-            raise ValueError(f"derivative index {k} exceeds order r+2={self.r + 2}")
-        if all(ki == 0 for ki in k):
-            return self.pminus(t, x)
-        return self._dk(self.pminus, k, t, x)
-
     # -- diagnostics ----------------------------------------------------------
 
     def moment_residual(self, k) -> float:
@@ -260,16 +202,14 @@ class KernelDecomposition:
             q_mom += term
         v2 = (1.0 - 2.0 ** -(2 + _scaled_degree(k))) * q_mom
 
-        return abs(v1 - v2) / self._abs_mass()
+        return abs(v1 - v2) / self._abs_mass
 
+    @functools.cached_property
     def _abs_mass(self) -> float:
-        """int |P_0| by a moderate tensor rule (normalizer only, cached)."""
-        if getattr(self, "_abs_mass_cache", None) is not None:
-            return self._abs_mass_cache
-        nx = {1: 1601, 2: 201, 3: 41}[self.d]
-        nt = {1: 1601, 2: 201, 3: 41}[self.d]
-        ts = np.linspace(0.0, 1.0, nt)
-        xs = np.linspace(-1.0, 1.0, nx)
+        """int |P_0| by a moderate tensor rule (normalizer only)."""
+        n = {1: 1601, 2: 201, 3: 41}[self.d]
+        ts = np.linspace(0.0, 1.0, n)
+        xs = np.linspace(-1.0, 1.0, n)
         Xg = np.meshgrid(*([xs] * self.d), indexing="ij")
         X = np.stack(Xg, axis=-1)
         dx = (xs[1] - xs[0]) ** self.d
@@ -278,7 +218,6 @@ class KernelDecomposition:
         for tv in ts:
             w = dt * (0.5 if tv in (ts[0], ts[-1]) else 1.0)
             tot += w * np.sum(np.abs(self.p0(np.full(X.shape[:-1], tv), X))) * dx
-        self._abs_mass_cache = tot
         return tot
 
 

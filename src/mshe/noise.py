@@ -186,11 +186,6 @@ class Mollifier:
             out = out * self._b(x[..., i])
         return out
 
-    def rho_eps(self, t, x, d: int):
-        e = self.epsilon
-        x = np.asarray(x, dtype=float)
-        return self.rho(t / e ** 2, x / e) / e ** (2 + d)
-
     def bb(self, s):
         """1-d self-convolution (b*b)(s), unit scale."""
         _, _, gs, bb = bump_profile(self.profile)

@@ -27,6 +27,7 @@ correlations plus ball averages along space.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -94,7 +95,7 @@ class Model:
         """Pi_z tau as a grid function; z_idx = (time index, space index)."""
         g = self.grid
         it, ix = z_idx
-        tt, xx = self._mesh()
+        tt, xx = self._mesh
         x0 = g.xs[ix]
         if sym == "1":
             return np.ones_like(self.xi)
@@ -110,29 +111,16 @@ class Model:
             return self.xi * (self.phi_field - self.phi_field[it, ix])
         raise KeyError(sym)
 
-    def gamma_shift(self, sym: str, z_idx: tuple, zp_idx: tuple):
-        """Gamma_{z, z'} tau = tau + shift * lower, for the canonical model.
-
-        Returns (lower_symbol, shift) or None for invariant symbols.
-        """
-        if sym not in _TRANSPORT:
-            return None
-        lower, by = _TRANSPORT[sym]
-        if by == "x":
-            return lower, self.grid.xs[z_idx[1]] - self.grid.xs[zp_idx[1]]
-        return lower, self.phi_field[z_idx] - self.phi_field[zp_idx]
-
+    @functools.cached_property
     def _mesh(self):
-        if getattr(self, "_mesh_cache", None) is None:
-            self._mesh_cache = np.meshgrid(self.grid.ts, self.grid.xs, indexing="ij")
-        return self._mesh_cache
+        return np.meshgrid(self.grid.ts, self.grid.xs, indexing="ij")
 
     def pair(self, sym: str, z_idx: tuple, lam: float) -> float:
         """< Pi_z tau, eta^lam_z > for a fixed smooth bump eta (mass one),
         by Riemann quadrature on the grid."""
         g = self.grid
         it, ix = z_idx
-        tt, xx = self._mesh()
+        tt, xx = self._mesh
         eta = exp_bump((tt - g.ts[it]) / lam ** 2) * exp_bump((xx - g.xs[ix]) / lam)
         mass = eta.sum() * g.dt * g.dx
         if mass == 0.0:

@@ -60,7 +60,6 @@ __all__ = [
     "she_green",
     "smooth_test_green",
     "RenormConstants",
-    "rho_sq",
     "c_eps",
     "c11_eps",
     "c12_eps",
@@ -132,14 +131,6 @@ def she_green() -> GreenFn:
 def smooth_test_green(fn, support) -> GreenFn:
     """Spacetime test Green's function, smooth at the origin (diagnostics)."""
     return GreenFn(equation="smooth", dim=2, custom=fn, support=support)
-
-
-def rho_sq(moll: Mollifier, green: GreenFn):
-    """Evaluator of the self-convolution rho_eps^{*2} matching the equation:
-    spatial marginal for pam3d (3 arguments), space-time for she1d."""
-    if green.equation == "pam3d":
-        return lambda x: moll.rho_sq_spatial(np.asarray(x))
-    return lambda z: moll.rho_sq(np.asarray(z)[..., 0], np.asarray(z)[..., 1:])
 
 
 def _sample_rho_sq(moll: Mollifier, green: GreenFn, U: np.ndarray) -> np.ndarray:

@@ -104,11 +104,17 @@ class SolverConfig:
         if self.eps < 2 * self.grid.dx - 1e-12:
             raise ValueError(
                 f"mollification under-resolved: eps = {self.eps} < 2 dx = {2 * self.grid.dx}")
-        if isinstance(self.u0, Field):
-            self.u0 = self.u0.values
-        if isinstance(self.u0, np.ndarray) and self.u0.shape != self.grid.space_shape():
+        fld, g = self.u0, self.grid
+        if isinstance(fld, Field):
+            self.u0 = fld.values
+        if isinstance(self.u0, np.ndarray) and self.u0.shape != g.space_shape():
             raise ValueError(f"initial field shape {self.u0.shape} != grid shape "
-                             f"{self.grid.space_shape()}")
+                             f"{g.space_shape()}")
+        if isinstance(fld, Field) and (fld.kind, fld.grid.d, fld.grid.N, fld.grid.L) != (
+                "spatial", g.d, g.N, g.L):
+            raise ValueError(f"initial field is {fld.kind} with d={fld.grid.d}, N={fld.grid.N}, "
+                             f"L={fld.grid.L:g}; the solve needs a spatial field with "
+                             f"d={g.d}, N={g.N}, L={g.L:g}")
 
     @property
     def noise_kind(self) -> str:
@@ -327,13 +333,16 @@ def convergence_study(equation: str, grid: Grid, eps_list, T: float,
     _, eq_renorm, kind = EQUATIONS[equation]
     if not seeds:
         raise ValueError("a convergence study needs at least 1 seed")
+    if include_ito and equation != "she1d":
+        raise ValueError(f"the Ito reference is defined for she1d only, not {equation}")
     # every config is checked before any constant is computed
     cfgs = {e: SolverConfig(equation=equation, grid=grid, eps=e, u0=u0, T=T, snapshots=6,
                             snapshot_t0=snapshot_t0, dt=dt) for e in eps_list}
     if constants is None:
-        constants = {e: 0.0 if eq_renorm is None else
-                     compute_constants(eq_renorm, e, n_samples=n_qmc, seed=1000,
-                                       threads=threads).C_eps for e in eps_list}
+        if eq_renorm is None:
+            raise ValueError(f"no renormalisation constant is computed for {equation}")
+        constants = {e: compute_constants(eq_renorm, e, n_samples=n_qmc, seed=1000,
+                                          threads=threads).C_eps for e in eps_list}
 
     # pad the time axis so each mollification is a clean linear convolution
     # on [0, T]: all epsilons then share one noise realization with no
@@ -369,7 +378,7 @@ def convergence_study(equation: str, grid: Grid, eps_list, T: float,
         dists = [weighted_distance(trajs[a], trajs[b], ell=ell)
                  for a, b in zip(eps_list, eps_list[1:])]
         out = {"pairwise": dists}
-        if include_ito and equation == "she1d":
+        if include_ito:
             # the finest epsilon's config, stepped at the noise's own dt
             ito = solve_ito_reference(replace(cfg, C_eps=0.0, dt=grid.dt), noise=interior)
             out["to_ito"] = [weighted_distance(trajs[e], ito, ell=ell)
@@ -387,7 +396,6 @@ def convergence_study(equation: str, grid: Grid, eps_list, T: float,
 
 def weighted_norm_diag(traj: Trajectory, ell: float = 0.0) -> list:
     """Per-snapshot diagnostics: the e^{-(t+ell)(1+|x|)}-weighted L^2 norm
-    and the unweighted sup."""
+    (the unweighted sup is traj.diagnostics["max"])."""
     norms = _weighted_l2(traj.grid, traj.times, traj.fields, ell)
-    return [{"t": float(t), "weighted_lp": val, "unweighted_sup": float(np.abs(f).max())}
-            for t, f, val in zip(traj.times, traj.fields, norms)]
+    return [{"t": float(t), "weighted_lp": val} for t, val in zip(traj.times, norms)]

@@ -276,15 +276,13 @@ def rescale_phi(basis: WaveletBasis, n: int, center, d: int = 1):
 def rescale_psi(basis: WaveletBasis, n: int, center, combo, d: int = 1):
     """Mixed tensor rescaling at level n centred at (t, x).
 
-    combo[0] is a time code ('phi', 'psi0', 'psi1a', 'psi1b' -- 'psi' is an
-    alias for 'psi0'); combo[1:] are 'phi'/'psi' per space axis.  The two
-    'psi1*' codes carry the time wavelet at the intermediate scale 2^{2n+1},
-    'psi1b' shifted by 2^-(2n+1).
+    combo[0] is a time code ('phi', 'psi0', 'psi1a', 'psi1b'); combo[1:] are
+    'phi'/'psi' per space axis.  The two 'psi1*' codes carry the time
+    wavelet at the intermediate scale 2^{2n+1}, 'psi1b' shifted by 2^-(2n+1).
     """
     t0 = center[0]
     x0 = np.asarray(center[1:], dtype=float)
-    tcode = {"psi": "psi0"}.get(combo[0], combo[0])
-    kind, extra, off_half, amp_pow = _TIME_CODES[tcode]
+    kind, extra, off_half, amp_pow = _TIME_CODES[combo[0]]
     tfac = basis.phi if kind == "phi" else basis.psi
     tscale = 2.0 ** (2 * n + extra)
     tamp = 2.0 ** (n + amp_pow)
@@ -486,6 +484,10 @@ def analyze(fld, basis: WaveletBasis, n_min: int, n_max: int) -> CoeffPyramid:
     g = fld.grid
     dt = g.dt if fld.kind == "spacetime" else None
     _check_resolution(g.dx, dt, n_max)
+    if g.L * 2.0 ** n_min < 1 or (dt is not None and g.T * 4.0 ** n_min < 1):
+        box = f"L = {g.L:g}" + (f", T = {g.T:g}" if dt is not None else "")
+        raise ValueError(f"the level-{n_min} lattice has no point on the box {box}: "
+                         "n_min needs L 2^n_min >= 1 (and T 4^n_min >= 1 in time)")
     if dt is None:
         combos, cell = [c for c in _space_combos(g.d) if "psi" in c], g.dx ** g.d
     else:

@@ -121,6 +121,7 @@ def test_03_wavelet_selftest(r):
                    f"{annihilation:.1e}, parseval-1 {parseval - 1:.1e}, {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_04_white_noise_regularity():
     t0 = time.time()
     basis = build_basis(2)
@@ -259,6 +260,7 @@ def test_06d_pam_c12_bounded():
                    f"{elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_07_reconstruction():
     from mshe.reconstruct import ModelledDistribution, canonical_model, reconstruct, sewing_check
 
@@ -352,6 +354,7 @@ def test_08_solver_oracles():
                    f"pam2d oracle rel {pam_rel:.1e}, {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_09_epsilon_convergence():
     t0 = time.time()
     # SHE: coupled noise, 10 seeds, strict pairwise decrease, majority >= 9/10

@@ -254,10 +254,10 @@ def test_regularity_needs_two_seeds(tmp_path, capsys):
     assert not (out / "noise-regularity.csv").exists()
 
 
-def _field_file(path, d, N):
+def _field_file(path, d, N, L=4.0):
     from mshe.noise import Field, write_field
 
-    write_field(path, Field(grid=Grid(d=d, L=4.0, N=N), values=np.ones((N,) * d)))
+    write_field(path, Field(grid=Grid(d=d, L=L, N=N), values=np.ones((N,) * d)))
     return f"file:{path}"
 
 
@@ -277,11 +277,15 @@ def _short_file(path):
                  r"initial field shape \(1,\) != grid shape \(64,\)", id="file-n1"),
     pytest.param(lambda tmp: _short_file(tmp / "short.shef"), "truncated header",
                  id="file-short"),
+    pytest.param(lambda tmp: _field_file(tmp / "box.shef", 1, 64, L=8.0),
+                 "initial field is spatial with d=1, N=64, L=8; the solve needs a "
+                 "spatial field with d=1, N=64, L=4", id="file-box"),
 ])
 def test_bad_u0_rejected_before_any_constant(tmp_path, capsys, monkeypatch, command, u0,
                                              match):
-    # solve and converge share one --u0 parser, and a file's shape is checked
-    # against the grid: every bad value exits 1 before a constant is computed
+    # solve and converge share one --u0 parser, and a file's shape and box
+    # are checked against the grid: every bad value exits 1 before a constant
+    # is computed
     import mshe.renorm
 
     def no_constants(*args, **kwargs):
@@ -296,6 +300,46 @@ def test_bad_u0_rejected_before_any_constant(tmp_path, capsys, monkeypatch, comm
     assert code == 1
     assert re.search(match, capsys.readouterr().err)
     assert not list(out.glob("*.csv"))
+
+
+def test_spacetime_u0_file_rejected(tmp_path, capsys):
+    # a d = 1 space-time field of shape (16, 16) has the shape of a pam2d
+    # initial condition on N = 16, but it is no spatial field
+    from mshe.noise import Field, write_field
+
+    path = tmp_path / "st.shef"
+    write_field(path, Field(grid=Grid(d=1, L=4.0, N=16, T=0.25, M=16),
+                            values=np.ones((16, 16)), kind="spacetime"))
+    code, out = run_cli(["solve", "--equation", "pam2d", "--eps", "1", "--ceps", "0",
+                         "--grid", "16,0,4,0.1", "--snapshots", "2", "--u0", f"file:{path}"],
+                        tmp_path, "st")
+    assert code == 1
+    assert "initial field is spacetime with d=1, N=16, L=4" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--equation", "pam2d", "--eps", "1", "--grid", "16,0,4,0.1", "--snapshots", "2"],
+    ["converge", "--equation", "pam2d", "--eps-list", "1", "0.5", "--grid", "16,0,4,0.1",
+     "--seeds", "1"],
+], ids=lambda v: v[0])
+def test_pam2d_needs_a_given_constant(tmp_path, capsys, monkeypatch, argv):
+    # no renormalisation constant is computed for pam2d: --ceps auto and
+    # converge exit 1 before any solve instead of running with C = 0
+    import mshe.solver
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(mshe.solver, "_split_step", no_solve)
+    code, out = run_cli(argv, tmp_path, "auto")
+    assert code == 1
+    assert "no renormalisation constant is computed for pam2d" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+    monkeypatch.undo()
+    if argv[0] == "solve":
+        code, out = run_cli(argv + ["--ceps", "0.5"], tmp_path, "given")
+        assert code == 0 and (out / "solve-diag.csv").exists()
 
 
 def test_converge_reads_u0_file(tmp_path):
@@ -391,8 +435,8 @@ def test_unreadable_input_is_a_validation_error(tmp_path, capsys):
     (["renorm", "--equation", "she1d", "--eps", "0.1", "--samples", "1024"], True),
     (["solve", "--equation", "she1d", "--eps", "0.25", "--ceps", "0",
       "--grid", "64,64,4,0.25", "--snapshots", "1"], True),
-    (["converge", "--equation", "pam2d", "--eps-list", "1", "0.5",
-      "--grid", "16,0,4,0.1", "--seeds", "1"], True),
+    (["converge", "--equation", "she1d", "--eps-list", "0.4", "0.2",
+      "--grid", "64,512,4,0.25", "--seeds", "1", "--samples", "1024"], True),
     (["structure", "table", "--kappa", "0.01"], False),
     (["noise", "sample", "--grid", "64,64,4,1"], False),
     (["wavelet", "selftest"], False),

@@ -68,40 +68,19 @@ def test_pn_support_shrinks(dec1):
     assert dec1.pn(n, np.array([0.5 * 4.0 ** -n]), np.array([[2.0 ** -n * 1.01]]))[0] == 0.0
 
 
-def test_derivative_scaling(dec1):
-    # n=3, k=(0,1): D^k P_3(2^-7, 2^-4) = 2^{3(d+1)} (D^k P_0)(1/2, 1/2)
-    lhs = dec1.dk_pn(3, (0, 1), np.array([2.0 ** -7]), np.array([[2.0 ** -4]]))
-    rhs = 2.0 ** (3 * 2) * dec1.dk_p0((0, 1), np.array([0.5]), np.array([[0.5]]))
-    assert lhs[0] == pytest.approx(rhs[0], rel=1e-12)
-
-
-def test_derivative_zero_order_is_pn(dec1):
-    tt = np.array([0.03, 0.06])
-    xx = np.array([[0.1], [-0.2]])
-    assert np.allclose(dec1.dk_pn(2, (0, 0), tt, xx), dec1.pn(2, tt, xx))
-
-
-def test_derivative_sup_ratio_level_independent(dec1):
-    rng = np.random.default_rng(2)
-    tt = rng.uniform(0, 1, 200)
-    xx = rng.uniform(-1, 1, (200, 1))
-    base = np.abs(dec1.dk_p0((0, 1), tt, xx)).max()
-    for n in (2, 6):
-        v = np.abs(dec1.dk_pn(n, (0, 1), tt * 4.0 ** -n, xx * 2.0 ** -n)).max()
-        assert v / 2.0 ** (n * 2) == pytest.approx(base, rel=1e-12)
-
-
-def test_out_of_range_derivative(dec1):
-    with pytest.raises(ValueError, match="exceeds order"):
-        dec1.dk_pn(1, (2, 2), np.array([0.1]), np.array([[0.1]]))
-
-
 def test_pminus_smooth_bounded(dec1):
+    # m-th differences at step h of P_- (all orders, on a wide box) and of P_0
+    # (one space derivative, on its support) are finite and bounded
     rng = np.random.default_rng(3)
-    tt = rng.uniform(-10, 10, 400)
-    xx = rng.uniform(-10, 10, (400, 1))
-    for k in [(0, 0), (1, 1), (0, 5), (2, 1)]:
-        vals = dec1.dk_pminus(k, tt, xx)
+    wide = rng.uniform(-10, 10, 400), rng.uniform(-10, 10, (400, 1))
+    rng = np.random.default_rng(2)
+    support = rng.uniform(0, 1, 200), rng.uniform(-1, 1, (200, 1))
+    h = 0.01
+    cases = [(dec1.pminus, k, wide) for k in [(0, 0), (1, 1), (0, 5), (2, 1)]]
+    for fn, (k0, k1), (tt, xx) in cases + [(dec1.p0, (0, 1), support)]:
+        t = tt[:, None, None] + h * np.arange(k0 + 1)[:, None]
+        x = xx[:, None, None, :] + h * np.arange(k1 + 1)[:, None]
+        vals = np.diff(np.diff(fn(t, x), n=k0, axis=1), n=k1, axis=2) / h ** (k0 + k1)
         assert np.all(np.isfinite(vals))
         assert np.max(np.abs(vals)) < 1e7
 

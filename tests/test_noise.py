@@ -83,13 +83,18 @@ def test_mollifier_mass_and_evenness():
     t = np.linspace(-0.1, 0.1, 801)
     x = np.linspace(-0.3, 0.3, 801)[:, None]
     tt, xx = np.meshgrid(t, x.ravel(), indexing="ij")
-    vals = m.rho_eps(tt, xx[..., None], d=1)
+    e = m.epsilon
+
+    def rho_eps(t, x):
+        return m.rho(t / e ** 2, x / e) / e ** 3
+
+    vals = rho_eps(tt, xx[..., None])
     mass = np.trapezoid(np.trapezoid(vals, x.ravel(), axis=1), t)
     assert mass == pytest.approx(1.0, abs=1e-8)
     assert np.allclose(vals, vals[:, ::-1], atol=1e-15)  # even in x
     # support inside the parabolic eps-ball
-    assert m.rho_eps(np.array([0.0651]), np.array([[0.0]]), d=1)[0] == 0.0
-    assert m.rho_eps(np.array([0.0]), np.array([[0.2505]]), d=1)[0] == 0.0
+    assert rho_eps(np.array([0.0651]), np.array([[0.0]]))[0] == 0.0
+    assert rho_eps(np.array([0.0]), np.array([[0.2505]]))[0] == 0.0
 
 
 @pytest.mark.parametrize("profile", ["exp", "poly4"])

@@ -60,15 +60,15 @@ def test_pi_unit_mass_pairing(setup):
 
 
 def test_algebraic_property(setup):
-    # Pi_z Gamma_{z,z'} tau = Pi_{z'} tau, exactly for the canonical maps
-    _, _, model, _ = setup
+    # Pi_z Gamma_{z,z'} tau = Pi_{z'} tau, exactly for the canonical maps;
+    # Gamma_{z,z'} is the transport dgamma_norm applies, here to each symbol
+    _, g, model, _ = setup
     z, zp = (3000, 60), (3100, 80)
+    increments = {"x": g.xs[z[1]] - g.xs[zp[1]],
+                  "Phi": model.phi_field[z] - model.phi_field[zp]}
     for sym in SYMBOLS:
-        shift = model.gamma_shift(sym, z, zp)
-        lhs = model.pi_field(sym, z)
-        if shift is not None:
-            low, coef = shift
-            lhs = lhs + coef * model.pi_field(low, z)
+        gamma_tau = rec._transport({s: float(s == sym) for s in SYMBOLS}, increments)
+        lhs = sum(c * model.pi_field(s, z) for s, c in gamma_tau.items())
         rhs = model.pi_field(sym, zp)
         assert np.allclose(lhs, rhs, atol=1e-12), sym
 

@@ -8,7 +8,6 @@ from mshe.renorm import (
     c_eps,
     compute_constants,
     pam_green,
-    rho_sq,
     she_green,
     smooth_test_green,
 )
@@ -20,12 +19,12 @@ def _moll(eps):
 
 
 def test_rho_sq_mass_and_evenness():
+    # the squared mollifier sampled in the form the renorm quadratures read it
     m = _moll(0.2)
-    f = rho_sq(m, she_green())
     t = np.linspace(-0.1, 0.1, 401)
     x = np.linspace(-0.45, 0.45, 401)
     tt, xx = np.meshgrid(t, x, indexing="ij")
-    vals = f(np.stack([tt, xx], axis=-1))
+    vals = m.rho_sq(tt, xx[..., None])
     mass = np.trapezoid(np.trapezoid(vals, x, axis=1), t)
     assert mass == pytest.approx(1.0, abs=1e-6)
     assert np.allclose(vals, vals[:, ::-1], atol=1e-14)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
 from mshe.kernel import heat_kernel
@@ -60,21 +62,26 @@ def test_linearity_in_initial_data():
     assert np.allclose(fab, a * fa + b * fb, atol=1e-10)
 
 
-def test_renormalisation_covariance_bit_exact():
+@settings(max_examples=20)
+@given(equation=st.sampled_from(["pam2d", "pam3d", "she1d"]),
+       C=st.floats(-4.0, 4.0), eps_cells=st.integers(2, 6), seed=st.integers(0, 2 ** 16))
+@example(equation="she1d", C=2.5, eps_cells=4, seed=5)
+def test_renormalisation_covariance_bit_exact(equation, C, eps_cells, seed):
     # solving with (xi_eps, C) equals solving with (xi_eps - C, 0) bitwise
-    from mshe.noise import Mollifier, mollify
+    from mshe.noise import mollify
 
-    g = Grid(d=1, L=4.0, N=128, T=0.1, M=512)
-    xi_eps = mollify(sample_white_noise(g, "spacetime", seed=5),
-                     Mollifier(epsilon=4 * g.dx))
-    C = 2.5
-    cfg1 = SolverConfig(equation="she1d", grid=g, eps=4 * g.dx, C_eps=C,
-                        u0=("const", 1.0), T=0.1, snapshots=3)
-    t1 = solve_renormalised(cfg1, xi_eps=xi_eps)
-    cfg2 = SolverConfig(equation="she1d", grid=g, eps=4 * g.dx, C_eps=0.0,
-                        u0=("const", 1.0), T=0.1, snapshots=3)
-    t2 = solve_renormalised(cfg2, xi_eps=xi_eps.copy_with(xi_eps.values - C))
-    for f1, f2 in zip(t1.fields, t2.fields):
+    g, kind = {"pam2d": (Grid(d=2, L=4.0, N=16), "spatial"),
+               "pam3d": (Grid(d=3, L=2.0, N=8), "spatial"),
+               "she1d": (Grid(d=1, L=4.0, N=128, T=0.1, M=512), "spacetime")}[equation]
+    eps = eps_cells * g.dx
+    xi_eps = mollify(sample_white_noise(g, kind, seed=seed), Mollifier(epsilon=eps))
+
+    def solve(xi, C_eps):
+        cfg = SolverConfig(equation=equation, grid=g, eps=eps, C_eps=C_eps,
+                           u0=("const", 1.0), T=g.T or 0.05, snapshots=3)
+        return solve_renormalised(cfg, xi_eps=xi).fields
+
+    for f1, f2 in zip(solve(xi_eps, C), solve(xi_eps.copy_with(xi_eps.values - C), 0.0)):
         assert np.array_equal(f1, f2)
 
 
@@ -259,6 +266,15 @@ def test_convergence_study_small_she():
     assert len(r["pairwise"]) == 2
     assert len(r["to_ito"]) == 3
     assert all(v > 0 for v in r["pairwise"])
+
+
+def test_convergence_study_ito_only_for_she1d():
+    # the Ito reference exists for she1d only: asking for it elsewhere is an
+    # input error, not a study without Ito rows
+    g = Grid(d=3, L=2.0, N=16)
+    with pytest.raises(ValueError, match="defined for she1d only, not pam3d"):
+        convergence_study("pam3d", g, [1.0, 0.5], T=0.05, constants={1.0: 0.1, 0.5: 0.4},
+                          include_ito=True)
 
 
 def test_weighted_distance_rejects_misaligned_snapshots():

@@ -284,3 +284,16 @@ def test_correlate_axis_explicit_sum(stride):
             want = _explicit_correlation(arr, axis, taps, offs, stride)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("grid, kind, box", [
+    (Grid(d=1, L=0.5, N=64, T=0.25, M=256), "spacetime", "L = 0.5, T = 0.25"),
+    (Grid(d=1, L=1.0, N=64, T=0.25, M=256), "spacetime", "L = 1, T = 0.25"),
+    (Grid(d=2, L=0.5, N=64), "spatial", "L = 0.5:"),
+], ids=["space-and-time", "time", "spatial"])
+def test_analyze_rejects_a_box_below_the_coarsest_cell(grid, kind, box):
+    # a level whose lattice has no point on the box is an input error with
+    # the level and the box named, not a NumPy broadcast error
+    fld = Field(grid=grid, values=np.zeros(grid.shape(kind)), kind=kind)
+    with pytest.raises(ValueError, match=f"level-0 lattice has no point on the box {box}"):
+        analyze(fld, build_basis(2), 0, 3)
