@@ -275,12 +275,11 @@ def cmd_solve(args, outdir: Path):
         cfg.C_eps = compute_constants(eq, args.eps, n_samples=args.samples, seed=args.seed,
                                       threads=_threads(args)).C_eps
     traj = solve_renormalised(cfg)
-    diag = weighted_norm_diag(traj, ell=args.ell)
     for i, fld in enumerate(traj.fields):
         write_field(outdir / f"snapshot-{i:03d}.shef",
                     Field(grid=grid, values=fld, kind="spatial"))
     rows = list(zip(traj.times, traj.diagnostics["max"], traj.diagnostics["mass"],
-                    [dd["weighted_lp"] for dd in diag]))
+                    weighted_norm_diag(traj, ell=args.ell)))
     _write_csv(outdir / "solve-diag.csv", ["t", "sup", "mass", "weighted_l2"], rows)
     return EXIT_OK
 

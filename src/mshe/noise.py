@@ -171,6 +171,8 @@ class Mollifier:
     profile: str = "exp"
 
     def __post_init__(self):
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"eps must be finite and positive, got {self.epsilon}")
         bump_profile(self.profile)  # rejects an unknown profile
 
     def _b(self, u):

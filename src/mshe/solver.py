@@ -26,11 +26,10 @@ pairwise distances in the exponentially weighted norm
 
     d(u, v) = max_snapshots || (u - v)(t, .) e^{-(t + ell)(1 + |x|)} ||_{L^2}.
 
-Space-time noise is drawn with its time axis padded on both sides by more
-than the mollifier's time support, and transformed at the next 5-smooth
-length (zero rows appended at the tail), where the FFT is fast: the [0, T]
-slab of every mollification is then the linear convolution of the drawn
-noise, which the zero rows change only by round-off.
+Space-time noise is one realisation per seed on the whole time line
+(_realisation): solve, converge and the Ito reference see the same noise for
+a seed whatever epsilons are listed, and it is mollified on [0, T) by the
+linear, not the circular, convolution in time.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .noise import Field, Grid, Mollifier, _generator, mollify, sample_white_noise
+from .noise import Field, Grid, Mollifier, _generator, sample_white_noise
 
 __all__ = [
     "SolverConfig",
@@ -97,10 +96,13 @@ class SolverConfig:
             self.dt = self.grid.dx ** 2 / 4.0
         if self.snapshots < 1:
             raise ValueError(f"snapshots must be at least 1, got {self.snapshots}")
+        if self.snapshot_t0 is not None and not 0 < self.snapshot_t0 <= self.T:
+            raise ValueError(f"snapshot_t0 = {self.snapshot_t0} is outside (0, T] = (0, {self.T}]")
         distinct = min(self.n_steps, self.snapshot_steps.size)
         if distinct < self.snapshots:
             raise ValueError(f"T = {self.T} and dt = {self.dt:.6g} give {distinct} distinct "
                              f"snapshot steps, fewer than the {self.snapshots} snapshots")
+        Mollifier(epsilon=self.eps)  # rejects an eps that is not finite and positive
         if self.eps < 2 * self.grid.dx - 1e-12:
             raise ValueError(
                 f"mollification under-resolved: eps = {self.eps} < 2 dx = {2 * self.grid.dx}")
@@ -202,21 +204,48 @@ def _time_slices(cfg: SolverConfig, values: np.ndarray):
     return lambda k: values[min(int(k * ratio + 1e-9), cfg.grid.M - 1)]
 
 
-def mollified_noise(cfg: SolverConfig, noise: Field = None) -> Field:
-    """The potential's noise: sampled from cfg.seed unless supplied, then
-    mollified at cfg.eps (spatial marginal mollifier for spatial noise)."""
-    if noise is None:
-        noise = sample_white_noise(cfg.grid, cfg.noise_kind, seed=cfg.seed)
-    return mollify(noise, Mollifier(epsilon=cfg.eps))
+def _realisation(grid: Grid, kind: str, seed: int, eps_max: float):
+    """One seed's white noise on the box, [0, T) for space-time noise (the
+    values of sample_white_noise(grid, kind, seed)), and the map eps ->
+    rho_eps * noise on that box for eps <= eps_max, from one transform.
 
-
-def solve_renormalised(cfg: SolverConfig, noise: Field = None,
-                       xi_eps: Field = None) -> Trajectory:
-    """Exponential-splitting integration of the renormalised equation.
-
-    Either supply the raw noise (mollified here) or a pre-mollified xi_eps.
+    Space-time rows continue stream (seed, 0) past T, and the row at time
+    -(j + 1) dt is row j of stream (seed, 1); pad rows exceed the kernel's
+    reach eps_max^2/dt on each side.  The array is [forward rows | zero rows
+    | past rows, latest last] at a 5-smooth length (the FFT is over twice as
+    slow at lengths like 2*7*521): a rotation of the line, so no [0, T)
+    row's kernel reaches a zero row.
     """
-    xi = xi_eps if xi_eps is not None else mollified_noise(cfg, noise)
+    if kind == "spatial":
+        noise, dt, box = sample_white_noise(grid, kind, seed=seed).values, None, slice(None)
+    else:
+        from scipy.fft import next_fast_len
+
+        pad, space = int(np.ceil(2.0 * eps_max ** 2 / grid.dt)) + 1, grid.space_shape()
+        noise = np.zeros((next_fast_len(grid.M + 2 * pad, real=True),) + space)
+        _generator(seed).standard_normal(out=noise[:grid.M + pad])
+        noise[-pad:] = _generator(seed, 1).standard_normal((pad,) + space)[::-1]
+        noise /= np.sqrt(grid.dx ** grid.d * grid.dt)
+        dt, box = grid.dt, slice(grid.M)
+    F, shape = np.fft.rfftn(noise), noise.shape
+
+    def mollified(eps: float) -> Field:
+        xi = Mollifier(epsilon=eps).convolve(F, shape, grid.dx, dt)
+        return Field(grid=grid, values=xi[box], kind=kind)
+
+    return noise[box], mollified
+
+
+def mollified_noise(cfg: SolverConfig) -> Field:
+    """The potential's noise: cfg.seed's realisation mollified at cfg.eps
+    (by the spatial marginal mollifier for spatial noise)."""
+    return _realisation(cfg.grid, cfg.noise_kind, cfg.seed, cfg.eps)[1](cfg.eps)
+
+
+def solve_renormalised(cfg: SolverConfig, xi_eps: Field = None) -> Trajectory:
+    """Exponential-splitting integration of the renormalised equation, with
+    the potential xi_eps if supplied, else mollified_noise(cfg)."""
+    xi = xi_eps if xi_eps is not None else mollified_noise(cfg)
     if xi.kind == "spatial":
         factor = np.exp(cfg.dt * (xi.values - cfg.C_eps))
         react = lambda k, u: u * factor
@@ -326,8 +355,6 @@ def convergence_study(equation: str, grid: Grid, eps_list, T: float,
     else is listed.  Reports pairwise weighted distances per seed and, for
     she1d with include_ito, the distance to the Ito reference.
     """
-    from scipy.fft import next_fast_len
-
     from .renorm import compute_constants
 
     _, eq_renorm, kind = EQUATIONS[equation]
@@ -344,43 +371,19 @@ def convergence_study(equation: str, grid: Grid, eps_list, T: float,
         constants = {e: compute_constants(eq_renorm, e, n_samples=n_qmc, seed=1000,
                                           threads=threads).C_eps for e in eps_list}
 
-    # pad the time axis so each mollification is a clean linear convolution
-    # on [0, T]: all epsilons then share one noise realization with no
-    # wrap-around pollution near the time endpoints
-    pad, noise_dt = 0, None
-    if kind == "spacetime":
-        pad, noise_dt = int(np.ceil(2.0 * max(eps_list) ** 2 / grid.dt)) + 1, grid.dt
-
     def run_seed(seed):
-        if kind == "spatial":
-            noise = sample_white_noise(grid, kind, seed=seed).values
-            shape = noise.shape
-        else:
-            noise = _generator(seed, 1).standard_normal(
-                (grid.M + 2 * pad,) + grid.space_shape()) / np.sqrt(grid.dt * grid.dx ** grid.d)
-            if include_ito:
-                interior = Field(grid=grid, values=noise[pad:pad + grid.M].copy(),
-                                 kind="spacetime")
-            # transform at a 5-smooth time length (the FFT is over twice as
-            # slow at lengths like M + 2 pad = 2*7*521); the zero rows added
-            # at the tail change no exact value of the [0, T] slab, since the
-            # kernel reaches eps^2/dt < pad rows on either side of a slab row
-            shape = (next_fast_len(noise.shape[0], real=True),) + noise.shape[1:]
-        F = np.fft.rfftn(noise, s=shape, axes=tuple(range(len(shape))))
-        del noise  # only the spectrum is needed from here on
+        noise, mollified = _realisation(grid, kind, seed, max(eps_list))
         trajs = {}
         for e in eps_list:
             cfg = replace(cfgs[e], C_eps=constants[e], seed=seed)
-            xi = Mollifier(epsilon=e).convolve(F, shape, grid.dx, noise_dt)
-            if kind == "spacetime":
-                xi = xi[pad:pad + grid.M].copy()  # the [0, T] slab
-            trajs[e] = solve_renormalised(cfg, xi_eps=Field(grid=grid, values=xi, kind=kind))
+            trajs[e] = solve_renormalised(cfg, xi_eps=mollified(e))
         dists = [weighted_distance(trajs[a], trajs[b], ell=ell)
                  for a, b in zip(eps_list, eps_list[1:])]
         out = {"pairwise": dists}
         if include_ito:
             # the finest epsilon's config, stepped at the noise's own dt
-            ito = solve_ito_reference(replace(cfg, C_eps=0.0, dt=grid.dt), noise=interior)
+            ito = solve_ito_reference(replace(cfg, C_eps=0.0, dt=grid.dt),
+                                      noise=Field(grid=grid, values=noise, kind=kind))
             out["to_ito"] = [weighted_distance(trajs[e], ito, ell=ell)
                              for e in eps_list]
         return out
@@ -395,7 +398,6 @@ def convergence_study(equation: str, grid: Grid, eps_list, T: float,
 
 
 def weighted_norm_diag(traj: Trajectory, ell: float = 0.0) -> list:
-    """Per-snapshot diagnostics: the e^{-(t+ell)(1+|x|)}-weighted L^2 norm
-    (the unweighted sup is traj.diagnostics["max"])."""
-    norms = _weighted_l2(traj.grid, traj.times, traj.fields, ell)
-    return [{"t": float(t), "weighted_lp": val} for t, val in zip(traj.times, norms)]
+    """Per snapshot, the e^{-(t+ell)(1+|x|)}-weighted L^2 norm (the
+    unweighted sup is traj.diagnostics["max"])."""
+    return list(_weighted_l2(traj.grid, traj.times, traj.fields, ell))

@@ -308,7 +308,7 @@ def test_08_solver_oracles():
     zero = Field(grid=g, values=np.zeros(g.shape("spacetime")), kind="spacetime")
     cfg = SolverConfig(equation="she1d", grid=g, eps=4 * g.dx, u0="dirac",
                        T=0.25, snapshots=4, snapshot_t0=0.0625)
-    traj = solve_renormalised(cfg, noise=zero)
+    traj = solve_renormalised(cfg, xi_eps=mollify(zero, Mollifier(epsilon=cfg.eps)))
     x0 = g.xs[g.N // 2]
     heat_err = max(float(np.abs(f - sum(heat_kernel(t, (g.xs - x0 + j * g.L)[:, None], 1)
                                         for j in range(-4, 5))).max())
@@ -319,7 +319,7 @@ def test_08_solver_oracles():
     cn = Field(grid=g, values=np.full(g.shape("spacetime"), m_val), kind="spacetime")
     cfg = SolverConfig(equation="she1d", grid=g, eps=4 * g.dx, u0=("const", 1.0),
                        T=0.25, snapshots=4)
-    tr = solve_renormalised(cfg, noise=cn)
+    tr = solve_renormalised(cfg, xi_eps=mollify(cn, Mollifier(epsilon=cfg.eps)))
     growth_err = max(float(np.abs(f - np.exp(m_val * t)).max())
                      for t, f in zip(tr.times, tr.fields))
 

@@ -401,6 +401,11 @@ def test_one_constant_per_eps(tmp_path):
         assert got == {e: float(want[e]) for e in eps_list}
 
 
+_SHE_CONVERGE = ["converge", "--equation", "she1d", "--eps-list", "0.4", "0.2",
+                 "--grid", "64,512,4,0.25", "--seeds", "1", "--samples", "1024"]
+_EPS = "eps must be finite and positive, got "
+
+
 @pytest.mark.parametrize("argv, match", [
     (["converge", "--equation", "she1d", "--eps-list", "0.4", "0.2",
       "--grid", "64,256,4,0.25", "--seeds", "0"], "at least 1 seed"),
@@ -410,12 +415,26 @@ def test_one_constant_per_eps(tmp_path):
      "power of two >= 1024, got 0"),
     (["solve", "--equation", "pam3d", "--eps", "0.5", "--grid", "16,0,4,0.02",
       "--snapshots", "3"], "give 1 distinct snapshot steps, fewer than the 3 snapshots"),
-], ids=["converge-seeds", "solve-snapshots", "renorm-samples", "solve-steps"])
+    (["renorm", "--equation", "pam3d", "--eps", "-0.1", "--samples", "1024"], _EPS + "-0.1"),
+    (["renorm", "--equation", "she1d", "--eps", "nan", "--samples", "1024"], _EPS + "nan"),
+    (["renorm", "--equation", "she1d", "--eps", "inf", "--samples", "1024"], _EPS + "inf"),
+    (["renorm", "--equation", "she1d", "--eps", "0", "--samples", "1024"], _EPS + "0.0"),
+    (["solve", "--equation", "pam3d", "--eps", "inf", "--ceps", "0",
+      "--grid", "16,0,4,0.1", "--snapshots", "3"], _EPS + "inf"),
+    (_SHE_CONVERGE + ["--snapshot-t0", "-0.01"], "snapshot_t0 = -0.01 is outside (0, T]"),
+    (_SHE_CONVERGE + ["--snapshot-t0", "0"], "snapshot_t0 = 0.0 is outside (0, T]"),
+    (_SHE_CONVERGE + ["--snapshot-t0", "0.3"], "snapshot_t0 = 0.3 is outside (0, T]"),
+], ids=["converge-seeds", "solve-snapshots", "renorm-samples", "solve-steps",
+        "renorm-eps-negative", "renorm-eps-nan", "renorm-eps-inf", "renorm-eps-zero",
+        "solve-eps-inf", "converge-t0-negative", "converge-t0-zero", "converge-t0-after-T"])
 def test_empty_counts_rejected(tmp_path, capsys, argv, match):
     # no seeds, no snapshots or no QMC samples is an input error, not an
     # empty result, a traceback or a silently raised count; so is a schedule
     # with fewer distinct steps than snapshots (T = 0.02 is one step of
-    # dt = dx^2/4 = 0.0156), not a silently lowered count
+    # dt = dx^2/4 = 0.0156), not a silently lowered count; and so is an eps
+    # that is not finite and positive (not a constant of nan, 0 or the wrong
+    # sign, or a ZeroDivisionError) or a first snapshot outside (0, T] (not
+    # one silently moved to t = dt)
     code, out = run_cli(argv, tmp_path, "empty")
     assert code == 1
     assert match in capsys.readouterr().err

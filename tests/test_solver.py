@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,11 +7,12 @@ from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
 from mshe.kernel import heat_kernel
-from mshe.noise import Field, Grid, Mollifier, sample_white_noise
+from mshe.noise import Field, Grid, Mollifier, mollify, sample_white_noise
 from mshe.solver import (
     BlowUpError,
     SolverConfig,
     convergence_study,
+    mollified_noise,
     solve_ito_reference,
     solve_pam_transformed,
     solve_renormalised,
@@ -26,7 +29,8 @@ def test_zero_noise_dirac_matches_periodized_heat_kernel():
     g = Grid(d=1, L=4.0, N=256, T=0.25, M=256)
     cfg = SolverConfig(equation="she1d", grid=g, eps=4 * g.dx, u0="dirac",
                        T=0.25, snapshots=4, snapshot_t0=0.0625)
-    traj = solve_renormalised(cfg, noise=_zero_noise(g, "spacetime"))
+    traj = solve_renormalised(cfg, xi_eps=mollify(_zero_noise(g, "spacetime"),
+                                                  Mollifier(epsilon=cfg.eps)))
     x0 = g.xs[g.N // 2]
     for t, f in zip(traj.times, traj.fields):
         ref = sum(heat_kernel(t, (g.xs - x0 + j * g.L)[:, None], 1)
@@ -40,7 +44,7 @@ def test_constant_noise_exponential_growth():
     noise = Field(grid=g, values=np.full(g.shape("spacetime"), m), kind="spacetime")
     cfg = SolverConfig(equation="she1d", grid=g, eps=4 * g.dx, u0=("const", 1.0),
                        T=0.25, snapshots=4)
-    traj = solve_renormalised(cfg, noise=noise)
+    traj = solve_renormalised(cfg, xi_eps=mollify(noise, Mollifier(epsilon=cfg.eps)))
     for t, f in zip(traj.times, traj.fields):
         assert np.abs(f - np.exp(m * t)).max() < 1e-8
 
@@ -55,7 +59,7 @@ def test_linearity_in_initial_data():
     def solve(u0):
         cfg = SolverConfig(equation="she1d", grid=g, eps=4 * g.dx, C_eps=1.0,
                            u0=u0, T=0.1, snapshots=2)
-        return solve_renormalised(cfg, noise=noise).final()
+        return solve_renormalised(cfg, xi_eps=mollify(noise, Mollifier(epsilon=cfg.eps))).final()
 
     fa, fb = solve(u0a), solve(u0b)
     fab = solve(a * u0a + b * u0b)
@@ -68,8 +72,6 @@ def test_linearity_in_initial_data():
 @example(equation="she1d", C=2.5, eps_cells=4, seed=5)
 def test_renormalisation_covariance_bit_exact(equation, C, eps_cells, seed):
     # solving with (xi_eps, C) equals solving with (xi_eps - C, 0) bitwise
-    from mshe.noise import mollify
-
     g, kind = {"pam2d": (Grid(d=2, L=4.0, N=16), "spatial"),
                "pam3d": (Grid(d=3, L=2.0, N=8), "spatial"),
                "she1d": (Grid(d=1, L=4.0, N=128, T=0.1, M=512), "spacetime")}[equation]
@@ -93,13 +95,13 @@ def test_semigroup_restart_property():
     cfg_full = SolverConfig(equation="pam2d", grid=g, eps=4 * g.dx, C_eps=0.3,
                             u0=("const", 1.0), T=128 * dt, dt=dt, snapshots=2,
                             snapshot_t0=64 * dt)
-    full = solve_renormalised(cfg_full, noise=noise)
+    full = solve_renormalised(cfg_full, xi_eps=mollify(noise, Mollifier(epsilon=cfg_full.eps)))
     cfg_a = SolverConfig(equation="pam2d", grid=g, eps=4 * g.dx, C_eps=0.3,
                          u0=("const", 1.0), T=64 * dt, dt=dt, snapshots=1)
-    half = solve_renormalised(cfg_a, noise=noise)
+    half = solve_renormalised(cfg_a, xi_eps=mollify(noise, Mollifier(epsilon=cfg_a.eps)))
     cfg_b = SolverConfig(equation="pam2d", grid=g, eps=4 * g.dx, C_eps=0.3,
                          u0=half.final(), T=64 * dt, dt=dt, snapshots=1)
-    rest = solve_renormalised(cfg_b, noise=noise)
+    rest = solve_renormalised(cfg_b, xi_eps=mollify(noise, Mollifier(epsilon=cfg_b.eps)))
     assert np.array_equal(full.final(), rest.final())
 
 
@@ -115,7 +117,8 @@ def test_pam_kernel_symmetry_2d():
         u0[src] = g.dx ** -2
         cfg = SolverConfig(equation="pam2d", grid=g, eps=4 * g.dx, C_eps=0.0,
                            u0=u0, T=T, snapshots=1)
-        fields[src] = solve_renormalised(cfg, noise=noise).final()
+        fields[src] = solve_renormalised(
+            cfg, xi_eps=mollify(noise, Mollifier(epsilon=cfg.eps))).final()
     worst = 0.0
     for a in sources:
         for b in sources:
@@ -128,8 +131,6 @@ def test_pam2d_transformed_oracle():
     # direct renormalised solve vs change-of-unknown benchmark, fixed noise
     g = Grid(d=2, L=2.0, N=64)
     noise = sample_white_noise(g, "spatial", seed=13)
-    from mshe.noise import Mollifier, mollify
-
     xi = mollify(noise, Mollifier(epsilon=8 * g.dx)).values
     C = float(xi.mean())  # zero-mean potential: periodic Poisson solvable
     T = 0.05
@@ -148,7 +149,7 @@ def test_blowup_detected():
     cfg = SolverConfig(equation="she1d", grid=g, eps=4 * g.dx, u0=("const", 1e9),
                        T=1.0, snapshots=2)
     with pytest.raises(BlowUpError) as exc:
-        solve_renormalised(cfg, noise=noise)
+        solve_renormalised(cfg, xi_eps=mollify(noise, Mollifier(epsilon=cfg.eps)))
     assert exc.value.time > 0
 
 
@@ -233,18 +234,18 @@ def test_weighted_norm_diag():
     g = Grid(d=1, L=4.0, N=128, T=0.1, M=256)
     cfg = SolverConfig(equation="she1d", grid=g, eps=4 * g.dx, u0="dirac",
                        T=0.1, snapshots=3)
-    traj = solve_renormalised(cfg, noise=_zero_noise(g, "spacetime"))
-    rows = weighted_norm_diag(traj, ell=0.0)
-    assert all(r["weighted_lp"] > 0 for r in rows)
+    xi = mollify(_zero_noise(g, "spacetime"), Mollifier(epsilon=cfg.eps))
+    traj = solve_renormalised(cfg, xi_eps=xi)
+    norms = weighted_norm_diag(traj, ell=0.0)
+    assert len(norms) == 3 and all(v > 0 for v in norms)
     # zero trajectory -> all zeros
-    zero = solve_renormalised(
-        SolverConfig(equation="she1d", grid=g, eps=4 * g.dx, u0=("const", 0.0),
-                     T=0.1, snapshots=3), noise=_zero_noise(g, "spacetime"))
-    assert all(r["weighted_lp"] == 0 for r in weighted_norm_diag(zero))
+    cfg0 = SolverConfig(equation="she1d", grid=g, eps=4 * g.dx, u0=("const", 0.0),
+                        T=0.1, snapshots=3)
+    zero = solve_renormalised(cfg0, xi_eps=mollify(_zero_noise(g, "spacetime"),
+                                                   Mollifier(epsilon=cfg0.eps)))
+    assert all(v == 0 for v in weighted_norm_diag(zero))
     # monotone in ell
-    rows2 = weighted_norm_diag(traj, ell=1.0)
-    assert all(r2["weighted_lp"] <= r1["weighted_lp"]
-               for r1, r2 in zip(rows, rows2))
+    assert all(v1 <= v0 for v0, v1 in zip(norms, weighted_norm_diag(traj, ell=1.0)))
 
 
 def test_invalid_configs():
@@ -283,7 +284,8 @@ def test_weighted_distance_rejects_misaligned_snapshots():
     def run(**kw):
         cfg = SolverConfig(equation="she1d", grid=g, eps=4 * g.dx, u0=("const", 1.0),
                            **{"T": 0.1, **kw})
-        return solve_renormalised(cfg, noise=_zero_noise(g, "spacetime"))
+        return solve_renormalised(cfg, xi_eps=mollify(_zero_noise(g, "spacetime"),
+                                                      Mollifier(epsilon=cfg.eps)))
 
     base = run(snapshots=3)
     # the same targets at another step line up
@@ -301,25 +303,25 @@ def test_weighted_distance_rejects_misaligned_snapshots():
 
 def test_convergence_study_pam3d_equals_direct_solves():
     # transforming each seed's noise once gives, bit for bit, the distances
-    # of solving every epsilon from the sampled noise
+    # of solving every epsilon on its own from the seed's noise
     g = Grid(d=3, L=2.0, N=16)
     eps = [1.0, 0.5, 0.25]
     constants = {1.0: 0.1, 0.5: 0.4, 0.25: 1.2}
     res = convergence_study("pam3d", g, eps, T=0.05, seeds=(0, 3),
                             constants=constants, snapshot_t0=0.01)
     for seed, r in zip(res["seeds"], res["results"]):
-        noise = sample_white_noise(g, "spatial", seed)
         trajs = [solve_renormalised(
             SolverConfig(equation="pam3d", grid=g, eps=e, C_eps=constants[e],
                          u0=("const", 1.0), T=0.05, seed=seed, snapshots=6,
-                         snapshot_t0=0.01), noise=noise) for e in eps]
+                         snapshot_t0=0.01)) for e in eps]
         assert r["pairwise"] == [weighted_distance(a, b) for a, b in zip(trajs, trajs[1:])]
 
 
-def test_convergence_study_she_zero_extension_does_not_wrap():
-    # the study transforms the padded noise at a fast length; transforming at
-    # the exact length M + 2 pad gives the same distances up to round-off, so
-    # the zero rows at the tail never reach the [0, T] slab
+def test_convergence_study_she_equals_direct_solves():
+    # the study mollifies one transform, padded for the largest eps at a fast
+    # length; solving each eps on its own (its own pad and length) and the Ito
+    # reference from its default draw gives the same distances up to
+    # round-off: one realisation, and the zero rows never reach [0, T)
     g = Grid(d=1, L=4.0, N=64, T=0.25, M=512)
     eps = [0.4, 0.2, 0.125]
     constants = {0.4: 0.498, 0.2: 0.996, 0.125: 1.59}
@@ -329,22 +331,42 @@ def test_convergence_study_she_zero_extension_does_not_wrap():
     res = convergence_study("she1d", g, eps, T=0.25, seeds=(0, 3), constants=constants,
                             include_ito=True, snapshot_t0=0.125)
     for seed, r in zip(res["seeds"], res["results"]):
-        rng = np.random.Generator(np.random.Philox(key=(seed, 1)))
-        noise = rng.standard_normal((rows, g.N)) / np.sqrt(g.dt * g.dx)
-        F = np.fft.rfftn(noise)
-        trajs = []
-        for e in eps:
-            xi = Mollifier(epsilon=e).convolve(F, noise.shape, g.dx, g.dt)[pad:pad + g.M]
-            cfg = SolverConfig(equation="she1d", grid=g, eps=e, C_eps=constants[e],
-                               u0=("const", 1.0), T=0.25, seed=seed, snapshots=6,
-                               snapshot_t0=0.125)
-            trajs.append(solve_renormalised(cfg, xi_eps=Field(grid=g, values=xi,
-                                                              kind="spacetime")))
-        ito = solve_ito_reference(
-            SolverConfig(equation="she1d", grid=g, eps=eps[-1], u0=("const", 1.0), T=0.25,
-                         dt=g.dt, snapshots=6, snapshot_t0=0.125),
-            noise=Field(grid=g, values=noise[pad:pad + g.M], kind="spacetime"))
+        cfgs = [SolverConfig(equation="she1d", grid=g, eps=e, C_eps=constants[e],
+                             u0=("const", 1.0), T=0.25, seed=seed, snapshots=6,
+                             snapshot_t0=0.125) for e in eps]
+        trajs = [solve_renormalised(cfg) for cfg in cfgs]
+        ito = solve_ito_reference(replace(cfgs[-1], C_eps=0.0, dt=g.dt))
         want = [weighted_distance(a, b) for a, b in zip(trajs, trajs[1:])]
         want_ito = [weighted_distance(t, ito) for t in trajs]
         assert r["pairwise"] == pytest.approx(want, rel=1e-12, abs=0)
         assert r["to_ito"] == pytest.approx(want_ito, rel=1e-12, abs=0)
+
+
+def test_convergence_study_she_independent_of_the_list():
+    # the largest eps listed sets only how much of the seed's whole-line
+    # realisation is mollified, so the pair both lists share and the
+    # distances to the Ito reference do not depend on it
+    g = Grid(d=1, L=4.0, N=64, T=0.25, M=512)
+    constants = {0.4: 0.498, 0.2: 0.996, 0.125: 1.59}
+    long, short = (convergence_study("she1d", g, eps, T=0.25, seeds=(0, 3),
+                                     constants=constants, include_ito=True,
+                                     snapshot_t0=0.125)["results"]
+                   for eps in ([0.4, 0.2, 0.125], [0.2, 0.125]))
+    for a, b in zip(long, short):
+        assert a["pairwise"][1:] == pytest.approx(b["pairwise"], rel=1e-12, abs=0)
+        assert a["to_ito"][1:] == pytest.approx(b["to_ito"], rel=1e-12, abs=0)
+
+
+def test_mollified_noise_reaches_past_the_time_edges():
+    # on [0, T) the potential is the seed's noise mollified on the whole time
+    # line: away from the edges it is the circular mollification of the
+    # [0, T) noise; within eps^2/dt rows of t = 0 the kernel reads noise from
+    # before 0, not from the end of the run
+    g = Grid(d=1, L=4.0, N=64, T=0.25, M=512)
+    cfg = SolverConfig(equation="she1d", grid=g, eps=0.2, seed=3, T=0.25)
+    circular = mollify(sample_white_noise(g, "spacetime", seed=3),
+                       Mollifier(epsilon=cfg.eps)).values
+    rows = np.abs(mollified_noise(cfg).values - circular).max(axis=1) / np.abs(circular).max()
+    w = int(np.ceil(cfg.eps ** 2 / g.dt))
+    assert rows[w:g.M - w].max() < 1e-9
+    assert np.all(rows[:w // 2] > 1e-3)
