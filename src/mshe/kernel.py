@@ -139,6 +139,8 @@ class KernelDecomposition:
         return out
 
     def _gm(self, t, x):
+        """G - Q at t and x (shape (..., d)) that broadcast: a time column and
+        a space row give the mesh, and Q is a sum of separable products."""
         return self._G(t, x) - self._Q(t, x)
 
     # -- public evaluators ---------------------------------------------------

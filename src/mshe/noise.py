@@ -336,17 +336,9 @@ def estimate_regularity(fld: Field, basis, n_min: int = 1, n_max: int = None) ->
     if len(levels) < 4:
         raise ValueError(f"need at least 4 usable levels, got {len(levels)}")
     aggs = [besov.level_aggregate(pyr, n, reduce="mean") for n in levels]
-    logs = np.log2(aggs)
-    ns = np.asarray(levels, dtype=float)
-    slope, _ = np.polyfit(ns, logs, 1)
-    alpha_hat = -s_half - slope
-    return {
-        "alpha_hat": float(alpha_hat),
-        "slope": float(slope),
-        "levels": levels,
-        "aggregates": [float(a) for a in aggs],
-        "regular": bool(alpha_hat >= 0),
-    }
+    slope, _ = np.polyfit(np.asarray(levels, dtype=float), np.log2(aggs), 1)
+    alpha_hat = float(-s_half - slope)
+    return {"alpha_hat": alpha_hat, "regular": alpha_hat >= 0}
 
 
 def regularity_study(grid: Grid, kind: str, basis, seeds, n_min: int = 1,

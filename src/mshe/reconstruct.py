@@ -162,15 +162,15 @@ def canonical_model(xi_eps: Field, dec, kappa: float = 0.05) -> Model:
 
     Phi = P_+ * xi is computed by FFT on the periodic box with the exact
     telescoped closed form of P_+ (heat kernel localized to the unit
-    parabolic ball minus the moment correction).
+    parabolic ball minus the moment correction), evaluated on a time column
+    and a space row that broadcast to the box.
     """
     if xi_eps.kind != "spacetime" or xi_eps.grid.d != 1:
         raise ValueError("canonical_model expects a d=1 space-time field")
     g = xi_eps.grid
     toffs = np.fft.fftfreq(g.M, d=1.0 / g.M) * g.dt
     xoffs = np.fft.fftfreq(g.N, d=1.0 / g.N) * g.dx
-    tt, xx = np.meshgrid(toffs, xoffs, indexing="ij")
-    kern = dec._gm(tt, xx[..., None]) * g.dt * g.dx
+    kern = dec._gm(toffs[:, None], xoffs[None, :, None]) * g.dt * g.dx
     phi_field = np.fft.irfftn(np.fft.rfftn(xi_eps.values) * np.fft.rfftn(kern),
                               s=xi_eps.values.shape, axes=(0, 1))
     return Model(grid=g, xi=xi_eps.values.copy(), phi_field=phi_field, kappa=kappa)
@@ -195,7 +195,9 @@ def _level_A(f: ModelledDistribution, model: Model, basis: WaveletBasis,
     def transform(values, combos):
         return [c * g.dt * g.dx for c in eng.forward(values, combos).values()]
 
-    T1, D1 = transform(np.ones_like(model.xi), (T, D))
+    # the transforms of the constant field 1 are the products of the axis tap sums
+    t_sum = eng._factor(0, "phi")[0].sum() * g.dt * g.dx
+    T1, D1 = (t_sum * eng._factor(1, code)[0].sum() for code in ("phi", "disp"))
     Txi, Dxi = transform(model.xi, (T, D))
     TPhi, = transform(model.phi_field, (T,))
     TxiPhi, = transform(model.xi * model.phi_field, (T,))

@@ -210,18 +210,18 @@ def _realisation(grid: Grid, kind: str, seed: int, eps_max: float):
     rho_eps * noise on that box for eps <= eps_max, from one transform.
 
     Space-time rows continue stream (seed, 0) past T, and the row at time
-    -(j + 1) dt is row j of stream (seed, 1); pad rows exceed the kernel's
-    reach eps_max^2/dt on each side.  The array is [forward rows | zero rows
-    | past rows, latest last] at a 5-smooth length (the FFT is over twice as
-    slow at lengths like 2*7*521): a rotation of the line, so no [0, T)
-    row's kernel reaches a zero row.
+    -(j + 1) dt is row j of stream (seed, 1); the pad on each side exceeds
+    eps_max^2/dt rows, beyond which the mollifier's time factor vanishes.
+    The array is [forward rows | zero rows | past rows, latest last] at a
+    5-smooth length (the FFT is over twice as slow at lengths like 2*7*521):
+    a rotation of the line, so no [0, T) row's kernel reaches a zero row.
     """
     if kind == "spatial":
         noise, dt, box = sample_white_noise(grid, kind, seed=seed).values, None, slice(None)
     else:
         from scipy.fft import next_fast_len
 
-        pad, space = int(np.ceil(2.0 * eps_max ** 2 / grid.dt)) + 1, grid.space_shape()
+        pad, space = int(np.ceil(eps_max ** 2 / grid.dt)) + 1, grid.space_shape()
         noise = np.zeros((next_fast_len(grid.M + 2 * pad, real=True),) + space)
         _generator(seed).standard_normal(out=noise[:grid.M + pad])
         noise[-pad:] = _generator(seed, 1).standard_normal((pad,) + space)[::-1]

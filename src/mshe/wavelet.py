@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "daubechies_coefficients",
@@ -91,12 +92,8 @@ def daubechies_coefficients(N: int) -> np.ndarray:
 def _cascade(c: np.ndarray, depth: int) -> np.ndarray:
     """Values of phi on the grid k 2^-depth over [0, S], S = len(c) - 1."""
     S = c.size - 1
-    A = np.zeros((S - 1, S - 1))
-    for i in range(1, S):
-        for j in range(1, S):
-            k = 2 * i - j
-            if 0 <= k <= S:
-                A[i - 1, j - 1] = c[k]
+    k = 2 * np.arange(1, S)[:, None] - np.arange(1, S)  # A[i - 1, j - 1] = c[2i - j]
+    A = np.where((k >= 0) & (k <= S), c[np.clip(k, 0, S)], 0.0)
     w, v = np.linalg.eig(A)
     idx = np.argmin(np.abs(w - 1.0))
     phi_int = np.real(v[:, idx])
@@ -173,15 +170,9 @@ class WaveletBasis:
         c = self.refine_coeffs
         S = self.support
         lags = np.arange(-(S - 1), S)
-        A = {}
-        for i in range(-S, S + 1):
-            j = abs(i)
-            A[i] = float(np.dot(c[j:], c[:c.size - j]))
+        A = {i: float(np.dot(c[abs(i):], c[:c.size - abs(i)])) for i in range(-S, S + 1)}
         n = lags.size
-        T = np.zeros((n, n))
-        for a, k in enumerate(lags):
-            for b, j in enumerate(lags):
-                T[a, b] = 0.5 * A.get(int(j - 2 * k), 0.0)
+        T = np.array([[0.5 * A.get(int(j - 2 * k), 0.0) for j in lags] for k in lags])
         M_aug = np.vstack([T - np.eye(n), np.ones(n)])
         rhs = np.zeros(n + 1)
         rhs[-1] = 1.0
@@ -366,29 +357,40 @@ def correlate_axis(arr: np.ndarray, axis: int, taps: np.ndarray, offs: np.ndarra
                    stride: int) -> np.ndarray:
     """out[j] = sum_m taps[m] arr[(j*stride + offs[m]) mod n], periodic.
 
-    Each tap adds a strided view of one periodic extension of the axis.
+    The taps are scattered into one dense vector over the offsets lo, lo + 1,
+    ... taken mod n (taps on one point of the period add, so the vector is at
+    most n long), and out is the product of the strided windows of one
+    periodic extension of the axis with that vector.
     """
-    n = arr.shape[axis]
-    n_out = n // stride
-    lo, span = int(np.min(offs)), (n_out - 1) * stride + 1
-    ext = np.take(arr, np.arange(lo, int(np.max(offs)) + span), axis=axis, mode="wrap")
-    out = np.zeros(arr.shape[:axis] + (n_out,) + arr.shape[axis + 1:])
-    head = (slice(None),) * axis
-    for t, o in zip(taps, offs):
-        out += t * ext[head + (slice(o - lo, o - lo + span, stride),)]
-    return out
+    n, lo = arr.shape[axis], int(np.min(offs))
+    pos = (np.asarray(offs) - lo) % n
+    dense = np.zeros(int(pos.max()) + 1)
+    np.add.at(dense, pos, taps)
+    span = dense.size + (n // stride - 1) * stride
+    ext = np.take(arr, np.arange(lo, lo + span), axis=axis, mode="wrap")
+    windows = sliding_window_view(ext, dense.size, axis=axis)
+    return windows[(slice(None),) * axis + (slice(None, None, stride),)] @ dense
 
 
 def _adjoint_axis(arr: np.ndarray, axis: int, taps: np.ndarray, offs: np.ndarray,
                   stride: int, n_out: int) -> np.ndarray:
     """out[i] = sum_m taps[m] arr[j] over lattice j with j*stride + offs[m] = i
-    (mod n_out): one scatter-add per tap."""
-    moved = np.moveaxis(arr, axis, 0)
-    idx = np.arange(moved.shape[0]) * stride
-    res = np.zeros((n_out,) + moved.shape[1:])
-    for t, o in zip(taps, offs):
-        res[(idx + o) % n_out] += t * moved
-    return np.moveaxis(res, 0, axis)
+    (mod n_out), for n_out = stride * (lattice size).
+
+    Output phase p = i mod stride is one stride-1 ``correlate_axis`` of arr
+    with the taps whose offsets are p mod stride, at offsets -(o - p)/stride.
+    """
+    if n_out != arr.shape[axis] * stride:
+        raise ValueError(f"{n_out} grid cells are not whole lattice cells; use dyadic box sizes")
+    offs = np.asarray(offs)
+    res = np.zeros(arr.shape[:axis] + (n_out,) + arr.shape[axis + 1:])
+    head = (slice(None),) * axis
+    for p in range(stride):
+        mine = offs % stride == p
+        if mine.any():
+            res[head + (slice(p, None, stride),)] = correlate_axis(
+                arr, axis, taps[mine], -((offs[mine] - p) // stride), 1)
+    return res
 
 
 def _int_stride(v: float, what: str) -> int:

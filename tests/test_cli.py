@@ -466,6 +466,40 @@ def test_threads_only_where_read(tmp_path, argv, accepted):
     assert code == (0 if accepted else 1)
 
 
+def test_analysis_outputs_independent_of_blas_threads(tmp_path):
+    # the dyadic correlations are matrix-vector products that may go through
+    # BLAS: noise regularity and reconstruct write the same bytes with one
+    # and with two BLAS threads
+    from mshe.reconstruct import ModelledDistribution, write_modelled
+
+    g = Grid(d=1, L=2.0, N=64, T=1.0, M=1024)
+    xx = np.broadcast_to(g.xs, (g.M, g.N))
+    write_modelled(tmp_path / "lift.shef", ModelledDistribution(
+        grid=g, coeffs={"1": np.sin(np.pi * xx), "X": np.pi * np.cos(np.pi * xx)}))
+    cmds = {"reg": ["noise", "regularity", "--d", "1", "--grid", "128,1024,2,1",
+                    "--seeds", "2", "--nmax", "4"],
+            "rec": ["reconstruct", "--input", str(tmp_path / "lift.shef"), "--nmin", "1",
+                    "--nmax", "4", "--seed", "2"]}
+    written = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_PARENT,
+                                                          env.get("PYTHONPATH")]))
+        for name, args in cmds.items():
+            out = tmp_path / f"{name}{threads}"
+            proc = subprocess.run([sys.executable, "-m", "mshe.cli"] + args +
+                                  ["--out", str(out)], env=env, capture_output=True,
+                                  text=True)
+            assert proc.returncode == 0, proc.stderr
+            for f in [*out.glob("*.csv"), *out.glob("*.shef")]:
+                written.setdefault((name, f.name), []).append(f.read_bytes())
+    assert sorted(written) == [("rec", "reconstruct.csv"), ("rec", "reconstructed.shef"),
+                               ("reg", "noise-regularity.csv")]
+    for key, (one, two) in written.items():
+        assert one == two, key
+
+
 def test_analysis_commands_leave_renorm_unimported(tmp_path):
     # noise regularity and reconstruct never load mshe.renorm, whose
     # scipy.stats import would add its seconds to every analysis run

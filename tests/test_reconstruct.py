@@ -31,6 +31,20 @@ def setup():
     return basis, g, model, xi
 
 
+def test_canonical_model_matches_the_mesh_kernel():
+    # the kernel evaluated on a time column and a space row is bit for bit
+    # the kernel on the full mesh, and so is Phi through the same F*K product
+    g = Grid(d=1, L=2.0, N=64, T=1.0, M=1024)
+    dec = decompose(1, 3)
+    xi = mollify(sample_white_noise(g, "spacetime", seed=4), Mollifier(epsilon=0.25))
+    tt, xx = np.meshgrid(np.fft.fftfreq(g.M, d=1.0 / g.M) * g.dt,
+                         np.fft.fftfreq(g.N, d=1.0 / g.N) * g.dx, indexing="ij")
+    kern = dec._gm(tt, xx[..., None]) * g.dt * g.dx
+    want = np.fft.irfftn(np.fft.rfftn(xi.values) * np.fft.rfftn(kern), s=(g.M, g.N),
+                         axes=(0, 1))
+    assert np.array_equal(canonical_model(xi, dec).phi_field, want)
+
+
 def _smooth_pair(g):
     tt, xx = np.meshgrid(g.ts, g.xs, indexing="ij")
     gf = np.sin(2 * np.pi * xx / g.L) * (1 + 0.3 * np.cos(2 * np.pi * tt / g.T))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from mshe.noise import Field, Grid
 from mshe.wavelet import (
     LevelTransform,
+    _adjoint_axis,
     analyze,
     build_basis,
     correlate_axis,
@@ -284,6 +285,39 @@ def test_correlate_axis_explicit_sum(stride):
             want = _explicit_correlation(arr, axis, taps, offs, stride)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _explicit_adjoint(arr, axis, taps, offs, stride, n_out):
+    moved = np.moveaxis(arr, axis, 0)
+    out = np.zeros((n_out,) + moved.shape[1:])
+    for j in range(moved.shape[0]):
+        for t, o in zip(taps, offs):
+            out[(j * stride + o) % n_out] += t * moved[j]
+    return np.moveaxis(out, 0, axis)
+
+
+@pytest.mark.parametrize("stride", range(1, 9))
+def test_adjoint_axis_explicit_sum(stride):
+    # out[i] = sum_m taps[m] arr[j] over j with j*stride + offs[m] = i mod
+    # n_out, on every axis of a 3-d array, C- and Fortran-ordered, with
+    # offsets wrapping the output axis more than twice and repeated offsets
+    rng = np.random.default_rng(100 + stride)
+    for axis in range(3):
+        shape = [3, 4, 5]
+        shape[axis] = 3
+        n_out = 3 * stride
+        offs = np.concatenate([[-2 * n_out - 1, 2 * n_out + 1, 0, 0],
+                               rng.integers(-2 * n_out, 2 * n_out + 1, size=6)])
+        taps = rng.standard_normal(offs.size)
+        for order in "CF":
+            arr = np.asarray(rng.standard_normal(shape), order=order)
+            got = _adjoint_axis(arr, axis, taps, offs, stride, n_out)
+            want = _explicit_adjoint(arr, axis, taps, offs, stride, n_out)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        # an output axis that is not whole lattice cells is refused
+        with pytest.raises(ValueError, match="not whole lattice cells"):
+            _adjoint_axis(arr, axis, taps, offs, stride, n_out + 1)
 
 
 @pytest.mark.parametrize("grid, kind, box", [
