@@ -1,7 +1,9 @@
 """Generate the canonical symbol table of the regularity structure.
 
-The noise symbol has homogeneity -3/2 - kappa; integration adds 2 and
-multiplying by the noise adds the noise's homogeneity.  The table below is
+The noise symbol's homogeneity alpha follows from the equation: -3/2 - kappa
+for the SHE on R (space-time noise, d = 1), -1 - kappa for PAM on R^2 and
+-3/2 - kappa for PAM on R^3 (spatial noise, d = 2 and 3).  Integration adds 2
+and multiplying by the noise adds alpha.  The table below, of PAM on R^3, is
 generated at kappa = 0.01 in exact (rational + multiple-of-kappa) arithmetic
 and shows why the structure closes after finitely many symbols: everything
 else falls outside the truncation window.

@@ -194,6 +194,8 @@ def check_assumption_w(kappa: float, c: float = None, ell: float = 0.0,
     """
     if interpretation not in ("extend", "strict"):
         raise ValueError("interpretation must be 'extend' or 'strict'")
+    if not 0 < T < math.inf:
+        raise ValueError(f"T must be finite and positive, got {T}")
     if c is None:
         c = kappa / 4.0
     # the canonical symbol table lives in the window gamma in (3/2, 2-4kappa);

@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .structure import EQUATIONS
+
 EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL = 0, 1, 2
 
 
@@ -104,9 +106,11 @@ def cmd_structure_table(args, outdir: Path):
 def cmd_kernel_check(args, outdir: Path):
     from .kernel import decompose, heat_kernel
 
+    n = args.points
+    if n < 1:
+        raise ValueError(f"--points must be at least 1, got {n}")
     dec = decompose(args.d, args.r)
     rng = np.random.default_rng(args.seed)
-    n = args.points
     sc = 10.0 ** rng.uniform(-3, 1, n)
     tt = np.sign(rng.normal(size=n)) * rng.uniform(0.1, 1, n) * sc ** 2
     xx = rng.uniform(-1, 1, (n, args.d)) * sc[:, None]
@@ -256,24 +260,20 @@ def cmd_reconstruct(args, outdir: Path):
 
 def cmd_solve(args, outdir: Path):
     from .noise import write_field, Field
-    from .solver import EQUATIONS, SolverConfig, solve_renormalised, weighted_norm_diag
+    from .solver import SolverConfig, solve_renormalised, weighted_norm_diag
 
-    d, eq, _ = EQUATIONS[args.equation]
-    grid = _parse_grid(args.grid, d)
+    grid = _parse_grid(args.grid, EQUATIONS[args.equation][0])
     auto = args.ceps == "auto"
     # the config is checked before the constant is computed
     cfg = SolverConfig(equation=args.equation, grid=grid, eps=args.eps,
                        C_eps=0.0 if auto else float(args.ceps), u0=_parse_u0(args.u0),
                        T=args.T or grid.T, seed=args.seed, snapshots=args.snapshots)
     if auto:
-        if eq is None:
-            raise ValueError(f"--ceps auto: no renormalisation constant is computed for "
-                             f"{args.equation}; give --ceps C")
         from .renorm import compute_constants
 
         # the constant of renorm --eps at the same --seed and --samples
-        cfg.C_eps = compute_constants(eq, args.eps, n_samples=args.samples, seed=args.seed,
-                                      threads=_threads(args)).C_eps
+        cfg.C_eps = compute_constants(args.equation, args.eps, n_samples=args.samples,
+                                      seed=args.seed, threads=_threads(args)).C_eps
     traj = solve_renormalised(cfg)
     for i, fld in enumerate(traj.fields):
         write_field(outdir / f"snapshot-{i:03d}.shef",
@@ -285,7 +285,7 @@ def cmd_solve(args, outdir: Path):
 
 
 def cmd_converge(args, outdir: Path):
-    from .solver import EQUATIONS, convergence_study
+    from .solver import convergence_study
 
     grid = _parse_grid(args.grid, EQUATIONS[args.equation][0])
     res = convergence_study(args.equation, grid, args.eps_list, T=args.T or grid.T,
@@ -310,9 +310,6 @@ def cmd_converge(args, outdir: Path):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    from .solver import EQUATIONS
-
-    renormalised = sorted({eq for _, eq, _ in EQUATIONS.values() if eq})
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value file; flags override it")
     common.add_argument("--out", default=".", help="output directory")
@@ -391,7 +388,9 @@ def _build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_noise_regularity)
 
     q = sub.add_parser("renorm", parents=[threaded], help="renormalisation constants")
-    q.add_argument("--equation", choices=renormalised, required=True)
+    # the choices are every equation, not renorm.GREENS: reading that would
+    # import scipy.stats on every command; compute_constants refuses the rest
+    q.add_argument("--equation", choices=sorted(EQUATIONS), required=True)
     q.add_argument("--eps", type=float, nargs="+", required=True)
     q.add_argument("--samples", type=int, default=1 << 16)
     q.add_argument("--seed", type=_nonnegative_int, default=0)

@@ -52,10 +52,15 @@ class Grid:
     M: int = 0
 
     def __post_init__(self):
-        if self.N & (self.N - 1):
+        if self.N < 1 or self.N & (self.N - 1):
             raise ValueError(f"N must be a power of two, got {self.N}")
-        if self.M and (self.M & (self.M - 1)):
-            raise ValueError(f"M must be a power of two, got {self.M}")
+        if self.M < 0 or self.M & (self.M - 1):
+            raise ValueError(f"M must be 0 or a power of two, got {self.M}")
+        if not 0 < self.L < math.inf:
+            raise ValueError(f"L must be finite and positive, got {self.L}")
+        if not 0 <= self.T < math.inf or (self.M and not self.T):
+            raise ValueError(f"T must be finite, non-negative, and positive when M > 0; "
+                             f"got T = {self.T}, M = {self.M}")
 
     @property
     def dx(self) -> float:

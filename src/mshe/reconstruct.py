@@ -35,6 +35,7 @@ import numpy as np
 
 from .noise import Field, Grid, exp_bump
 from .besov import row_aggregate
+from .structure import StructureParams, build_structure
 from .wavelet import LevelTransform, WaveletBasis, correlate_axis
 
 __all__ = [
@@ -69,17 +70,12 @@ def _transport(coeffs: dict, increments: dict) -> dict:
     return out
 
 
-#: homogeneity of each symbol at given kappa
 def symbol_homogeneity(sym: str, kappa: float) -> float:
-    alpha = -1.5 - kappa
-    return {
-        "1": 0.0,
-        "X": 1.0,
-        "I(Xi)": 0.5 - kappa,
-        "Xi": alpha,
-        "X*Xi": 1.0 + alpha,
-        "Xi*I(Xi)": 0.5 - kappa + alpha,
-    }[sym]
+    """Homogeneity at kappa of one of SYMBOLS, from the d = 1 structure
+    table, which names X as X_1 and X*Xi as Xi*X_1."""
+    rs = build_structure(StructureParams(kappa=kappa, d=1))
+    table = {str(s): s.homogeneity for s in rs.symbols_U + rs.symbols_F}
+    return table[{"X": "X_1", "X*Xi": "Xi*X_1"}.get(sym, sym)].value(kappa)
 
 
 @dataclass
@@ -321,13 +317,6 @@ def _gamma_transport_time(f: ModelledDistribution, model: Model, dt_cells: int):
                       {"Phi": dphi})
 
 
-def _zeta_groups(kappa: float):
-    groups = {}
-    for s in SYMBOLS:
-        groups.setdefault(round(symbol_homogeneity(s, kappa), 9), []).append(s)
-    return groups
-
-
 def dgamma_norm(f: ModelledDistribution, model: Model, gamma: float = None,
                 p: float = None) -> float:
     """The three-term coherence norm by grid quadrature.
@@ -351,7 +340,9 @@ def dgamma_norm(f: ModelledDistribution, model: Model, gamma: float = None,
         model = Model(grid=sub_grid, xi=model.xi[::tstride],
                       phi_field=model.phi_field[::tstride], kappa=model.kappa)
         g = sub_grid
-    groups = _zeta_groups(model.kappa)
+    groups = {}  # the symbols of each homogeneity zeta
+    for s in SYMBOLS:
+        groups.setdefault(round(symbol_homogeneity(s, model.kappa), 9), []).append(s)
     best = 0.0
 
     def lp_over_x(arr):

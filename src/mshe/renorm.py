@@ -53,12 +53,14 @@ from scipy.stats import qmc
 
 from .kernel import _smoothstep, heat_kernel
 from .noise import Mollifier
+from .structure import EQUATIONS
 
 __all__ = [
     "GreenFn",
     "pam_green",
     "she_green",
     "smooth_test_green",
+    "GREENS",
     "RenormConstants",
     "c_eps",
     "c11_eps",
@@ -126,6 +128,10 @@ def pam_green(R_G: float = 1.0) -> GreenFn:
 
 def she_green() -> GreenFn:
     return GreenFn(equation="she1d", dim=2)
+
+
+#: equation -> its Green's function: the equations whose constants are computed
+GREENS = {"pam3d": pam_green, "she1d": she_green}
 
 
 def smooth_test_green(fn, support) -> GreenFn:
@@ -337,13 +343,14 @@ _FINITE_PARTS = {}
 def compute_constants(equation: str, eps: float,
                       n_samples: int = 1 << 16, seed: int = 0,
                       threads: int = 1) -> RenormConstants:
-    """All constants for one epsilon; equation is 'pam3d' (G truncated at
-    R_G = 1) or 'she1d'.  c11 and c12 are computed at eps = 1 (module
-    docstring), once per process for each truncation ratio, samples and seed.
+    """All constants for one epsilon of an equation in GREENS: 'pam3d' (G
+    truncated at R_G = 1) or 'she1d'.  c11 and c12 are computed at eps = 1
+    (module docstring), once per process per truncation ratio, samples, seed.
     """
-    if equation not in ("pam3d", "she1d"):
-        raise ValueError(f"unknown equation {equation!r}")
-    green = pam_green() if equation == "pam3d" else she_green()
+    if equation not in GREENS:
+        raise ValueError(f"no renormalisation constant is computed for {equation}"
+                         if equation in EQUATIONS else f"unknown equation {equation!r}")
+    green = GREENS[equation]()
     moll = Mollifier(epsilon=eps)
     unit = (Mollifier(epsilon=1.0, profile=moll.profile), replace(green, R_G=green.R_G / eps))
     key = unit + (n_samples, seed)

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .noise import Field, Grid, Mollifier, _generator, sample_white_noise
+from .structure import EQUATIONS
 
 __all__ = [
     "SolverConfig",
@@ -51,13 +52,8 @@ __all__ = [
     "weighted_distance",
     "convergence_study",
     "weighted_norm_diag",
-    "EQUATIONS",
 ]
 
-#: equation -> (space dimension, equation of its renormalisation constants
-#: or None where no constant is computed, kind of its driving noise)
-EQUATIONS = {"pam2d": (2, None, "spatial"), "pam3d": (3, "pam3d", "spatial"),
-             "she1d": (1, "she1d", "spacetime")}
 _GUARD = 1e12
 
 
@@ -120,7 +116,7 @@ class SolverConfig:
 
     @property
     def noise_kind(self) -> str:
-        return EQUATIONS[self.equation][2]
+        return EQUATIONS[self.equation][1]
 
     @property
     def n_steps(self) -> int:
@@ -357,7 +353,6 @@ def convergence_study(equation: str, grid: Grid, eps_list, T: float,
     """
     from .renorm import compute_constants
 
-    _, eq_renorm, kind = EQUATIONS[equation]
     if not seeds:
         raise ValueError("a convergence study needs at least 1 seed")
     if include_ito and equation != "she1d":
@@ -366,10 +361,9 @@ def convergence_study(equation: str, grid: Grid, eps_list, T: float,
     cfgs = {e: SolverConfig(equation=equation, grid=grid, eps=e, u0=u0, T=T, snapshots=6,
                             snapshot_t0=snapshot_t0, dt=dt) for e in eps_list}
     if constants is None:
-        if eq_renorm is None:
-            raise ValueError(f"no renormalisation constant is computed for {equation}")
-        constants = {e: compute_constants(eq_renorm, e, n_samples=n_qmc, seed=1000,
+        constants = {e: compute_constants(equation, e, n_samples=n_qmc, seed=1000,
                                           threads=threads).C_eps for e in eps_list}
+    kind = EQUATIONS[equation][1]
 
     def run_seed(seed):
         noise, mollified = _realisation(grid, kind, seed, max(eps_list))

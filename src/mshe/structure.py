@@ -5,10 +5,12 @@ and the abstract heat-kernel integration I(.) by the two closure rules
 
     tau in U  <=>  tau*Xi in F,        tau in F  =>  I(tau) in U,
 
-truncated at homogeneity gamma for U and gamma + alpha for F.  Homogeneities
-are carried exactly as pairs (q, m) meaning q + m*kappa with q rational and m
-an integer, so that the generated table is reproducible with zero tolerance
-and threshold comparisons never depend on floating-point rounding.
+truncated at homogeneity gamma for U and gamma + alpha for F.  alpha = |Xi|
+follows from the one equation of dimension d (EQUATIONS): -d/2 - kappa for
+spatial and -(d + 2)/2 - kappa for space-time white noise.  Homogeneities are
+carried exactly as pairs (q, m) meaning q + m*kappa with q rational and m an
+integer, so that the generated table is reproducible with zero tolerance and
+threshold comparisons never depend on floating-point rounding.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from fractions import Fraction
 from itertools import product as _iproduct
 
 __all__ = [
+    "EQUATIONS",
     "Homogeneity",
     "Symbol",
     "StructureParams",
@@ -53,8 +56,9 @@ class Homogeneity:
         return f"{self.q}{sign}{head}k"
 
 
-#: homogeneity of the noise symbol: alpha = -3/2 - kappa
-ALPHA = Homogeneity(Fraction(-3, 2), -1)
+#: equation -> (space dimension d, kind of its driving white noise); one
+#: equation per d
+EQUATIONS = {"she1d": (1, "spacetime"), "pam2d": (2, "spatial"), "pam3d": (3, "spatial")}
 #: homogeneity shift of the abstract integration: +2
 _I_SHIFT = Homogeneity(Fraction(2), 0)
 
@@ -93,23 +97,15 @@ class Symbol:
         return isinstance(other, Symbol) and str(self) == str(other)
 
 
-def _one() -> Symbol:
-    return Symbol("one", homogeneity=Homogeneity(Fraction(0), 0))
-
-
 def _monomial(k: tuple, scaling: tuple) -> Symbol:
     deg = sum(s * ki for s, ki in zip(scaling, k))
     return Symbol("monomial", k=k, homogeneity=Homogeneity(Fraction(deg), 0))
 
 
-def _xi() -> Symbol:
-    return Symbol("xi", homogeneity=ALPHA)
-
-
-def _xi_times(tau: Symbol) -> Symbol:
+def _xi_times(tau: Symbol, alpha: Homogeneity) -> Symbol:
     if tau.kind == "one":
-        return _xi()
-    return Symbol("product", child=tau, homogeneity=tau.homogeneity + ALPHA)
+        return Symbol("xi", homogeneity=alpha)
+    return Symbol("product", child=tau, homogeneity=tau.homogeneity + alpha)
 
 
 def _integral(tau: Symbol) -> Symbol:
@@ -126,7 +122,6 @@ class StructureParams:
 
     kappa: float
     d: int = 3
-    alpha: Homogeneity = ALPHA
     gamma: Homogeneity = Homogeneity(Fraction(3, 2), 2)
 
     def __post_init__(self):
@@ -134,6 +129,12 @@ class StructureParams:
             raise ValueError(f"kappa must lie in (0, 1/8), got {self.kappa}")
         if self.d not in (1, 2, 3):
             raise ValueError(f"spatial dimension must be 1, 2 or 3, got {self.d}")
+
+    @property
+    def alpha(self) -> Homogeneity:
+        """|Xi| for the equation of dimension d (module docstring)."""
+        kind = next(k for d, k in EQUATIONS.values() if d == self.d)
+        return Homogeneity(Fraction(-(self.d + 2 * (kind == "spacetime")), 2), -1)
 
     @property
     def scaling(self) -> tuple:
@@ -174,10 +175,10 @@ def build_structure(params: StructureParams) -> RegularityStructure:
     at kappa = 0, ties broken by the canonical symbol string.
     """
     kq = params.kappa_exact
-    gamma = params.gamma
-    gamma_alpha = params.gamma + params.alpha
+    gamma, alpha = params.gamma, params.alpha
+    gamma_alpha = gamma + alpha
 
-    seeds = [_one()]
+    seeds = [Symbol("one", homogeneity=Homogeneity(Fraction(0), 0))]
     max_deg = int(gamma.value(params.kappa)) + 1
     for k in _iproduct(*(range(max_deg + 1) for _ in range(params.d + 1))):
         if sum(k) == 0:
@@ -191,7 +192,7 @@ def build_structure(params: StructureParams) -> RegularityStructure:
     while True:
         new_f = {}
         for s in symbols_u.values():
-            cand = _xi_times(s)
+            cand = _xi_times(s, alpha)
             if str(cand) not in symbols_f and cand.homogeneity.less_than(gamma_alpha, kq):
                 new_f[str(cand)] = cand
         symbols_f.update(new_f)

@@ -528,3 +528,43 @@ print(sorted(m for m in ("mshe.renorm", "scipy.stats") if m in sys.modules))
                           text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_structure_table_d2_is_the_pam2d_table(tmp_path):
+    # 2-d PAM is driven by spatial white noise, |Xi| = -1 - kappa; its
+    # negative symbols are Xi, Xi*I(Xi) and Xi*X_i
+    code, out = run_cli(["structure", "table", "--kappa", "0.05", "--d", "2"], tmp_path, "d2")
+    assert code == 0
+    rows = [line.split(",") for line in
+            (out / "structure-table.csv").read_text().splitlines()[1:]]
+    values = {sym: float(v) for sym, _, _, v in rows}
+    assert values["Xi"] == -1.05
+    assert sorted(s for s, v in values.items() if v < 0) == [
+        "Xi", "Xi*I(Xi)", "Xi*X_1", "Xi*X_2"]
+    assert sorted(s for s, v in values.items() if v >= 0) == ["1", "I(Xi)", "X_1", "X_2"]
+
+
+@pytest.mark.parametrize("argv, match", [
+    (["noise", "sample", "--d", "1", "--grid", "0,256,1,1"], "N must be a power of two, got 0"),
+    (["noise", "sample", "--d", "1", "--grid", "64,256,1,0"],
+     "positive when M > 0; got T = 0.0, M = 256"),
+    (["noise", "sample", "--d", "1", "--grid", "64,0,1,-1"], "got T = -1.0, M = 0"),
+    (["noise", "sample", "--d", "1", "--grid", "64,256,0,1"],
+     "L must be finite and positive, got 0.0"),
+    (["noise", "sample", "--d", "1", "--grid", "64,256,inf,1"],
+     "L must be finite and positive, got inf"),
+    (["besov", "check-w", "--kappa", "0.1", "--T", "-1"], "T must be finite and positive"),
+    (["besov", "check-w", "--kappa", "0.1", "--T", "0"], "T must be finite and positive"),
+    (["kernel", "check", "--points", "0"], "--points must be at least 1, got 0"),
+    (["renorm", "--equation", "pam2d", "--eps", "0.1", "--samples", "1024"],
+     "no renormalisation constant is computed for pam2d"),
+], ids=["grid-N-zero", "grid-T-zero", "grid-T-negative", "grid-L-zero", "grid-L-inf",
+        "checkw-T-negative", "checkw-T-zero", "kernel-points-zero", "renorm-pam2d"])
+def test_degenerate_inputs_rejected(tmp_path, capsys, argv, match):
+    # a zero-sized or empty box, an empty time window and an empty sample
+    # exit 1 with a message: not a traceback, a numpy warning or a report
+    # of conditions checked on collapsed time pairs
+    code, out = run_cli(argv, tmp_path, "bad")
+    assert code == 1
+    assert match in capsys.readouterr().err
+    assert not list(out.glob("*.csv")) and not list(out.glob("*.shef"))

@@ -211,6 +211,18 @@ def test_field_shape_validation():
         Field(grid=grid, values=np.full(32, np.nan), kind="spatial")
 
 
+@pytest.mark.parametrize("kw, match", [
+    (dict(N=0), "N must be a power of two"), (dict(N=-4), "N must be a power of two"),
+    (dict(M=-2), "M must be 0 or a power of two"), (dict(L=float("nan")), "L must be"),
+    (dict(L=-1.0), "L must be"), (dict(T=-0.5, M=0), "T must be"),
+    (dict(T=0.0), "positive when M > 0"), (dict(T=float("inf")), "T must be"),
+])
+def test_grid_rejects_degenerate_boxes(kw, match):
+    with pytest.raises(ValueError, match=match):
+        Grid(**{"d": 1, "L": 1.0, "N": 8, "T": 1.0, "M": 8, **kw})
+    assert Grid(d=1, L=1.0, N=1).dx == 1.0 and Grid(d=2, L=2.0, N=8, T=0.0).T == 0.0
+
+
 def test_regularity_smooth_field(basis):
     grid = Grid(d=1, L=4.0, N=512, T=1.0, M=4096)
     tt, xx = np.meshgrid(grid.ts, grid.xs, indexing="ij")

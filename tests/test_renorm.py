@@ -232,3 +232,16 @@ def test_determinism_across_threads():
     a = c11_eps(m, green, n_samples=1 << 13, seed=4, threads=1)
     b = c11_eps(m, green, n_samples=1 << 13, seed=4, threads=4)
     assert a["value"] == b["value"] and a["stderr"] == b["stderr"]
+
+
+def test_constants_only_for_their_equations():
+    # pam2d is an equation of the structure table, but no constant is
+    # computed for it; every equation with a Green's function is one of it
+    from mshe.renorm import GREENS
+    from mshe.structure import EQUATIONS
+
+    assert set(GREENS) == {"pam3d", "she1d"} and set(GREENS) <= set(EQUATIONS)
+    with pytest.raises(ValueError, match="no renormalisation constant is computed for pam2d"):
+        compute_constants("pam2d", 0.1)
+    with pytest.raises(ValueError, match="unknown equation"):
+        compute_constants("kpz", 0.1)

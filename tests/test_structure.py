@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from mshe.structure import (
+    EQUATIONS,
     Homogeneity,
     StructureParams,
     build_structure,
@@ -35,6 +36,53 @@ TABLE_F = {
     "Xi*I(Xi*X_3)": (Fraction(0), -2),
 }
 
+# The table at d = 1 (SHE, space-time noise: |Xi| = -3/2 - kappa).
+TABLE_U_D1 = {
+    "1": (Fraction(0), 0),
+    "I(Xi)": (Fraction(1, 2), -1),
+    "I(Xi*I(Xi))": (Fraction(1), -2),
+    "X_1": (Fraction(1), 0),
+    "I(Xi*I(Xi*I(Xi)))": (Fraction(3, 2), -3),
+    "I(Xi*X_1)": (Fraction(3, 2), -1),
+}
+TABLE_F_D1 = {
+    "Xi": (Fraction(-3, 2), -1),
+    "Xi*I(Xi)": (Fraction(-1), -2),
+    "Xi*I(Xi*I(Xi))": (Fraction(-1, 2), -3),
+    "Xi*X_1": (Fraction(-1, 2), -1),
+    "Xi*I(Xi*I(Xi*I(Xi)))": (Fraction(0), -4),
+    "Xi*I(Xi*X_1)": (Fraction(0), -2),
+}
+# The table at d = 2 (PAM, spatial noise: |Xi| = -1 - kappa), as in Hairer,
+# "A theory of regularity structures" (2014): four negative F-symbols.
+TABLE_U_D2 = {
+    "1": (Fraction(0), 0),
+    "I(Xi)": (Fraction(1), -1),
+    "X_1": (Fraction(1), 0),
+    "X_2": (Fraction(1), 0),
+}
+TABLE_F_D2 = {
+    "Xi": (Fraction(-1), -1),
+    "Xi*I(Xi)": (Fraction(0), -2),
+    "Xi*X_1": (Fraction(0), -1),
+    "Xi*X_2": (Fraction(0), -1),
+}
+
+
+def _exact_table(kappa, d):
+    rs = build_structure(StructureParams(kappa=kappa, d=d))
+    return ({str(s): (s.homogeneity.q, s.homogeneity.m) for s in rs.symbols_U},
+            {str(s): (s.homogeneity.q, s.homogeneity.m) for s in rs.symbols_F})
+
+
+def test_full_table_exact_d1():
+    assert _exact_table(0.01, 1) == (TABLE_U_D1, TABLE_F_D1)
+
+
+@pytest.mark.parametrize("kappa", [0.01, 0.05, 0.1])
+def test_full_table_exact_d2(kappa):
+    assert _exact_table(kappa, 2) == (TABLE_U_D2, TABLE_F_D2)
+
 
 def test_full_table_exact_d3():
     rs = build_structure(StructureParams(kappa=0.01, d=3))
@@ -42,6 +90,13 @@ def test_full_table_exact_d3():
     got_f = {str(s): (s.homogeneity.q, s.homogeneity.m) for s in rs.symbols_F}
     assert got_u == TABLE_U
     assert got_f == TABLE_F
+
+
+def test_noise_homogeneity_follows_the_equation():
+    # -d/2 - kappa for spatial white noise, -(d + 2)/2 - kappa in space-time
+    want = {"she1d": Fraction(-3, 2), "pam2d": Fraction(-1), "pam3d": Fraction(-3, 2)}
+    for name, (d, _) in EQUATIONS.items():
+        assert StructureParams(kappa=0.05, d=d).alpha == Homogeneity(want[name], -1)
 
 
 def test_sizes_d3():
