@@ -42,6 +42,6 @@ for e in (0.2, 0.05):
     m = Mollifier(epsilon=e)
     c = c_eps(m, green)
     r11 = c11_eps(m, green, n_samples=1 << 15, seed=1)
-    r12 = c12_eps(m, green, c, n_samples=1 << 15, seed=2)
+    r12 = c12_eps(m, green, n_samples=1 << 15, seed=2)
     print(f"  eps={e:5}: c = {c:8.4f}  c11 = {r11['value']:.6f}  "
           f"c12 = {r12['value']:.6f}")

@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from itertools import product
 
 import numpy as np
 
-from .structure import Homogeneity, StructureParams, build_structure
+from .structure import StructureParams, build_structure
 
 __all__ = [
     "Weight",
@@ -198,12 +197,7 @@ def check_assumption_w(kappa: float, c: float = None, ell: float = 0.0,
         raise ValueError(f"T must be finite and positive, got {T}")
     if c is None:
         c = kappa / 4.0
-    # the canonical symbol table lives in the window gamma in (3/2, 2-4kappa);
-    # for kappa > 1/12 cap the truncation so the table stays canonical
-    gamma = Homogeneity(Fraction(3, 2), 2)
-    if gamma.value(kappa) >= 2.0 - 4.0 * kappa:
-        gamma = Homogeneity(Fraction(2), -4)
-    params = StructureParams(kappa=kappa, d=d, gamma=gamma)
+    params = StructureParams(kappa=kappa, d=d)
     rs = build_structure(params)
     alpha = params.alpha.value(kappa)
     gamma_prime = params.gamma.value(kappa) + alpha + 2.0 - c

@@ -12,6 +12,7 @@ error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import shlex
 import sys
@@ -87,6 +88,35 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    # float() also reads nan and inf, which no float flag means
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _besov_p(text: str) -> float:
+    # the integrability exponent of besov norm: at least 1, or inf
+    if not float(text) >= 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1 or inf, got {text}")
+    return float(text)
+
+
+def _weight(text: str) -> str:
+    # the weight of besov norm: poly:a or exp:l with a finite a or l
+    kind, _, param = text.partition(":")
+    if kind not in ("poly", "exp"):
+        raise argparse.ArgumentTypeError(f"unknown weight {text!r} (use poly:a or exp:l)")
+    _finite_float(param)
+    return text
+
+
+def _ceps(text: str):
+    # the constant of solve: auto (the renorm constant) or a finite number
+    return text if text == "auto" else _finite_float(text)
+
+
 def _threads(args) -> int:
     return args.threads or int(os.environ.get("SHE_THREADS", "1"))
 
@@ -154,12 +184,8 @@ def cmd_besov_norm(args, outdir: Path):
     weight = None
     if args.weight:
         kind, _, param = args.weight.partition(":")
-        if kind == "poly":
-            weight = besov.polynomial_weight(float(param))
-        elif kind == "exp":
-            weight = besov.exponential_weight(float(param))
-        else:
-            raise ValueError(f"unknown weight {args.weight!r} (use poly:a or exp:l)")
+        weight = {"poly": besov.polynomial_weight,
+                  "exp": besov.exponential_weight}[kind](float(param))
     pyr = analyze(fld, basis, args.nmin, args.nmax)
     val = besov.besov_norm(pyr, args.alpha, p=args.p, weight=weight)
     _write_csv(outdir / "besov-norm.csv",
@@ -266,7 +292,7 @@ def cmd_solve(args, outdir: Path):
     auto = args.ceps == "auto"
     # the config is checked before the constant is computed
     cfg = SolverConfig(equation=args.equation, grid=grid, eps=args.eps,
-                       C_eps=0.0 if auto else float(args.ceps), u0=_parse_u0(args.u0),
+                       C_eps=0.0 if auto else args.ceps, u0=_parse_u0(args.u0),
                        T=args.T or grid.T, seed=args.seed, snapshots=args.snapshots)
     if auto:
         from .renorm import compute_constants
@@ -323,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("structure", help="symbolic structure tables")
     ps = p.add_subparsers(dest="sub", required=True)
     q = ps.add_parser("table", parents=[common])
-    q.add_argument("--kappa", type=float, required=True)
+    q.add_argument("--kappa", type=_finite_float, required=True)
     q.add_argument("--d", type=int, default=3)
     q.set_defaults(func=cmd_structure_table)
 
@@ -346,18 +372,18 @@ def _build_parser() -> argparse.ArgumentParser:
     ps = p.add_subparsers(dest="sub", required=True)
     q = ps.add_parser("norm", parents=[common])
     q.add_argument("--input", required=True)
-    q.add_argument("--alpha", type=float, required=True)
-    q.add_argument("--p", type=float, default=2.0)
-    q.add_argument("--weight", default=None)
+    q.add_argument("--alpha", type=_finite_float, required=True)
+    q.add_argument("--p", type=_besov_p, default=2.0)
+    q.add_argument("--weight", type=_weight, default=None)
     q.add_argument("--r", type=int, default=2)
     q.add_argument("--nmin", type=int, default=0)
     q.add_argument("--nmax", type=int, default=3)
     q.set_defaults(func=cmd_besov_norm)
     q = ps.add_parser("check-w", parents=[common])
-    q.add_argument("--kappa", type=float, required=True)
-    q.add_argument("--c", type=float, default=None)
-    q.add_argument("--ell", type=float, default=0.0)
-    q.add_argument("--T", type=float, default=1.0)
+    q.add_argument("--kappa", type=_finite_float, required=True)
+    q.add_argument("--c", type=_finite_float, default=None)
+    q.add_argument("--ell", type=_finite_float, default=0.0)
+    q.add_argument("--T", type=_finite_float, default=1.0)
     q.add_argument("--d", type=int, default=3)
     q.add_argument("--interpretation", choices=["extend", "strict"], default="extend")
     q.set_defaults(func=cmd_besov_check_w)
@@ -373,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_noise_sample)
     q = ps.add_parser("mollify", parents=[common])
     q.add_argument("--input", required=True)
-    q.add_argument("--eps", type=float, required=True)
+    q.add_argument("--eps", type=_finite_float, required=True)
     q.add_argument("--out-field", default="mollified.shef")
     q.set_defaults(func=cmd_noise_mollify)
     q = ps.add_parser("regularity", parents=[common])
@@ -391,7 +417,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # the choices are every equation, not renorm.GREENS: reading that would
     # import scipy.stats on every command; compute_constants refuses the rest
     q.add_argument("--equation", choices=sorted(EQUATIONS), required=True)
-    q.add_argument("--eps", type=float, nargs="+", required=True)
+    q.add_argument("--eps", type=_finite_float, nargs="+", required=True)
     q.add_argument("--samples", type=int, default=1 << 16)
     q.add_argument("--seed", type=_nonnegative_int, default=0)
     q.set_defaults(func=cmd_renorm)
@@ -401,39 +427,39 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--input", required=True)
     q.add_argument("--nmin", type=int, default=3)
     q.add_argument("--nmax", type=int, default=6)
-    q.add_argument("--eps", type=float, default=0.25)
+    q.add_argument("--eps", type=_finite_float, default=0.25)
     q.add_argument("--seed", type=_nonnegative_int, default=0)
-    q.add_argument("--alpha", type=float, default=0.0)
+    q.add_argument("--alpha", type=_finite_float, default=0.0)
     q.add_argument("--family", type=int, default=2)
     q.set_defaults(func=cmd_reconstruct)
 
     q = sub.add_parser("solve", parents=[threaded], help="renormalised-equation solver")
     q.add_argument("--equation", choices=sorted(EQUATIONS), required=True)
-    q.add_argument("--eps", type=float, required=True)
-    q.add_argument("--ceps", default="auto")
+    q.add_argument("--eps", type=_finite_float, required=True)
+    q.add_argument("--ceps", type=_ceps, default="auto")
     q.add_argument("--u0", default="dirac")
     q.add_argument("--grid", required=True, help="N,M,L,T")
-    q.add_argument("--T", type=float, default=None)
+    q.add_argument("--T", type=_finite_float, default=None)
     q.add_argument("--seed", type=_nonnegative_int, default=0)
     q.add_argument("--snapshots", type=int, default=8)
-    q.add_argument("--ell", type=float, default=0.0)
+    q.add_argument("--ell", type=_finite_float, default=0.0)
     q.add_argument("--samples", type=int, default=1 << 14)
     q.set_defaults(func=cmd_solve)
 
     q = sub.add_parser("converge", parents=[threaded],
                        help="coupled-noise dyadic epsilon study")
     q.add_argument("--equation", choices=sorted(EQUATIONS), required=True)
-    q.add_argument("--eps-list", type=float, nargs="+", required=True)
+    q.add_argument("--eps-list", type=_finite_float, nargs="+", required=True)
     q.add_argument("--grid", required=True)
-    q.add_argument("--T", type=float, default=None)
+    q.add_argument("--T", type=_finite_float, default=None)
     q.add_argument("--seeds", type=int, default=5)
     q.add_argument("--first-seed", type=_nonnegative_int, default=0)
     q.add_argument("--samples", type=int, default=1 << 13)
     q.add_argument("--ito", action="store_true")
-    q.add_argument("--snapshot-t0", type=float, default=None)
+    q.add_argument("--snapshot-t0", type=_finite_float, default=None)
     q.add_argument("--u0", default="const:1")
-    q.add_argument("--dt", type=float, default=None)
-    q.add_argument("--ell", type=float, default=0.0)
+    q.add_argument("--dt", type=_finite_float, default=None)
+    q.add_argument("--ell", type=_finite_float, default=0.0)
     q.set_defaults(func=cmd_converge)
     return ap
 

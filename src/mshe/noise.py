@@ -202,16 +202,6 @@ class Mollifier:
         """The grid of the bb table and the trapezoid CDF of bb on it."""
         return _bb_cdf(self.profile)
 
-    def rho_sq(self, t, x):
-        """Space-time self-convolution rho_eps^{*2}(t, x); support radius 2 eps."""
-        e = self.epsilon
-        t = np.asarray(t, dtype=float)
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        out = self.bb(t / e ** 2) / e ** 2
-        for i in range(x.shape[-1]):
-            out = out * self.bb(x[..., i] / e) / e
-        return out
-
     def rho_sq_spatial(self, x):
         """Spatial marginal of rho_eps^{*2} (time integrated out); x has shape
         (..., d)."""

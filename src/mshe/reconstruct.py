@@ -147,11 +147,6 @@ class ModelledDistribution:
         z = self.coeffs.get(sym)
         return z if z is not None else np.zeros((self.grid.M, self.grid.N))
 
-    def scaled(self, factor: float) -> "ModelledDistribution":
-        return ModelledDistribution(grid=self.grid,
-                                    coeffs={s: factor * a for s, a in self.coeffs.items()},
-                                    gamma=self.gamma, p=self.p)
-
 
 def canonical_model(xi_eps: Field, dec, kappa: float = 0.05) -> Model:
     """Lift a mollified noise field to the canonical model.

@@ -31,13 +31,19 @@ every command, so C depends on eps alone; the cutoff weights each shell of
 its radial rule, and is exactly 1 on the support of rho2 once R_G/eps >=
 4 sqrt(3).  The heat kernel is untruncated (R_G = inf): one ratio.
 
-c11 and the two split pieces of c12 are randomized-QMC integrals: the
-mollifier factors are importance sampled exactly through per-axis inverse
-CDFs of the self-convolved bump, one Green factor per integral is importance
-sampled (radially with density ~ 1/|x| in the 3-d case; with the heat
-kernel's own density, uniform in t and Gaussian in x, in the space-time
-case), and the remaining factors are plain weights.  The standard error comes
-from independent scrambled replicates.
+c11 and c12 are randomized-QMC means of one integrand each: the mollifier
+factors are importance sampled exactly through per-axis inverse CDFs of the
+self-convolved bump, one Green factor per integral is importance sampled
+(radially with density ~ 1/|x| in the 3-d case; with the heat kernel's own
+density, uniform in t and Gaussian in x, in the space-time case), and the
+remaining factors are plain weights.  c12 is the mean over w = z1+z2+z3 and
+z3 ~ rho2 and z1 ~ q of
+
+    (G/q)(z1) G(z3) [G(w - z1 - z3) - G(w - z1)]:
+
+the first term is the product part, and the second is unbiased for the delta
+part because E_{z3 ~ rho2} G(z3) = c exactly, so the two cancel sample by
+sample.  The standard error comes from independent scrambled replicates.
 """
 
 from __future__ import annotations
@@ -59,7 +65,6 @@ __all__ = [
     "GreenFn",
     "pam_green",
     "she_green",
-    "smooth_test_green",
     "GREENS",
     "RenormConstants",
     "c_eps",
@@ -73,11 +78,9 @@ __all__ = [
 class GreenFn:
     """Green's function plus the importance sampler for one of its factors."""
 
-    equation: str          # "pam3d" | "she1d" | "smooth"
+    equation: str          # "pam3d" | "she1d"
     dim: int               # dims of one integration variable z_i
     R_G: float = math.inf  # truncation radius (pam3d)
-    custom: callable = None
-    support: tuple = None  # smooth kind: ((t_lo, t_hi), (x_lo, x_hi))
 
     def __call__(self, z):
         """z shape (..., dim); pam3d: purely spatial, she1d: (t, x)."""
@@ -87,17 +90,14 @@ class GreenFn:
             with np.errstate(divide="ignore"):
                 g = np.where(r > 0, 1.0 / (4.0 * np.pi * np.maximum(r, 1e-300)), 0.0)
             return g * _smoothstep(r / self.R_G)
-        if self.equation == "she1d":
-            return heat_kernel(z[..., 0], z[..., 1:], 1)
-        return self.custom(z)
+        return heat_kernel(z[..., 0], z[..., 1:], 1)
 
     def sample_factor(self, U: np.ndarray, tmax: float = None):
         """Map uniforms U (shape (n, dim)) to points z and weights G(z)/q(z).
 
         pam3d: radius R_G sqrt(U) with density ~ 1/r (cancels the Green
         singularity exactly inside the plateau); she1d: the heat kernel's own
-        normalized density on (0, tmax) (weight tmax); smooth: uniform on the
-        support box.  Only she1d reads tmax.
+        normalized density on (0, tmax) (weight tmax).  Only she1d reads tmax.
         """
         if self.equation == "pam3d":
             r = self.R_G * np.sqrt(U[:, 0])
@@ -109,17 +109,9 @@ class GreenFn:
             # q(x) = 1 / (2 pi R_G^2 r)  =>  G/q = cutoff * R_G^2 / 2
             w = _smoothstep(r / self.R_G) * self.R_G ** 2 / 2.0
             return z, w
-        if self.equation == "she1d":
-            t = U[:, 0] * tmax
-            x = np.sqrt(2.0 * t) * ndtri(np.clip(U[:, 1], 1e-15, 1 - 1e-15))
-            z = np.stack([t, x], axis=-1)
-            return z, np.full(t.shape, tmax)
-        (t0, t1), (x0, x1) = self.support
-        t = t0 + (t1 - t0) * U[:, 0]
-        x = x0 + (x1 - x0) * U[:, 1]
-        z = np.stack([t, x], axis=-1)
-        vol = (t1 - t0) * (x1 - x0)
-        return z, self(z) * vol
+        t = U[:, 0] * tmax
+        x = np.sqrt(2.0 * t) * ndtri(np.clip(U[:, 1], 1e-15, 1 - 1e-15))
+        return np.stack([t, x], axis=-1), np.full(t.shape, tmax)
 
 
 def pam_green(R_G: float = 1.0) -> GreenFn:
@@ -134,12 +126,7 @@ def she_green() -> GreenFn:
 GREENS = {"pam3d": pam_green, "she1d": she_green}
 
 
-def smooth_test_green(fn, support) -> GreenFn:
-    """Spacetime test Green's function, smooth at the origin (diagnostics)."""
-    return GreenFn(equation="smooth", dim=2, custom=fn, support=support)
-
-
-def _sample_rho_sq(moll: Mollifier, green: GreenFn, U: np.ndarray) -> np.ndarray:
+def _sample_rho2(moll: Mollifier, green: GreenFn, U: np.ndarray) -> np.ndarray:
     """Inverse-CDF samples of rho_eps^{*2} per axis: (eps^2-time, eps-space)
     for she1d, (eps-space)^3 for pam3d."""
     gs, cdf = moll.bb_cdf()
@@ -151,23 +138,19 @@ def _sample_rho_sq(moll: Mollifier, green: GreenFn, U: np.ndarray) -> np.ndarray
 # -- c_eps: deterministic quadrature ----------------------------------------
 
 
-def c_eps(moll: Mollifier, green: GreenFn) -> float:
-    """int G rho_eps^{*2} by adaptive-resolution deterministic quadrature.
+def _unit_scale(moll: Mollifier, green: GreenFn) -> tuple:
+    """The mollifier and G at eps = 1 with the same truncation ratio R_G/eps,
+    at which every constant is computed (module docstring)."""
+    return (Mollifier(epsilon=1.0, profile=moll.profile),
+            replace(green, R_G=green.R_G / moll.epsilon))
 
-    For pam3d and she1d this is c_1(R_G/eps) / eps (module docstring), with
-    c_1 the quadrature at eps = 1 for the profile and truncation ratio.
+
+def c_eps(moll: Mollifier, green: GreenFn) -> float:
+    """int G rho_eps^{*2} by adaptive-resolution deterministic quadrature:
+    c_1(R_G/eps) / eps (module docstring), with c_1 the quadrature at eps = 1
+    for the profile and truncation ratio.
     """
-    e = moll.epsilon
-    if green.equation in ("pam3d", "she1d"):
-        return _quadrature(Mollifier(epsilon=1.0, profile=moll.profile),
-                           replace(green, R_G=green.R_G / e), 1e-5) / e
-    # smooth test kind: plain tensor rule on the rho^2 support
-    ts = np.linspace(-2 * e ** 2, 2 * e ** 2, 801)
-    xs = np.linspace(-2 * e, 2 * e, 801)
-    tt, xx = np.meshgrid(ts, xs, indexing="ij")
-    z = np.stack([tt, xx], axis=-1)
-    vals = green(z) * moll.rho_sq(tt, xx[..., None])
-    return float(np.trapezoid(np.trapezoid(vals, xs, axis=1), ts))
+    return _quadrature(*_unit_scale(moll, green), 1e-5) / moll.epsilon
 
 
 @functools.cache
@@ -278,8 +261,8 @@ def c11_eps(moll: Mollifier, green: GreenFn, n_samples: int = 1 << 17,
     e = moll.epsilon
 
     def fn(U):
-        u = _sample_rho_sq(moll, green, U[:, :dz])
-        v = _sample_rho_sq(moll, green, U[:, dz:2 * dz])
+        u = _sample_rho2(moll, green, U[:, :dz])
+        v = _sample_rho2(moll, green, U[:, dz:2 * dz])
         z2, w = green.sample_factor(U[:, 2 * dz:], tmax=4.0 * e ** 2)
         return w * green(u - z2) * green(v - z2)
 
@@ -287,39 +270,20 @@ def c11_eps(moll: Mollifier, green: GreenFn, n_samples: int = 1 << 17,
     return {"value": mean, "stderr": err}
 
 
-def c12_eps(moll: Mollifier, green: GreenFn, c_eps_value: float,
-            n_samples: int = 1 << 17, seed: int = 1, threads: int = 1):
-    """Split evaluation of the delta-subtracted integral.
-
-    piece A = int G(z1) G(z2) G(z3) rho2(z3) rho2(z1+z2+z3)
-            = E_{w, z3 ~ rho2} E_{z1 ~ q} [ (G/q)(z1) G(w - z1 - z3) G(z3) ],
-    piece B = c_eps * int G(z1) G(z2) rho2(z1+z2)
-            = c_eps * E_{u ~ rho2} E_{z1 ~ q} [ (G/q)(z1) G(u - z1) ],
-    value = A - B; pieces reported separately.
-    """
+def c12_eps(moll: Mollifier, green: GreenFn, n_samples: int = 1 << 17,
+            seed: int = 1, threads: int = 1):
+    """The delta-subtracted integral as one mean (module docstring)."""
     dz = green.dim
     e = moll.epsilon
 
-    def fn_a(U):
-        w = _sample_rho_sq(moll, green, U[:, :dz])
-        z3 = _sample_rho_sq(moll, green, U[:, dz:2 * dz])
+    def fn(U):
+        w = _sample_rho2(moll, green, U[:, :dz])
+        z3 = _sample_rho2(moll, green, U[:, dz:2 * dz])
         z1, wt = green.sample_factor(U[:, 2 * dz:], tmax=8.0 * e ** 2)
-        return wt * green(w - z1 - z3) * green(z3)
+        return wt * green(z3) * (green(w - z1 - z3) - green(w - z1))
 
-    def fn_b(U):
-        u = _sample_rho_sq(moll, green, U[:, :dz])
-        z1, wt = green.sample_factor(U[:, dz:], tmax=4.0 * e ** 2)
-        return wt * green(u - z1)
-
-    a, a_err = _qmc_mean(fn_a, 3 * dz, n_samples, seed, threads)
-    b, b_err = _qmc_mean(fn_b, 2 * dz, n_samples, seed + 1, threads)
-    b, b_err = c_eps_value * b, abs(c_eps_value) * b_err
-    return {
-        "value": a - b,
-        "stderr": float(np.hypot(a_err, b_err)),
-        "piece_product": a,
-        "piece_delta": b,
-    }
+    mean, err = _qmc_mean(fn, 3 * dz, n_samples, seed, threads)
+    return {"value": mean, "stderr": err}
 
 
 @dataclass
@@ -352,11 +316,11 @@ def compute_constants(equation: str, eps: float,
                          if equation in EQUATIONS else f"unknown equation {equation!r}")
     green = GREENS[equation]()
     moll = Mollifier(epsilon=eps)
-    unit = (Mollifier(epsilon=1.0, profile=moll.profile), replace(green, R_G=green.R_G / eps))
+    unit = _unit_scale(moll, green)
     key = unit + (n_samples, seed)
     if key not in _FINITE_PARTS:
         _FINITE_PARTS[key] = (c11_eps(*unit, n_samples, seed, threads),
-                              c12_eps(*unit, c_eps(*unit), n_samples, seed + 7919, threads))
+                              c12_eps(*unit, n_samples, seed + 7919, threads))
     r11, r12 = _FINITE_PARTS[key]
     return RenormConstants(c_eps=c_eps(moll, green), c11_eps=r11["value"],
                            c11_err=r11["stderr"], c12_eps=r12["value"],

@@ -140,9 +140,6 @@ class Trajectory:
     diagnostics: dict = field(default_factory=dict)
     dt: float = 0.0   # the step the snapshots were taken at
 
-    def final(self) -> np.ndarray:
-        return self.fields[-1]
-
 
 def _heat_symbol(grid: Grid, dt: float) -> np.ndarray:
     """exp(dt Lap) multiplier on the rfftn grid (spectral Laplacian)."""

@@ -7,7 +7,9 @@ and the abstract heat-kernel integration I(.) by the two closure rules
 
 truncated at homogeneity gamma for U and gamma + alpha for F.  alpha = |Xi|
 follows from the one equation of dimension d (EQUATIONS): -d/2 - kappa for
-spatial and -(d + 2)/2 - kappa for space-time white noise.  Homogeneities are
+spatial and -(d + 2)/2 - kappa for space-time white noise.  gamma is
+3/2 + 2 kappa, capped at 2 - 4 kappa from kappa = 1/12 on, so that the table
+stays canonical: the one of any gamma in (3/2, 2 - 4 kappa).  Homogeneities are
 carried exactly as pairs (q, m) meaning q + m*kappa with q rational and m an
 integer, so that the generated table is reproducible with zero tolerance and
 threshold comparisons never depend on floating-point rounding.
@@ -26,7 +28,6 @@ __all__ = [
     "StructureParams",
     "RegularityStructure",
     "build_structure",
-    "homogeneity",
 ]
 
 
@@ -122,7 +123,6 @@ class StructureParams:
 
     kappa: float
     d: int = 3
-    gamma: Homogeneity = Homogeneity(Fraction(3, 2), 2)
 
     def __post_init__(self):
         if not 0 < self.kappa < 0.125:
@@ -135,6 +135,12 @@ class StructureParams:
         """|Xi| for the equation of dimension d (module docstring)."""
         kind = next(k for d, k in EQUATIONS.values() if d == self.d)
         return Homogeneity(Fraction(-(self.d + 2 * (kind == "spacetime")), 2), -1)
+
+    @property
+    def gamma(self) -> Homogeneity:
+        """3/2 + 2 kappa, capped at 2 - 4 kappa exactly (module docstring)."""
+        gamma, cap = Homogeneity(Fraction(3, 2), 2), Homogeneity(Fraction(2), -4)
+        return gamma if gamma.less_than(cap, self.kappa_exact) else cap
 
     @property
     def scaling(self) -> tuple:
@@ -210,8 +216,3 @@ def build_structure(params: StructureParams) -> RegularityStructure:
         symbols_U=sorted(symbols_u.values(), key=_sort_key),
         symbols_F=sorted(symbols_f.values(), key=_sort_key),
     )
-
-
-def homogeneity(sym: Symbol, kappa: float) -> float:
-    """Numeric homogeneity q + m*kappa; the exact pair is sym.homogeneity."""
-    return sym.homogeneity.value(kappa)

@@ -29,7 +29,6 @@ __all__ = [
     "daubechies_coefficients",
     "WaveletBasis",
     "build_basis",
-    "rescale_phi",
     "rescale_psi",
     "CoeffPyramid",
     "analyze",
@@ -255,21 +254,14 @@ def build_family(N: int) -> WaveletBasis:
 # -- parabolic rescalings ---------------------------------------------------
 
 
-def rescale_phi(basis: WaveletBasis, n: int, center, d: int = 1):
-    """Evaluator of the L^2-normalized parabolic rescaling phi^n_{(t,x)}.
-
-    center = (t, x_1, ..., x_d); the returned f(s, y) takes y of shape
-    (..., d).
-    """
-    return rescale_psi(basis, n, center, ("phi",) * (d + 1), d=d)
-
-
 def rescale_psi(basis: WaveletBasis, n: int, center, combo, d: int = 1):
-    """Mixed tensor rescaling at level n centred at (t, x).
+    """Mixed tensor rescaling at level n centred at center = (t, x_1, ..., x_d),
+    L^2-normalized; the returned f(s, y) takes y of shape (..., d).
 
     combo[0] is a time code ('phi', 'psi0', 'psi1a', 'psi1b'); combo[1:] are
-    'phi'/'psi' per space axis.  The two 'psi1*' codes carry the time
-    wavelet at the intermediate scale 2^{2n+1}, 'psi1b' shifted by 2^-(2n+1).
+    'phi'/'psi' per space axis, so ('phi',) * (d + 1) gives phi^n_{(t,x)}.
+    The two 'psi1*' codes carry the time wavelet at the intermediate scale
+    2^{2n+1}, 'psi1b' shifted by 2^-(2n+1).
     """
     t0 = center[0]
     x0 = np.asarray(center[1:], dtype=float)

@@ -222,9 +222,8 @@ def test_06c_she_constants_cauchy():
     res = {}
     for i, e in enumerate((0.2, 0.1, 0.05, 0.025)):
         m = Mollifier(epsilon=e)
-        c = c_eps(m, green)
         res[e] = (c11_eps(m, green, n_samples=1 << 16, seed=20 + i),
-                  c12_eps(m, green, c, n_samples=1 << 16, seed=40 + i))
+                  c12_eps(m, green, n_samples=1 << 16, seed=40 + i))
     es = sorted(res, reverse=True)
     ok = True
     worst = 0.0
@@ -248,9 +247,8 @@ def test_06d_pam_c12_bounded():
     out11, out12 = {}, {}
     for e in (0.05, 0.025):
         m = Mollifier(epsilon=e)
-        c = c_eps(m, green)
         out11[e] = c11_eps(m, green, n_samples=1 << 17, seed=6)
-        out12[e] = c12_eps(m, green, c, n_samples=1 << 17, seed=5)
+        out12[e] = c12_eps(m, green, n_samples=1 << 17, seed=5)
     inc11 = abs(out11[0.025]["value"] - out11[0.05]["value"])
     inc12 = abs(out12[0.025]["value"] - out12[0.05]["value"])
     elapsed = time.time() - t0
@@ -329,7 +327,7 @@ def test_08_solver_oracles():
     for s in range(200):
         cfgi = SolverConfig(equation="she1d", grid=gi, eps=4 * gi.dx,
                             u0=("const", 1.0), T=0.1, seed=s, snapshots=2, dt=gi.dt)
-        means.append(solve_ito_reference(cfgi).final().mean())
+        means.append(solve_ito_reference(cfgi).fields[-1].mean())
     means = np.asarray(means)
     se = means.std(ddof=1) / np.sqrt(means.size)
     ito_dev = abs(means.mean() - 1.0)

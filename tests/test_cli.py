@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 import re
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import mshe
-from mshe.cli import main
+from mshe.cli import _build_parser, _subcommands, main
 from mshe.noise import Grid, regularity_study
 from mshe.solver import convergence_study
 from mshe.wavelet import build_basis
@@ -416,11 +417,13 @@ _EPS = "eps must be finite and positive, got "
     (["solve", "--equation", "pam3d", "--eps", "0.5", "--grid", "16,0,4,0.02",
       "--snapshots", "3"], "give 1 distinct snapshot steps, fewer than the 3 snapshots"),
     (["renorm", "--equation", "pam3d", "--eps", "-0.1", "--samples", "1024"], _EPS + "-0.1"),
-    (["renorm", "--equation", "she1d", "--eps", "nan", "--samples", "1024"], _EPS + "nan"),
-    (["renorm", "--equation", "she1d", "--eps", "inf", "--samples", "1024"], _EPS + "inf"),
+    (["renorm", "--equation", "she1d", "--eps", "nan", "--samples", "1024"],
+     "argument --eps: must be finite, got nan"),
+    (["renorm", "--equation", "she1d", "--eps", "inf", "--samples", "1024"],
+     "argument --eps: must be finite, got inf"),
     (["renorm", "--equation", "she1d", "--eps", "0", "--samples", "1024"], _EPS + "0.0"),
     (["solve", "--equation", "pam3d", "--eps", "inf", "--ceps", "0",
-      "--grid", "16,0,4,0.1", "--snapshots", "3"], _EPS + "inf"),
+      "--grid", "16,0,4,0.1", "--snapshots", "3"], "argument --eps: must be finite, got inf"),
     (_SHE_CONVERGE + ["--snapshot-t0", "-0.01"], "snapshot_t0 = -0.01 is outside (0, T]"),
     (_SHE_CONVERGE + ["--snapshot-t0", "0"], "snapshot_t0 = 0.0 is outside (0, T]"),
     (_SHE_CONVERGE + ["--snapshot-t0", "0.3"], "snapshot_t0 = 0.3 is outside (0, T]"),
@@ -544,6 +547,24 @@ def test_structure_table_d2_is_the_pam2d_table(tmp_path):
     assert sorted(s for s, v in values.items() if v >= 0) == ["1", "I(Xi)", "X_1", "X_2"]
 
 
+@pytest.mark.parametrize("d", [1, 3])
+def test_structure_table_is_canonical_past_one_twelfth(tmp_path, d):
+    # from kappa = 1/12 on, 3/2 + 2 kappa passes 2 - 4 kappa, and the table
+    # must be truncated at the cap: no U symbol (none starts with Xi) at or
+    # above 2 - 4 kappa, as in the table besov check-w reads
+    kappa = 0.1
+    code, out = run_cli(["structure", "table", "--kappa", str(kappa), "--d", str(d)],
+                        tmp_path, f"k{d}")
+    assert code == 0
+    rows = [line.split(",") for line in
+            (out / "structure-table.csv").read_text().splitlines()[1:]]
+    u_values = [float(v) for sym, _, _, v in rows if not sym.startswith("Xi")]
+    assert u_values and max(u_values) < 2 - 4 * kappa
+
+
+_BESOV_NORM = ["besov", "norm", "--input", "never-read.shef", "--alpha", "-1.7"]
+
+
 @pytest.mark.parametrize("argv, match", [
     (["noise", "sample", "--d", "1", "--grid", "0,256,1,1"], "N must be a power of two, got 0"),
     (["noise", "sample", "--d", "1", "--grid", "64,256,1,0"],
@@ -558,13 +579,68 @@ def test_structure_table_d2_is_the_pam2d_table(tmp_path):
     (["kernel", "check", "--points", "0"], "--points must be at least 1, got 0"),
     (["renorm", "--equation", "pam2d", "--eps", "0.1", "--samples", "1024"],
      "no renormalisation constant is computed for pam2d"),
+    (_BESOV_NORM + ["--p", "0"], "argument --p: must be at least 1 or inf, got 0"),
+    (_BESOV_NORM + ["--p", "0.5"], "argument --p: must be at least 1 or inf, got 0.5"),
+    (_BESOV_NORM + ["--p=-inf"], "argument --p: must be at least 1 or inf, got -inf"),
+    (_BESOV_NORM + ["--weight", "exp:nan"], "argument --weight: must be finite, got nan"),
+    (_BESOV_NORM + ["--weight", "poly:inf"], "argument --weight: must be finite, got inf"),
+    (_BESOV_NORM + ["--weight", "gauss:1"], "unknown weight 'gauss:1'"),
 ], ids=["grid-N-zero", "grid-T-zero", "grid-T-negative", "grid-L-zero", "grid-L-inf",
-        "checkw-T-negative", "checkw-T-zero", "kernel-points-zero", "renorm-pam2d"])
+        "checkw-T-negative", "checkw-T-zero", "kernel-points-zero", "renorm-pam2d",
+        "besov-p-zero", "besov-p-half", "besov-p-minus-inf", "besov-weight-exp-nan",
+        "besov-weight-poly-inf", "besov-weight-unknown"])
 def test_degenerate_inputs_rejected(tmp_path, capsys, argv, match):
     # a zero-sized or empty box, an empty time window and an empty sample
     # exit 1 with a message: not a traceback, a numpy warning or a report
-    # of conditions checked on collapsed time pairs
+    # of conditions checked on collapsed time pairs; so do a Besov exponent
+    # p < 1 (it divided by zero at p = 0) and a weight parameter that is not
+    # finite (it gave a nan norm), before the input is read
     code, out = run_cli(argv, tmp_path, "bad")
     assert code == 1
     assert match in capsys.readouterr().err
     assert not list(out.glob("*.csv")) and not list(out.glob("*.shef"))
+
+
+def _float_options(parser, path=()):
+    """(subcommand path, option) for every option of every subcommand whose
+    type reads "1.5" as a float."""
+    subs = _subcommands(parser)
+    if subs:
+        for name, sub in subs.items():
+            yield from _float_options(sub, path + (name,))
+        return
+    for action in parser._actions:
+        try:
+            is_float = isinstance(action.type("1.5"), float)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            is_float = False
+        if action.option_strings and is_float:
+            yield path, action.option_strings[-1]
+
+
+def test_every_float_flag_refuses_nan(tmp_path, capsys):
+    # float() reads nan, so each float flag needs its own refusal; walking
+    # the parser covers a float flag added later without further edits.  The
+    # refusal must come from the flag's type, before anything runs
+    options = list(_float_options(_build_parser()))
+    assert (("converge",), "--ell") in options and (("solve",), "--ceps") in options
+    failures = []
+    for i, (path, option) in enumerate(options):
+        code, out = run_cli([*path, option, "nan"], tmp_path, f"nan{i}")
+        err = capsys.readouterr().err
+        if code != 1 or f"argument {option}: must" not in err or list(out.glob("*.csv")):
+            failures.append((" ".join(path), option, code, err.strip()[-120:]))
+    assert not failures
+
+
+def test_besov_norm_sup_exponent(tmp_path):
+    # p = inf is the sup norm, and the resolved config of such a run reruns
+    _, out = run_cli(["noise", "sample", "--d", "1", "--grid", "64,64,4,1"], tmp_path, "f")
+    code, out2 = run_cli(["besov", "norm", "--input", str(out / "noise.shef"),
+                          "--alpha", "-1.7", "--nmax", "1", "--p", "inf"], tmp_path, "n")
+    assert code == 0
+    csv_text = (out2 / "besov-norm.csv").read_text()
+    assert np.isfinite(float(csv_text.splitlines()[1].split(",")[-1]))
+    code, out3 = run_cli(["besov", "norm", "--config", str(out2 / "resolved-config.txt")],
+                         tmp_path, "r")
+    assert code == 0 and (out3 / "besov-norm.csv").read_text() == csv_text

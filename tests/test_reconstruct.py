@@ -211,7 +211,8 @@ def test_dgamma_zero_and_homogeneity(setup):
     gf, gx = _smooth_pair(g)
     f = ModelledDistribution(grid=g, coeffs={"1": gf, "X": gx})
     n1 = dgamma_norm(f, model, gamma=2.0, p=2.0)
-    n2 = dgamma_norm(f.scaled(-3.0), model, gamma=2.0, p=2.0)
+    scaled = ModelledDistribution(grid=g, coeffs={s: -3.0 * a for s, a in f.coeffs.items()})
+    n2 = dgamma_norm(scaled, model, gamma=2.0, p=2.0)
     assert n2 == pytest.approx(3.0 * n1, rel=1e-12)
 
 

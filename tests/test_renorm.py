@@ -9,13 +9,19 @@ from mshe.renorm import (
     compute_constants,
     pam_green,
     she_green,
-    smooth_test_green,
 )
-from mshe.renorm import _pam_shells, _quadrature
+from mshe.renorm import _pam_shells, _qmc_mean, _quadrature, _sample_rho2
 
 
 def _moll(eps):
     return Mollifier(epsilon=eps)
+
+
+def _rho_sq(m, t, x):
+    # the space-time self-convolution rho_eps^{*2}(t, x): the bb table at
+    # time scale eps^2 times the spatial marginal
+    e = m.epsilon
+    return m.bb(t / e ** 2) / e ** 2 * m.rho_sq_spatial(x)
 
 
 def test_rho_sq_mass_and_evenness():
@@ -24,7 +30,7 @@ def test_rho_sq_mass_and_evenness():
     t = np.linspace(-0.1, 0.1, 401)
     x = np.linspace(-0.45, 0.45, 401)
     tt, xx = np.meshgrid(t, x, indexing="ij")
-    vals = m.rho_sq(tt, xx[..., None])
+    vals = _rho_sq(m, tt, xx[..., None])
     mass = np.trapezoid(np.trapezoid(vals, x, axis=1), t)
     assert mass == pytest.approx(1.0, abs=1e-6)
     assert np.allclose(vals, vals[:, ::-1], atol=1e-14)
@@ -89,7 +95,7 @@ def test_c_eps_she_against_brute_force():
     xs = (np.arange(nx) + 0.5) / nx * 4 * e - 2 * e
     TT, XX = np.meshgrid(tau ** 2, xs, indexing="ij")
     P = (4 * np.pi * TT) ** -0.5 * np.exp(-XX ** 2 / (4 * TT))
-    oracle = float(np.sum(P * m.rho_sq(TT, XX[..., None]) * (2 * tau[:, None]))
+    oracle = float(np.sum(P * _rho_sq(m, TT, XX[..., None]) * (2 * tau[:, None]))
                    * (2 * e / ntau) * (4 * e / nx))
     val = c_eps(m, she_green())
     assert val == pytest.approx(oracle, rel=1e-3)
@@ -147,14 +153,8 @@ def test_she_constants_equal_at_every_eps():
     for e in (0.4, 0.2, 0.1, 0.05):
         m = _moll(e)
         vals.append((c11_eps(m, green, n_samples=1 << 13, seed=8),
-                     c12_eps(m, green, c_eps(m, green), n_samples=1 << 13, seed=9)))
+                     c12_eps(m, green, n_samples=1 << 13, seed=9)))
     assert all(v == vals[0] for v in vals)
-
-
-def test_c11_zero_green():
-    zero = smooth_test_green(lambda z: np.zeros(z.shape[:-1]), ((-1, 1), (-1, 1)))
-    r = c11_eps(_moll(0.1), zero, n_samples=1 << 12, seed=0)
-    assert r["value"] == 0.0
 
 
 def test_she_constants_scale_invariant():
@@ -165,9 +165,8 @@ def test_she_constants_scale_invariant():
     res = {}
     for i, e in enumerate((0.2, 0.1, 0.05)):
         m = _moll(e)
-        c = c_eps(m, green)
         res[e] = (c11_eps(m, green, n_samples=1 << 15, seed=20 + i),
-                  c12_eps(m, green, c, n_samples=1 << 15, seed=40 + i))
+                  c12_eps(m, green, n_samples=1 << 15, seed=40 + i))
     es = sorted(res, reverse=True)
     for a, b in zip(es, es[1:]):
         d11 = abs(res[b][0]["value"] - res[a][0]["value"])
@@ -182,9 +181,7 @@ def test_c12_pam_bounded():
     green = pam_green()
     out = {}
     for e in (0.05, 0.025):
-        m = _moll(e)
-        c = c_eps(m, green)
-        out[e] = c12_eps(m, green, c, n_samples=1 << 16, seed=5)
+        out[e] = c12_eps(_moll(e), green, n_samples=1 << 16, seed=5)
     c11s = {e: c11_eps(_moll(e), green, n_samples=1 << 16, seed=6)
             for e in (0.05, 0.025)}
     inc12 = abs(out[0.025]["value"] - out[0.05]["value"])
@@ -192,28 +189,45 @@ def test_c12_pam_bounded():
     assert inc12 < inc11
 
 
-def test_c12_narrow_spike_cancellation():
-    # smooth Green at the origin: rho2(z3) acts like delta_0, the two split
-    # pieces nearly cancel
-    gs = smooth_test_green(lambda z: np.exp(-(z[..., 0] ** 2 + z[..., 1] ** 2)),
-                           ((-0.5, 0.5), (-1.0, 1.0)))
-    e = 0.01
-    m = _moll(e)
-    c = c_eps(m, gs)
-    r = c12_eps(m, gs, c, n_samples=1 << 15, seed=17)
-    assert abs(r["value"]) < 1e-2 * abs(r["piece_product"])
+@pytest.mark.parametrize("equation,eps", [("pam3d", 0.1), ("pam3d", 0.0125), ("she1d", 0.1)])
+def test_c12_one_integral_matches_the_pieces(equation, eps):
+    # the split form of c12, A - c B with two independent means:
+    #   A = E_{w, z3 ~ rho2} E_{z1 ~ q} [ (G/q)(z1) G(w - z1 - z3) G(z3) ],
+    #   B = E_{u ~ rho2} E_{z1 ~ q} [ (G/q)(z1) G(u - z1) ];
+    # the one-integral value must agree with it, and at small eps, where A
+    # and c B nearly cancel, have the smaller standard error
+    green, m = (pam_green() if equation == "pam3d" else she_green()), _moll(eps)
+    dz, n = green.dim, 1 << 17
+
+    def fn_a(U):
+        w, z3 = _sample_rho2(m, green, U[:, :dz]), _sample_rho2(m, green, U[:, dz:2 * dz])
+        z1, wt = green.sample_factor(U[:, 2 * dz:], tmax=8.0 * eps ** 2)
+        return wt * green(w - z1 - z3) * green(z3)
+
+    def fn_b(U):
+        z1, wt = green.sample_factor(U[:, dz:], tmax=4.0 * eps ** 2)
+        return wt * green(_sample_rho2(m, green, U[:, :dz]) - z1)
+
+    a, a_err = _qmc_mean(fn_a, 3 * dz, n, seed=1)
+    b, b_err = _qmc_mean(fn_b, 2 * dz, n, seed=2)
+    c = c_eps(m, green)
+    pieces, pieces_err = a - c * b, np.hypot(a_err, c * b_err)
+    one = c12_eps(m, green, n_samples=n, seed=3)
+    assert abs(one["value"] - pieces) <= 4 * np.hypot(one["stderr"], pieces_err)
+    if eps == 0.0125:
+        assert one["stderr"] < pieces_err
 
 
 def test_qmc_rate_on_smooth_integrand():
     # randomized-QMC error should beat the Monte Carlo 1/sqrt(N) rate
     # markedly on a smooth integrand: fit stderr ~ N^rate, rate < -0.7
-    gs = smooth_test_green(lambda z: np.exp(-(2 * z[..., 0] ** 2 + z[..., 1] ** 2)),
-                           ((-0.5, 0.5), (-1.0, 1.0)))
-    m = _moll(0.1)
+    def fn(U):
+        return np.exp(-np.sum((U - 0.5) ** 2, axis=1)) * np.cos(U[:, 0] + 2 * U[:, 1])
+
     errs = []
     ns = [1 << 12, 1 << 14, 1 << 16]
     for n in ns:
-        errs.append(c11_eps(m, gs, n_samples=n, seed=2)["stderr"])
+        errs.append(_qmc_mean(fn, 6, n, seed=2)[1])
     rate = np.polyfit(np.log(ns), np.log(errs), 1)[0]
     assert rate < -0.7
 

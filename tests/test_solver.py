@@ -59,7 +59,7 @@ def test_linearity_in_initial_data():
     def solve(u0):
         cfg = SolverConfig(equation="she1d", grid=g, eps=4 * g.dx, C_eps=1.0,
                            u0=u0, T=0.1, snapshots=2)
-        return solve_renormalised(cfg, xi_eps=mollify(noise, Mollifier(epsilon=cfg.eps))).final()
+        return solve_renormalised(cfg, xi_eps=mollify(noise, Mollifier(epsilon=cfg.eps))).fields[-1]
 
     fa, fb = solve(u0a), solve(u0b)
     fab = solve(a * u0a + b * u0b)
@@ -100,9 +100,9 @@ def test_semigroup_restart_property():
                          u0=("const", 1.0), T=64 * dt, dt=dt, snapshots=1)
     half = solve_renormalised(cfg_a, xi_eps=mollify(noise, Mollifier(epsilon=cfg_a.eps)))
     cfg_b = SolverConfig(equation="pam2d", grid=g, eps=4 * g.dx, C_eps=0.3,
-                         u0=half.final(), T=64 * dt, dt=dt, snapshots=1)
+                         u0=half.fields[-1], T=64 * dt, dt=dt, snapshots=1)
     rest = solve_renormalised(cfg_b, xi_eps=mollify(noise, Mollifier(epsilon=cfg_b.eps)))
-    assert np.array_equal(full.final(), rest.final())
+    assert np.array_equal(full.fields[-1], rest.fields[-1])
 
 
 def test_pam_kernel_symmetry_2d():
@@ -118,7 +118,7 @@ def test_pam_kernel_symmetry_2d():
         cfg = SolverConfig(equation="pam2d", grid=g, eps=4 * g.dx, C_eps=0.0,
                            u0=u0, T=T, snapshots=1)
         fields[src] = solve_renormalised(
-            cfg, xi_eps=mollify(noise, Mollifier(epsilon=cfg.eps))).final()
+            cfg, xi_eps=mollify(noise, Mollifier(epsilon=cfg.eps))).fields[-1]
     worst = 0.0
     for a in sources:
         for b in sources:
@@ -173,7 +173,7 @@ def test_ito_mean_preservation():
     for s in range(200):
         cfg = SolverConfig(equation="she1d", grid=g, eps=4 * g.dx,
                            u0=("const", 1.0), T=0.1, seed=s, snapshots=2, dt=g.dt)
-        means.append(solve_ito_reference(cfg).final().mean())
+        means.append(solve_ito_reference(cfg).fields[-1].mean())
     means = np.asarray(means)
     se = means.std(ddof=1) / np.sqrt(means.size)
     assert abs(means.mean() - 1.0) < 3 * se
@@ -186,7 +186,7 @@ def test_ito_dirac_mean_matches_heat_kernel():
     for s in range(n_seeds):
         cfg = SolverConfig(equation="she1d", grid=g, eps=4 * g.dx, u0="dirac",
                            T=0.1, seed=s, snapshots=2, dt=g.dt)
-        acc += solve_ito_reference(cfg).final()
+        acc += solve_ito_reference(cfg).fields[-1]
     mean = acc / n_seeds
     x0 = g.xs[g.N // 2]
     ref = sum(heat_kernel(0.1, (g.xs - x0 + j * g.L)[:, None], 1) for j in range(-3, 4))
@@ -200,7 +200,7 @@ def test_ito_zero_noise_reduces_to_heat():
     cfg = SolverConfig(equation="she1d", grid=g, eps=4 * g.dx, u0=("const", 1.0),
                        T=0.1, snapshots=2, dt=g.dt)
     tr = solve_ito_reference(cfg, noise=_zero_noise(g, "spacetime"))
-    assert np.abs(tr.final() - 1.0).max() < 1e-12
+    assert np.abs(tr.fields[-1] - 1.0).max() < 1e-12
 
 
 def test_ito_requires_grid_dt():

@@ -7,7 +7,6 @@ from mshe.structure import (
     Homogeneity,
     StructureParams,
     build_structure,
-    homogeneity,
 )
 
 # The canonical table at d = 3: symbol -> (q, m) with homogeneity q + m*kappa.
@@ -114,10 +113,10 @@ def test_x0_excluded():
 def test_homogeneity_values():
     rs = build_structure(StructureParams(kappa=0.01, d=1))
     by_name = {str(s): s for s in rs.symbols_U + rs.symbols_F}
-    assert homogeneity(by_name["Xi"], 0.01) == pytest.approx(-1.51)
-    assert homogeneity(by_name["1"], 0.7) == 0.0
+    assert by_name["Xi"].homogeneity.value(0.01) == pytest.approx(-1.51)
+    assert by_name["1"].homogeneity.value(0.7) == 0.0
     # (1, -2) evaluated at kappa = 0.05
-    assert homogeneity(by_name["I(Xi*I(Xi))"], 0.05) == pytest.approx(0.90)
+    assert by_name["I(Xi*I(Xi))"].homogeneity.value(0.05) == pytest.approx(0.90)
 
 
 def test_closure_relations():

@@ -11,7 +11,7 @@ from mshe.wavelet import (
     build_basis,
     correlate_axis,
     daubechies_coefficients,
-    rescale_phi,
+    rescale_psi,
     spacetime_combos,
 )
 
@@ -88,13 +88,13 @@ def test_rescaled_l2_norm(basis2):
     x = -L / 2 + np.arange(N) / N * L
     tt, xx = np.meshgrid(t, x, indexing="ij")
     for n in (2, 3):
-        f = rescale_phi(basis2, n, (0.125, -1.0), d=1)(tt, xx)
+        f = rescale_psi(basis2, n, (0.125, -1.0), ("phi", "phi"), d=1)(tt, xx)
         l2 = np.sum(f ** 2) * (T / M) * (L / N)
         assert l2 == pytest.approx(1.0, abs=1e-6)
 
 
 def test_rescale_identity_at_level0(basis2):
-    f = rescale_phi(basis2, 0, (0.0, 0.0), d=1)
+    f = rescale_psi(basis2, 0, (0.0, 0.0), ("phi", "phi"), d=1)
     s = np.array([0.25, 0.5])
     y = np.array([1.25, 2.5])
     expected = basis2.phi(s) * basis2.phi(y)
@@ -104,7 +104,7 @@ def test_rescale_identity_at_level0(basis2):
 def test_support_shrinks_parabolically(basis2):
     S = basis2.support
     n = 3
-    f = rescale_phi(basis2, n, (0.0, 0.0), d=1)
+    f = rescale_psi(basis2, n, (0.0, 0.0), ("phi", "phi"), d=1)
     # just outside the support in time: 2^{2n} s > S
     s_out = (S + 1e-6) / 4.0 ** n
     assert f(np.array([s_out]), np.array([0.1 / 2 ** n]))[0] == 0.0
@@ -157,7 +157,7 @@ def test_scaling_function_orthogonal_to_finer_wavelets(basis2):
     x = -L / 2 + np.arange(N) / N * L
     tt, xx = np.meshgrid(t, x, indexing="ij")
     n0 = 2
-    f = rescale_phi(basis2, n0, (2 * 4.0 ** -n0, -1.5), d=1)(tt, xx)
+    f = rescale_psi(basis2, n0, (2 * 4.0 ** -n0, -1.5), ("phi", "phi"), d=1)(tt, xx)
     pyr = analyze(_spacetime(f, T, L), basis2, n0, 4)
     worst = max(np.max(np.abs(pyr.levels[n][c])) for n in (2, 3, 4) for c in pyr.levels[n])
     assert worst < 1e-6
@@ -204,14 +204,14 @@ def test_refinement_identity_rescaled(basis2):
     t = np.arange(M) / M * T
     x = -L / 2 + np.arange(N) / N * L
     tt, xx = np.meshgrid(t, x, indexing="ij")
-    lhs = rescale_phi(basis2, n, (0.25, 0.0), d=1)(tt, xx)
+    lhs = rescale_psi(basis2, n, (0.25, 0.0), ("phi", "phi"), d=1)(tt, xx)
     rhs = np.zeros_like(lhs)
     for k0, at in enumerate(a_time):
         if at == 0.0:
             continue
         for k1, ax in enumerate(a_space):
             center = (0.25 + k0 * 4.0 ** -(n + 1), 0.0 + k1 * 2.0 ** -(n + 1))
-            rhs += at * ax * rescale_phi(basis2, n + 1, center, d=1)(tt, xx)
+            rhs += at * ax * rescale_psi(basis2, n + 1, center, ("phi",) * 2, d=1)(tt, xx)
     assert np.max(np.abs(lhs - rhs)) < 1e-6
 
 
