@@ -119,19 +119,13 @@ def row_aggregate(arr, wvals, vol, p, reduce="max"):
     return float(np.max(agg_p) ** (1.0 / p))
 
 
-def level_aggregate(pyr, n: int, p: float = 2.0, weight: Weight = None,
-                    reduce: str = "max") -> float:
-    """Level aggregate without the 2^{-n|s|/2 - n alpha} normalization.
-
-    reduce='max': max over tensor combinations and time rows (norm
-    semantics); reduce='mean': p-th-power average over combinations and rows
-    (used by the regularity estimator to avoid small-sample maximum bias at
-    coarse levels).
-    """
-    per = _row_aggregates(pyr, n, pyr.levels[n].values(), p, weight, reduce)
-    if reduce == "mean" and not math.isinf(p):
-        return float(np.mean(np.asarray(per) ** p) ** (1.0 / p))
-    return max(per)
+def level_aggregate(pyr, n: int) -> float:
+    """Level-n l^2 aggregate without the 2^{-n|s|/2 - n alpha} normalization:
+    squares averaged over tensor combinations and time rows (the regularity
+    estimator's mean, which avoids the small-sample maximum bias at coarse
+    levels)."""
+    per = _row_aggregates(pyr, n, pyr.levels[n].values(), 2.0, None, "mean")
+    return float(np.mean(np.asarray(per) ** 2.0) ** 0.5)
 
 
 def _row_aggregates(pyr, n: int, arrays, p: float, weight: Weight, reduce: str) -> list:

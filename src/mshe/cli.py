@@ -293,7 +293,7 @@ def cmd_solve(args, outdir: Path):
     # the config is checked before the constant is computed
     cfg = SolverConfig(equation=args.equation, grid=grid, eps=args.eps,
                        C_eps=0.0 if auto else args.ceps, u0=_parse_u0(args.u0),
-                       T=args.T or grid.T, seed=args.seed, snapshots=args.snapshots)
+                       T=args.T, seed=args.seed, snapshots=args.snapshots)
     if auto:
         from .renorm import compute_constants
 
@@ -314,7 +314,7 @@ def cmd_converge(args, outdir: Path):
     from .solver import convergence_study
 
     grid = _parse_grid(args.grid, EQUATIONS[args.equation][0])
-    res = convergence_study(args.equation, grid, args.eps_list, T=args.T or grid.T,
+    res = convergence_study(args.equation, grid, args.eps_list, T=args.T,
                             seeds=tuple(range(args.first_seed, args.first_seed + args.seeds)),
                             n_qmc=args.samples,
                             include_ito=args.ito, threads=_threads(args),

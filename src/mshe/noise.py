@@ -330,7 +330,7 @@ def estimate_regularity(fld: Field, basis, n_min: int = 1, n_max: int = None) ->
     levels = sorted(pyr.levels)
     if len(levels) < 4:
         raise ValueError(f"need at least 4 usable levels, got {len(levels)}")
-    aggs = [besov.level_aggregate(pyr, n, reduce="mean") for n in levels]
+    aggs = [besov.level_aggregate(pyr, n) for n in levels]
     slope, _ = np.polyfit(np.asarray(levels, dtype=float), np.log2(aggs), 1)
     alpha_hat = float(-s_half - slope)
     return {"alpha_hat": alpha_hat, "regular": alpha_hat >= 0}

@@ -6,12 +6,11 @@ from a mollified noise field xi on the periodic space-time box:
 
     1, X, I(Xi)      and      Xi, X Xi, Xi I(Xi),
 
-with Pi_z 1 = 1, Pi_z X = (. - z), Pi_z Xi = xi, Pi_z I(Xi) = Phi - Phi(z)
-where Phi = P_+ * xi (the singular part of the heat kernel, in the exact
-telescoped closed form), and products taken pointwise.  The re-expansion maps
-are the canonical transports: X picks up (z - z') 1, I(Xi) picks up
-(Phi(z) - Phi(z')) 1, and the Xi-multiplied symbols transport identically
-with an extra Xi factor.
+with Pi_z tau = N (. - x_z)^b (Phi - Phi(z))^c for the noise factor N = 1 or
+xi, where Phi = P_+ * xi (the singular part of the heat kernel, in the exact
+telescoped closed form); ``_FACTORS`` lists (N, b, c) per symbol.  The
+re-expansion maps are the canonical transports: a symbol with b (or c) picks
+up its N times the increment of x (or of Phi).
 
 The reconstruction sequence is
 
@@ -20,9 +19,9 @@ The reconstruction sequence is
 
 with the one-sided time shift t_dn = t - (7 M^2 + 1) 2^{-2n}, M the support
 diameter bound of the wavelet family.  Pairings are Riemann sums on the
-field's grid; every A^n reduces to transforms of six fixed base fields
-(1, y, xi, Phi, y xi, xi Phi), so levels cost a handful of separable
-correlations plus ball averages along space.
+field's grid; every A^n reduces to level transforms of the base fields N Phi^c
+that the symbols present need (those of 1 are axis tap sums), so levels cost
+at most a handful of separable correlations plus ball averages along space.
 """
 
 from __future__ import annotations
@@ -50,13 +49,16 @@ __all__ = [
     "read_modelled",
 ]
 
-#: symbol order: the coefficient channel layout of modelled distributions
-SYMBOLS = ("1", "X", "I(Xi)", "Xi", "X*Xi", "Xi*I(Xi)")
+#: the canonical model of each symbol, Pi_z tau = N (. - x_z)^b (Phi - Phi(z))^c,
+#: as (N, b, c) with the noise factor N itself the symbol "1" or "Xi"; the
+#: order is the coefficient channel layout of modelled distributions
+_FACTORS = {"1": ("1", 0, 0), "X": ("1", 1, 0), "I(Xi)": ("1", 0, 1),
+            "Xi": ("Xi", 0, 0), "X*Xi": ("Xi", 1, 0), "Xi*I(Xi)": ("Xi", 0, 1)}
+SYMBOLS = tuple(_FACTORS)
 
-#: the canonical re-expansion Gamma tau = tau + shift * lower: symbol ->
-#: (lower symbol, "x" or "Phi": the shift is the increment of x or of Phi)
-_TRANSPORT = {"X": ("1", "x"), "I(Xi)": ("1", "Phi"),
-              "X*Xi": ("Xi", "x"), "Xi*I(Xi)": ("Xi", "Phi")}
+#: the canonical re-expansion Gamma tau = tau + shift * N: symbol -> (N, "x"
+#: or "Phi": the shift is the increment of x if b, else of Phi)
+_TRANSPORT = {s: (N, "x" if b else "Phi") for s, (N, b, c) in _FACTORS.items() if b or c}
 
 
 def _transport(coeffs: dict, increments: dict) -> dict:
@@ -89,23 +91,11 @@ class Model:
 
     def pi_field(self, sym: str, z_idx: tuple) -> np.ndarray:
         """Pi_z tau as a grid function; z_idx = (time index, space index)."""
-        g = self.grid
         it, ix = z_idx
-        tt, xx = self._mesh
-        x0 = g.xs[ix]
-        if sym == "1":
-            return np.ones_like(self.xi)
-        if sym == "X":
-            return xx - x0
-        if sym == "Xi":
-            return self.xi
-        if sym == "I(Xi)":
-            return self.phi_field - self.phi_field[it, ix]
-        if sym == "X*Xi":
-            return (xx - x0) * self.xi
-        if sym == "Xi*I(Xi)":
-            return self.xi * (self.phi_field - self.phi_field[it, ix])
-        raise KeyError(sym)
+        noise, b, c = _FACTORS[sym]
+        _, xx = self._mesh
+        return ({"1": 1.0, "Xi": self.xi}[noise] * (xx - self.grid.xs[ix]) ** b
+                * (self.phi_field - self.phi_field[it, ix]) ** c)
 
     @functools.cached_property
     def _mesh(self):
@@ -179,41 +169,45 @@ def time_shift_cells(basis: WaveletBasis, n: int, g: Grid) -> int:
 
 def _level_A(f: ModelledDistribution, model: Model, basis: WaveletBasis,
              n: int) -> np.ndarray:
+    """A^n summed over the symbols f carries, from the level-n transforms of
+    the base fields N Phi^c against phi^n ("phi") and phi^n (y - x) ("disp")."""
     g = model.grid
     eng = LevelTransform(basis, n, g.dx, g.dt)
-    T, D = ("phi", "phi"), ("phi", "disp")  # phi^n and phi^n times (y - x)
-
-    def transform(values, combos):
-        return [c * g.dt * g.dx for c in eng.forward(values, combos).values()]
-
-    # the transforms of the constant field 1 are the products of the axis tap sums
-    t_sum = eng._factor(0, "phi")[0].sum() * g.dt * g.dx
-    T1, D1 = (t_sum * eng._factor(1, code)[0].sum() for code in ("phi", "disp"))
-    Txi, Dxi = transform(model.xi, (T, D))
-    TPhi, = transform(model.phi_field, (T,))
-    TxiPhi, = transform(model.xi * model.phi_field, (T,))
-
     half = max(1, int(round(2.0 ** -n / g.dx)))
     shift = time_shift_cells(basis, n, g)
     # the ball averages act along space only, so the lattice rows are picked first
     t_rows = (np.arange(g.M // eng.stride_t) * eng.stride_t - shift) % g.M
     offs = np.arange(-half, half + 1)
+    box, disp = np.full(offs.size, 1.0 / offs.size), offs / offs.size * g.dx
 
-    def avg(arr, taps=np.full(offs.size, 1.0 / offs.size)):
-        return correlate_axis(arr[t_rows], 1, taps, offs, eng.stride_x)
+    def avg(rows, taps):
+        # avg over y in the ball of rows(y), times (y - x_lattice) for disp
+        return correlate_axis(rows, 1, taps, offs, eng.stride_x)
 
-    def avg_disp(arr):
-        # avg over y in the ball of arr(y) * (y - x_lattice) * dx-steps
-        return avg(arr, offs / offs.size) * g.dx
+    @functools.cache
+    def transforms(noise, c):
+        # {space code: the level-n transform of the base field N Phi^c}
+        field = {"1": None, "Xi": model.xi}[noise]
+        if c:
+            field = model.phi_field if field is None else field * model.phi_field
+        if field is None:
+            # the transforms of the constant field 1 are the products of the axis tap sums
+            t_sum = eng._factor(0, "phi")[0].sum() * g.dt * g.dx
+            return {code: t_sum * eng._factor(1, code)[0].sum() for code in ("phi", "disp")}
+        out = eng.forward(field, [("phi", "phi"), ("phi", "disp")])
+        return {code: v * g.dt * g.dx for (_, code), v in out.items()}
 
-    A = (T1 * (avg(f.get("1") - f.get("I(Xi)") * model.phi_field)
-               - avg_disp(f.get("X")))
-         + D1 * avg(f.get("X"))
-         + TPhi * avg(f.get("I(Xi)"))
-         + Txi * (avg(f.get("Xi") - f.get("Xi*I(Xi)") * model.phi_field)
-                  - avg_disp(f.get("X*Xi")))
-         + Dxi * avg(f.get("X*Xi"))
-         + TxiPhi * avg(f.get("Xi*I(Xi)")))
+    A = np.zeros((t_rows.size, g.N // eng.stride_x))
+    for sym, coeff in f.coeffs.items():
+        noise, b, c = _FACTORS[sym]
+        rows, T = coeff[t_rows], transforms(noise, 0)
+        if b:    # <N (. - y), phi^n_x> = D_N - (y - x) T_N
+            A += T["disp"] * avg(rows, box) - T["phi"] * avg(rows, disp)
+        elif c:  # <N (Phi - Phi(y)), phi^n_x> = T_{N Phi} - Phi(y) T_N
+            A += transforms(noise, 1)["phi"] * avg(rows, box) - T["phi"] * avg(
+                rows * model.phi_field[t_rows], box)
+        else:
+            A += T["phi"] * avg(rows, box)
     return A
 
 
@@ -242,18 +236,13 @@ def reconstruct(f: ModelledDistribution, model: Model, basis: WaveletBasis,
     g = model.grid
     levels, outputs = {}, {}
     for n in range(n_min, n_max + 1):
-        A = _level_A(f, model, basis, n)
-        levels[n] = A
-        out = _adjoint_level(A, basis, n, g)
-        outputs[n] = out
+        levels[n] = A = _level_A(f, model, basis, n)
+        outputs[n] = LevelTransform(basis, n, g.dx, g.dt).adjoint(A, ("phi", "phi"),
+                                                                  (g.M, g.N))
     deltas = {n: _delta_A(levels[n], levels[n + 1], basis)
               for n in range(n_min, n_max)}
     return {"field": outputs[n_max], "levels": levels, "deltas": deltas,
             "outputs": outputs}
-
-
-def _adjoint_level(A: np.ndarray, basis: WaveletBasis, n: int, g: Grid) -> np.ndarray:
-    return LevelTransform(basis, n, g.dx, g.dt).adjoint(A, ("phi", "phi"), (g.M, g.N))
 
 
 def sewing_check(result: dict, alpha: float, gamma: float, p: float = 2.0) -> dict:

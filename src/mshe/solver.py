@@ -84,12 +84,15 @@ class SolverConfig:
             raise ValueError(f"{self.equation} needs d={d}, grid has d={self.grid.d}")
         if self.T is None:
             self.T = self.grid.T
+        if self.dt is None:
+            self.dt = self.grid.dx ** 2 / 4.0
+        for name in ("T", "dt"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
         if self.noise_kind == "spacetime" and self.T > self.grid.T * (1 + 1e-9):
             # the solver would step on past the last noise slice
             raise ValueError(f"T = {self.T} exceeds the noise's time horizon "
                              f"grid.T = {self.grid.T}")
-        if self.dt is None:
-            self.dt = self.grid.dx ** 2 / 4.0
         if self.snapshots < 1:
             raise ValueError(f"snapshots must be at least 1, got {self.snapshots}")
         if self.snapshot_t0 is not None and not 0 < self.snapshot_t0 <= self.T:
@@ -334,7 +337,7 @@ def weighted_distance(t1: Trajectory, t2: Trajectory, ell: float = 0.0) -> float
     return max([0.0] + list(_weighted_l2(t1.grid, t1.times, diffs, ell)))
 
 
-def convergence_study(equation: str, grid: Grid, eps_list, T: float,
+def convergence_study(equation: str, grid: Grid, eps_list, T: float | None,
                       seeds=(0,), ell: float = 0.0,
                       constants: dict = None, n_qmc: int = 1 << 14,
                       include_ito: bool = False, threads: int = 1,
@@ -346,7 +349,8 @@ def convergence_study(equation: str, grid: Grid, eps_list, T: float,
     supplied, each epsilon's renormalisation constant (shared across seeds)
     is the one renorm reports for it at seed 1000 and n_qmc samples, whatever
     else is listed.  Reports pairwise weighted distances per seed and, for
-    she1d with include_ito, the distance to the Ito reference.
+    she1d with include_ito, the distance to the Ito reference.  T = None runs
+    to grid.T.
     """
     from .renorm import compute_constants
 

@@ -355,6 +355,9 @@ def correlate_axis(arr: np.ndarray, axis: int, taps: np.ndarray, offs: np.ndarra
     periodic extension of the axis with that vector.
     """
     n, lo = arr.shape[axis], int(np.min(offs))
+    if n % stride:
+        raise ValueError(f"{n} grid cells are not whole lattice cells of stride {stride}; "
+                         "use dyadic box sizes")
     pos = (np.asarray(offs) - lo) % n
     dense = np.zeros(int(pos.max()) + 1)
     np.add.at(dense, pos, taps)
@@ -478,10 +481,12 @@ def analyze(fld, basis: WaveletBasis, n_min: int, n_max: int) -> CoeffPyramid:
     g = fld.grid
     dt = g.dt if fld.kind == "spacetime" else None
     _check_resolution(g.dx, dt, n_max)
-    if g.L * 2.0 ** n_min < 1 or (dt is not None and g.T * 4.0 ** n_min < 1):
+    cells = [g.L * 2.0 ** n_min] + ([g.T * 4.0 ** n_min] if dt is not None else [])
+    if min(cells) < 1 or any(c % 1 for c in cells):
         box = f"L = {g.L:g}" + (f", T = {g.T:g}" if dt is not None else "")
-        raise ValueError(f"the level-{n_min} lattice has no point on the box {box}: "
-                         "n_min needs L 2^n_min >= 1 (and T 4^n_min >= 1 in time)")
+        how = "has no point on" if min(cells) < 1 else "does not tile"
+        raise ValueError(f"the level-{n_min} lattice {how} the box {box}: n_min needs "
+                         "L 2^n_min (and T 4^n_min in time) whole and at least 1")
     if dt is None:
         combos, cell = [c for c in _space_combos(g.d) if "psi" in c], g.dx ** g.d
     else:

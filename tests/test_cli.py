@@ -472,13 +472,15 @@ def test_threads_only_where_read(tmp_path, argv, accepted):
 def test_analysis_outputs_independent_of_blas_threads(tmp_path):
     # the dyadic correlations are matrix-vector products that may go through
     # BLAS: noise regularity and reconstruct write the same bytes with one
-    # and with two BLAS threads
+    # and with two BLAS threads; the lift's noise symbols make reconstruct
+    # run the forward transforms of xi and xi Phi
     from mshe.reconstruct import ModelledDistribution, write_modelled
 
     g = Grid(d=1, L=2.0, N=64, T=1.0, M=1024)
     xx = np.broadcast_to(g.xs, (g.M, g.N))
     write_modelled(tmp_path / "lift.shef", ModelledDistribution(
-        grid=g, coeffs={"1": np.sin(np.pi * xx), "X": np.pi * np.cos(np.pi * xx)}))
+        grid=g, coeffs={"1": np.sin(np.pi * xx), "X": np.pi * np.cos(np.pi * xx),
+                        "X*Xi": 0.5 * np.sin(np.pi * xx), "Xi*I(Xi)": np.cos(np.pi * xx)}))
     cmds = {"reg": ["noise", "regularity", "--d", "1", "--grid", "128,1024,2,1",
                     "--seeds", "2", "--nmax", "4"],
             "rec": ["reconstruct", "--input", str(tmp_path / "lift.shef"), "--nmin", "1",
@@ -563,6 +565,10 @@ def test_structure_table_is_canonical_past_one_twelfth(tmp_path, d):
 
 
 _BESOV_NORM = ["besov", "norm", "--input", "never-read.shef", "--alpha", "-1.7"]
+_SOLVE = ["solve", "--equation", "she1d", "--eps", "0.25", "--ceps", "0",
+          "--grid", "64,64,4,0.25"]
+_CONVERGE = ["converge", "--equation", "she1d", "--eps-list", "0.4", "0.2",
+             "--grid", "64,512,4,0.25", "--seeds", "1", "--samples", "1024"]
 
 
 @pytest.mark.parametrize("argv, match", [
@@ -585,16 +591,27 @@ _BESOV_NORM = ["besov", "norm", "--input", "never-read.shef", "--alpha", "-1.7"]
     (_BESOV_NORM + ["--weight", "exp:nan"], "argument --weight: must be finite, got nan"),
     (_BESOV_NORM + ["--weight", "poly:inf"], "argument --weight: must be finite, got inf"),
     (_BESOV_NORM + ["--weight", "gauss:1"], "unknown weight 'gauss:1'"),
+    (_SOLVE + ["--T", "0"], "T must be finite and positive, got 0.0"),
+    (_SOLVE + ["--T", "-1"], "T must be finite and positive, got -1.0"),
+    (_CONVERGE + ["--T", "0"], "T must be finite and positive, got 0.0"),
+    (_CONVERGE + ["--dt", "0"], "dt must be finite and positive, got 0.0"),
+    (_CONVERGE + ["--dt", "-0.001"], "dt must be finite and positive, got -0.001"),
+    (["noise", "regularity", "--d", "1", "--grid", "512,1024,3.2,0.25", "--seeds", "2",
+      "--nmax", "5"], "level-1 lattice does not tile the box L = 3.2, T = 0.25"),
 ], ids=["grid-N-zero", "grid-T-zero", "grid-T-negative", "grid-L-zero", "grid-L-inf",
         "checkw-T-negative", "checkw-T-zero", "kernel-points-zero", "renorm-pam2d",
         "besov-p-zero", "besov-p-half", "besov-p-minus-inf", "besov-weight-exp-nan",
-        "besov-weight-poly-inf", "besov-weight-unknown"])
+        "besov-weight-poly-inf", "besov-weight-unknown", "solve-T-zero", "solve-T-negative",
+        "converge-T-zero", "converge-dt-zero", "converge-dt-negative",
+        "regularity-box-not-tiled"])
 def test_degenerate_inputs_rejected(tmp_path, capsys, argv, match):
     # a zero-sized or empty box, an empty time window and an empty sample
     # exit 1 with a message: not a traceback, a numpy warning or a report
     # of conditions checked on collapsed time pairs; so do a Besov exponent
     # p < 1 (it divided by zero at p = 0) and a weight parameter that is not
-    # finite (it gave a nan norm), before the input is read
+    # finite (it gave a nan norm), before the input is read; a run time or
+    # step that is not finite and positive is refused by name, and so is a box
+    # that the coarsest lattice does not tile (L 2^n_min = 6.4 cells)
     code, out = run_cli(argv, tmp_path, "bad")
     assert code == 1
     assert match in capsys.readouterr().err

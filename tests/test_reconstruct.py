@@ -18,7 +18,7 @@ from mshe.reconstruct import (
     time_shift_cells,
     write_modelled,
 )
-from mshe.wavelet import LevelTransform, build_family
+from mshe.wavelet import LevelTransform, build_family, rescale_psi
 
 
 @pytest.fixture(scope="module")
@@ -400,3 +400,48 @@ def test_level_A_ball_averages(setup):
         got = rec._level_A(ModelledDistribution(grid=g, coeffs={sym: c}), model, basis, n)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), sym
+
+
+@pytest.mark.parametrize("sym", SYMBOLS)
+def test_level_A_against_its_definition(setup, sym):
+    # A^n_{t,x} = avg_{y in B(x, 2^-n)} c(t_dn, y) <Pi_{(t_dn, y)} sym, phi^n_{t,x}>
+    # by brute force at a few lattice points away from the box's edges, with
+    # Pi from Model.pi_field and phi^n_{t,x} from rescale_psi on the grid
+    basis = setup[0]
+    g = Grid(d=1, L=2.0, N=64, T=1.0, M=1024)
+    rng = np.random.default_rng(7)
+    model = Model(grid=g, xi=rng.standard_normal((g.M, g.N)),
+                  phi_field=rng.standard_normal((g.M, g.N)))
+    c = rng.standard_normal((g.M, g.N))
+    n = 2
+    got = rec._level_A(ModelledDistribution(grid=g, coeffs={sym: c}), model, basis, n)
+    eng = LevelTransform(basis, n, g.dx, g.dt)
+    shift = time_shift_cells(basis, n, g)
+    tt, xx = np.meshgrid(g.ts, g.xs, indexing="ij")
+    for i, j in [(4, 1), (8, 2), (11, 3)]:
+        it, ix = i * eng.stride_t, j * eng.stride_x
+        atom = rescale_psi(basis, n, (g.ts[it], g.xs[ix]), ("phi", "phi"))(tt, xx)
+        t_dn = (it - shift) % g.M
+        ys = range(ix - eng.stride_x, ix + eng.stride_x + 1)
+        want = np.mean([c[t_dn, y] * np.sum(model.pi_field(sym, (t_dn, y)) * atom)
+                        for y in ys]) * g.dt * g.dx
+        assert got[i, j] == pytest.approx(want, rel=1e-12, abs=0), (i, j)
+
+
+def test_polynomial_lift_runs_no_field_transform(setup, monkeypatch):
+    # a lift carrying only 1 and X needs the transforms of the constant field
+    # alone, which are axis tap sums: no forward transform of xi, Phi or xi Phi
+    basis, g, model, _ = setup
+    gf, gx = _smooth_pair(g)
+    want = reconstruct(ModelledDistribution(grid=g, coeffs={"1": gf, "X": gx}),
+                       model, basis, 3, 4)
+
+    def refuse(*args):
+        raise AssertionError("LevelTransform.forward called")
+
+    monkeypatch.setattr(LevelTransform, "forward", refuse)
+    got = reconstruct(ModelledDistribution(grid=g, coeffs={"1": gf, "X": gx}),
+                      model, basis, 3, 4)
+    assert np.array_equal(got["field"], want["field"])
+    with pytest.raises(AssertionError, match="forward called"):
+        reconstruct(ModelledDistribution(grid=g, coeffs={"Xi": gf}), model, basis, 3, 4)

@@ -271,7 +271,7 @@ def _explicit_correlation(arr, axis, taps, offs, stride):
 def test_correlate_axis_explicit_sum(stride):
     # out[j] = sum_m taps[m] arr[(j*stride + offs[m]) mod n] on every axis of
     # a 3-d array, C- and Fortran-ordered, with offsets wrapping the axis
-    # more than twice and repeated offsets
+    # more than twice and repeated offsets; an axis of n + 1 cells is refused
     rng = np.random.default_rng(stride)
     for axis in range(3):
         shape = [3, 4, 5]
@@ -285,6 +285,11 @@ def test_correlate_axis_explicit_sum(stride):
             want = _explicit_correlation(arr, axis, taps, offs, stride)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        if stride > 1:
+            # an axis that is not whole lattice cells is refused
+            shape[axis] = n + 1
+            with pytest.raises(ValueError, match="not whole lattice cells"):
+                correlate_axis(rng.standard_normal(shape), axis, taps, offs, stride)
 
 
 def _explicit_adjoint(arr, axis, taps, offs, stride, n_out):
@@ -321,13 +326,18 @@ def test_adjoint_axis_explicit_sum(stride):
 
 
 @pytest.mark.parametrize("grid, kind, box", [
-    (Grid(d=1, L=0.5, N=64, T=0.25, M=256), "spacetime", "L = 0.5, T = 0.25"),
-    (Grid(d=1, L=1.0, N=64, T=0.25, M=256), "spacetime", "L = 1, T = 0.25"),
-    (Grid(d=2, L=0.5, N=64), "spatial", "L = 0.5:"),
-], ids=["space-and-time", "time", "spatial"])
+    (Grid(d=1, L=0.5, N=64, T=0.25, M=256), "spacetime",
+     "has no point on the box L = 0.5, T = 0.25"),
+    (Grid(d=1, L=1.0, N=64, T=0.25, M=256), "spacetime",
+     "has no point on the box L = 1, T = 0.25"),
+    (Grid(d=2, L=0.5, N=64), "spatial", "has no point on the box L = 0.5:"),
+    (Grid(d=1, L=3.2, N=512, T=1.0, M=1024), "spacetime",
+     "does not tile the box L = 3.2, T = 1:"),
+], ids=["space-and-time", "time", "spatial", "not-tiled"])
 def test_analyze_rejects_a_box_below_the_coarsest_cell(grid, kind, box):
-    # a level whose lattice has no point on the box is an input error with
-    # the level and the box named, not a NumPy broadcast error
+    # a level whose lattice has no point on the box, or does not tile it (3.2
+    # cells at level 0, though the strides are whole), is an input error with
+    # the level and the box named, not a NumPy broadcast error or a norm
     fld = Field(grid=grid, values=np.zeros(grid.shape(kind)), kind=kind)
-    with pytest.raises(ValueError, match=f"level-0 lattice has no point on the box {box}"):
+    with pytest.raises(ValueError, match=f"level-0 lattice {box}"):
         analyze(fld, build_basis(2), 0, 3)
