@@ -40,8 +40,8 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name):
-    # lazy submodule access: keeps `import mshe` light and avoids importing
-    # scipy for callers that only need the symbolic layer
+    # lazy submodule access: keeps `import mshe` light for callers that only
+    # need the symbolic layer
     if name in __all__:
         import importlib
 

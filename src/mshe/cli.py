@@ -415,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("renorm", parents=[threaded], help="renormalisation constants")
     # the choices are every equation, not renorm.GREENS: reading that would
-    # import scipy.stats on every command; compute_constants refuses the rest
+    # import mshe.renorm on every command; compute_constants refuses the rest
     q.add_argument("--equation", choices=sorted(EQUATIONS), required=True)
     q.add_argument("--eps", type=_finite_float, nargs="+", required=True)
     q.add_argument("--samples", type=int, default=1 << 16)

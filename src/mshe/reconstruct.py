@@ -365,13 +365,18 @@ def dgamma_norm(f: ModelledDistribution, model: Model, gamma: float = None,
 
 def write_modelled(path, f: ModelledDistribution) -> None:
     """Field-format container with a symbol-index channel dimension (stacked
-    along time) plus a JSON sidecar naming the symbols."""
+    along time) plus a JSON sidecar naming the symbols.  The channels are
+    padded with zero blocks to a power of two, as the field format's time
+    axis must be; read_modelled reads the named ones only."""
     from .noise import write_field
 
     syms = [s for s in SYMBOLS if s in f.coeffs]
-    stacked = np.concatenate([f.coeffs[s] for s in syms], axis=0)
     g = f.grid
-    carrier = Field(grid=Grid(d=1, L=g.L, N=g.N, T=g.T * len(syms), M=g.M * len(syms)),
+    blocks = 1 << (len(syms) - 1).bit_length()
+    stacked = np.zeros((g.M * blocks, g.N))
+    for i, s in enumerate(syms):
+        stacked[i * g.M:(i + 1) * g.M] = f.coeffs[s]
+    carrier = Field(grid=Grid(d=1, L=g.L, N=g.N, T=g.T * blocks, M=g.M * blocks),
                     values=stacked, kind="spacetime")
     write_field(path, carrier)
     sidecar = {"symbols": syms, "M": g.M, "T": g.T, "gamma": f.gamma, "p": f.p}

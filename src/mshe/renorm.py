@@ -54,8 +54,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .kernel import _smoothstep, heat_kernel
 from .noise import Mollifier
@@ -110,8 +108,61 @@ class GreenFn:
             w = _smoothstep(r / self.R_G) * self.R_G ** 2 / 2.0
             return z, w
         t = U[:, 0] * tmax
-        x = np.sqrt(2.0 * t) * ndtri(np.clip(U[:, 1], 1e-15, 1 - 1e-15))
+        x = np.sqrt(2.0 * t) * _ndtri(np.clip(U[:, 1], 1e-15, 1 - 1e-15))
         return np.stack([t, x], axis=-1), np.full(t.shape, tmax)
+
+
+# cephes ndtri, the inverse of the standard normal CDF: a rational function of
+# y - 1/2 for exp(-2) < y < 1 - exp(-2), else of 1/x with x = sqrt(-2 log y)
+# for y in the nearer tail, one form below x = 8 and one above (Horner order,
+# leading coefficient first; the Q forms are monic)
+_NDTRI_MID = ((-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+               1.39312609387279679503e1, -1.23916583867381258016e0),
+              (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+               -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+               1.59056225126211695515e1, -1.18331621121330003142e0))
+_NDTRI_NEAR = ((4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+                4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+                -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+                -8.57456785154685413611e-4),
+               (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+                1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+                -3.80806407691578277194e-2, -9.33259480895457427372e-4))
+_NDTRI_FAR = ((3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+               1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+               3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9),
+              (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+               2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+               2.89247864745380683936e-6, 6.79019408009981274425e-9))
+_EXP_M2 = 0.13533528323661269189
+
+
+def _rational(pq, x, w):
+    """w P(x) / Q(x) for a (P, Q) pair of coefficient tuples, by Horner."""
+    p, q = (functools.reduce(lambda acc, c: acc * x + c, cs[1:], np.full_like(x, cs[0]))
+            for cs in pq)
+    return w * p / q
+
+
+def _log(a):
+    # libm's log, not numpy's: the tail must round as cephes does
+    return np.fromiter(map(math.log, a.tolist()), float, a.size)
+
+
+def _ndtri(p: np.ndarray) -> np.ndarray:
+    """The standard normal quantile of p in (0, 1), as cephes computes it."""
+    upper = p > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - p, p)
+    out = np.empty_like(y)
+    mid = y > _EXP_M2
+    c = y[mid] - 0.5
+    out[mid] = (c + c * _rational(_NDTRI_MID, c * c, c * c)) * 2.50662827463100050242
+    x = np.sqrt(-2.0 * _log(y[~mid]))
+    z = 1.0 / x
+    x1 = np.where(x < 8.0, _rational(_NDTRI_NEAR, z, z), _rational(_NDTRI_FAR, z, z))
+    x0 = x - _log(x) / x
+    out[~mid] = np.where(upper[~mid], x0 - x1, x1 - x0)
+    return out
 
 
 def pam_green(R_G: float = 1.0) -> GreenFn:
@@ -221,6 +272,59 @@ def _c_eps_she(moll: Mollifier, n: int) -> float:
 
 #: scrambled replicates per QMC mean; the standard error is from their spread
 _REPLICATES = 16
+#: rows of a QMC block that fn maps at once
+_BLOCK = 2048
+
+
+# Joe-Kuo primitive polynomials and initial direction numbers m_1, m_2, ...
+# of the first Sobol dimensions; dimension 0 has every m_i = 1
+_SOBOL_POLY = (1, 3, 7, 11, 13, 19, 25, 37, 41)
+_SOBOL_VINIT = ((1,), (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3), (1, 3, 5, 13),
+                (1, 1, 5, 5, 17), (1, 1, 5, 5, 5))
+_SOBOL_BITS = 30
+
+
+@functools.cache
+def _sobol_directions(d: int) -> np.ndarray:
+    """The (d, 30) direction numbers v_kj = m_kj 2^(29 - j), with m_kj from
+    the dimension's polynomial x^s + a_1 x^(s-1) + ... + a_s (a_s = 1) by
+    m_j = m_{j-s} ^ (XOR over i = 1..s of 2^i a_i m_{j-i})."""
+    if d > len(_SOBOL_POLY):
+        raise ValueError(f"Sobol points are tabulated up to {len(_SOBOL_POLY)} dimensions, "
+                         f"got {d}")
+    m = np.ones((d, _SOBOL_BITS), dtype=np.int64)
+    for k in range(1, d):
+        poly, deg = _SOBOL_POLY[k], _SOBOL_POLY[k].bit_length() - 1
+        m[k, :deg] = _SOBOL_VINIT[k]
+        for j in range(deg, _SOBOL_BITS):
+            m[k, j] = m[k, j - deg]
+            for i in range(1, deg + 1):
+                if poly >> (deg - i) & 1:
+                    m[k, j] ^= m[k, j - i] << i
+    v = m << (_SOBOL_BITS - 1 - np.arange(_SOBOL_BITS))
+    v.flags.writeable = False   # shared by every caller of the cache
+    return v
+
+
+def _sobol(d: int, m: int, seed: int) -> np.ndarray:
+    """The first 2^m points of the d-dimensional Sobol sequence with linear
+    matrix scrambling and a digital shift drawn from default_rng(seed): the
+    points of scipy's qmc.Sobol(d, scramble=True, seed=seed).random_base2(m)."""
+    bits = np.arange(_SOBOL_BITS)
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(2, size=(d, _SOBOL_BITS), dtype=np.uint32) @ (np.uint32(1) << bits)
+    ltm = np.tril(rng.integers(2, size=(d, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+    ltm[:, bits, bits] = 1
+    # bit 29 - p of a scrambled v is the parity of sum_c ltm[p, 29 - c] bit_c(v)
+    v = _sobol_directions(d)[:, :, None] >> bits & 1
+    parity = np.einsum("kpc,kjc->kjp", ltm[:, :, ::-1].astype(np.int64), v) & 1
+    sv = (parity @ (1 << (_SOBOL_BITS - 1 - bits))).astype(np.uint32)
+    # Gray-code order: point 2^b + j is point 2^b - 1 - j with direction b flipped
+    q = np.empty((1 << m, d), dtype=np.uint32)
+    q[0] = shift
+    for b in range(m):
+        q[1 << b:2 << b] = q[(1 << b) - 1::-1] ^ sv[:, b]
+    return q * 2.0 ** -_SOBOL_BITS
 
 
 def _qmc_mean(fn, dim: int, n_samples: int, seed: int, threads: int = 1):
@@ -238,9 +342,10 @@ def _qmc_mean(fn, dim: int, n_samples: int, seed: int, threads: int = 1):
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(_REPLICATES)]
 
     def one(rep_seed):
-        eng = qmc.Sobol(d=dim, scramble=True, seed=rep_seed)
-        U = eng.random_base2(m=m)
-        return float(np.mean(fn(U)))
+        U = _sobol(dim, m, rep_seed)
+        # row blocks keep fn's temporaries small enough for malloc to reuse
+        return float(np.mean(np.concatenate([fn(U[i:i + _BLOCK])
+                                             for i in range(0, len(U), _BLOCK)])))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:

@@ -176,13 +176,20 @@ def _split_step(cfg: SolverConfig, u: np.ndarray, react, symbol: np.ndarray) -> 
         u <- irfftn(rfftn(react(k, u)) * symbol),
 
     stopped by the overflow guard.  Snapshots are taken at
-    cfg.snapshot_steps."""
+    cfg.snapshot_steps.  u is the loop's own buffer, which react may
+    overwrite: each step transforms into one spectrum buffer and back into u,
+    in the axis order of numpy's irfftn."""
     snaps = cfg.snapshot_steps
-    axes = tuple(range(u.ndim))
+    spec = np.empty(symbol.shape, dtype=complex)
     times, fields = [], []
     for k in range(cfg.n_steps):
-        u = np.fft.irfftn(np.fft.rfftn(react(k, u)) * symbol, s=u.shape, axes=axes)
-        if not np.all(np.abs(u) < _GUARD):
+        np.fft.rfftn(react(k, u), out=spec)
+        np.multiply(spec, symbol, out=spec)
+        for axis in range(u.ndim - 1):
+            np.fft.ifft(spec, axis=axis, out=spec)
+        np.fft.irfft(spec, n=u.shape[-1], out=u)
+        # |u| < _GUARD everywhere, and False for a NaN, without an |u| array
+        if not (u.max() < _GUARD and u.min() > -_GUARD):
             raise BlowUpError((k + 1) * cfg.dt)
         if (k + 1) in snaps:
             times.append((k + 1) * cfg.dt)
@@ -200,6 +207,18 @@ def _time_slices(cfg: SolverConfig, values: np.ndarray):
     return lambda k: values[min(int(k * ratio + 1e-9), cfg.grid.M - 1)]
 
 
+def _fast_len(n: int) -> int:
+    """The least 5-smooth integer (2^a 3^b 5^c) at or above n."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 def _realisation(grid: Grid, kind: str, seed: int, eps_max: float):
     """One seed's white noise on the box, [0, T) for space-time noise (the
     values of sample_white_noise(grid, kind, seed)), and the map eps ->
@@ -215,10 +234,8 @@ def _realisation(grid: Grid, kind: str, seed: int, eps_max: float):
     if kind == "spatial":
         noise, dt, box = sample_white_noise(grid, kind, seed=seed).values, None, slice(None)
     else:
-        from scipy.fft import next_fast_len
-
         pad, space = int(np.ceil(eps_max ** 2 / grid.dt)) + 1, grid.space_shape()
-        noise = np.zeros((next_fast_len(grid.M + 2 * pad, real=True),) + space)
+        noise = np.zeros((_fast_len(grid.M + 2 * pad),) + space)
         _generator(seed).standard_normal(out=noise[:grid.M + pad])
         noise[-pad:] = _generator(seed, 1).standard_normal((pad,) + space)[::-1]
         noise /= np.sqrt(grid.dx ** grid.d * grid.dt)
@@ -244,7 +261,7 @@ def solve_renormalised(cfg: SolverConfig, xi_eps: Field = None) -> Trajectory:
     xi = xi_eps if xi_eps is not None else mollified_noise(cfg)
     if xi.kind == "spatial":
         factor = np.exp(cfg.dt * (xi.values - cfg.C_eps))
-        react = lambda k, u: u * factor
+        react = lambda k, u: np.multiply(u, factor, out=u)
     else:
         xi_k = _time_slices(cfg, xi.values)
         react = lambda k, u: u * np.exp(cfg.dt * (xi_k(k) - cfg.C_eps))

@@ -472,14 +472,15 @@ def test_threads_only_where_read(tmp_path, argv, accepted):
 def test_analysis_outputs_independent_of_blas_threads(tmp_path):
     # the dyadic correlations are matrix-vector products that may go through
     # BLAS: noise regularity and reconstruct write the same bytes with one
-    # and with two BLAS threads; the lift's noise symbols make reconstruct
-    # run the forward transforms of xi and xi Phi
+    # and with two BLAS threads; the lift carries all six symbols, so
+    # reconstruct runs the forward transforms of Phi, xi and xi Phi
     from mshe.reconstruct import ModelledDistribution, write_modelled
 
     g = Grid(d=1, L=2.0, N=64, T=1.0, M=1024)
     xx = np.broadcast_to(g.xs, (g.M, g.N))
     write_modelled(tmp_path / "lift.shef", ModelledDistribution(
         grid=g, coeffs={"1": np.sin(np.pi * xx), "X": np.pi * np.cos(np.pi * xx),
+                        "I(Xi)": 0.25 * np.cos(np.pi * xx), "Xi": 0.5 * np.cos(np.pi * xx),
                         "X*Xi": 0.5 * np.sin(np.pi * xx), "Xi*I(Xi)": np.cos(np.pi * xx)}))
     cmds = {"reg": ["noise", "regularity", "--d", "1", "--grid", "128,1024,2,1",
                     "--seeds", "2", "--nmax", "4"],
@@ -506,8 +507,8 @@ def test_analysis_outputs_independent_of_blas_threads(tmp_path):
 
 
 def test_analysis_commands_leave_renorm_unimported(tmp_path):
-    # noise regularity and reconstruct never load mshe.renorm, whose
-    # scipy.stats import would add its seconds to every analysis run
+    # noise regularity and reconstruct never load mshe.renorm: its QMC
+    # constants are no part of an analysis run
     script = f"""
 import sys
 from mshe.cli import _build_parser, main
@@ -661,3 +662,30 @@ def test_besov_norm_sup_exponent(tmp_path):
     code, out3 = run_cli(["besov", "norm", "--config", str(out2 / "resolved-config.txt")],
                          tmp_path, "r")
     assert code == 0 and (out3 / "besov-norm.csv").read_text() == csv_text
+
+
+def test_equation_commands_import_no_scipy(tmp_path):
+    # scipy is a test dependency only: importing it would put about 0.8 s of
+    # set-up before every renorm, solve and converge run
+    out = str(tmp_path)
+    script = f"""
+import sys
+from mshe.cli import main
+
+runs = [["renorm", "--equation", "pam3d", "--eps", "0.5", "--samples", "1024"],
+        ["renorm", "--equation", "she1d", "--eps", "0.5", "--samples", "1024"],
+        ["converge", "--equation", "she1d", "--ito", "--eps-list", "0.5", "0.25",
+         "--grid", "64,512,4,0.125", "--seeds", "1", "--samples", "1024"],
+        ["converge", "--equation", "pam3d", "--eps-list", "0.5", "0.25",
+         "--grid", "16,0,2,0.1", "--seeds", "1", "--samples", "1024"]]
+for i, argv in enumerate(runs):
+    assert main(argv + ["--out", {out!r} + f"/{{i}}"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_PARENT,
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

@@ -304,6 +304,28 @@ def test_modelled_roundtrip(tmp_path, setup):
     assert np.all(h.get("Xi") == 0.0)
 
 
+@pytest.mark.parametrize("syms", [SYMBOLS[:2], SYMBOLS[:3], SYMBOLS[:4], SYMBOLS],
+                         ids=["2", "3", "4", "6"])
+def test_modelled_roundtrip_any_symbol_count(tmp_path, syms):
+    # the carrier's channels are padded with zero blocks to a power of two;
+    # 1, 2 and 4 channels are stored as they are
+    from mshe.noise import read_field
+
+    g = Grid(d=1, L=1.0, N=32, T=0.25, M=64)
+    rng = np.random.default_rng(3)
+    f = ModelledDistribution(grid=g, coeffs={s: rng.standard_normal((g.M, g.N)) for s in syms})
+    path = tmp_path / "f.shef"
+    write_modelled(path, f)
+    h = read_modelled(path)
+    assert list(h.coeffs) == list(syms) and h.grid == g
+    assert all(np.array_equal(h.coeffs[s], f.coeffs[s]) for s in syms)
+    carrier = read_field(path).values
+    blocks = {2: 2, 3: 4, 4: 4, 6: 8}[len(syms)]
+    assert carrier.shape == (blocks * g.M, g.N)
+    assert np.array_equal(carrier[:len(syms) * g.M], np.concatenate(list(f.coeffs.values())))
+    assert not carrier[len(syms) * g.M:].any()
+
+
 def test_reconstruct_norms_independent_of_layout(setup, monkeypatch):
     # the same level values, C- or Fortran-ordered, give the same deltas and
     # the same sewing norms bit for bit

@@ -10,7 +10,7 @@ from mshe.renorm import (
     pam_green,
     she_green,
 )
-from mshe.renorm import _pam_shells, _qmc_mean, _quadrature, _sample_rho2
+from mshe.renorm import _EXP_M2, _ndtri, _pam_shells, _qmc_mean, _quadrature, _sample_rho2, _sobol
 
 
 def _moll(eps):
@@ -259,3 +259,46 @@ def test_constants_only_for_their_equations():
         compute_constants("pam2d", 0.1)
     with pytest.raises(ValueError, match="unknown equation"):
         compute_constants("kpz", 0.1)
+
+
+@pytest.mark.parametrize("d", [1, 6, 9])
+def test_sobol_matches_scipy(d):
+    # the scrambled Sobol points of scipy's engine, bit for bit, at the
+    # dimensions the constants use (pam3d 9, she1d 6) and at 64-bit seeds
+    qmc = pytest.importorskip("scipy.stats").qmc
+    for m in (5, 6, 10, 13):
+        for seed in (0, 123456789, 2 ** 63 + 5, 2 ** 64 - 1):
+            want = qmc.Sobol(d=d, scramble=True, seed=seed).random_base2(m=m)
+            assert np.array_equal(_sobol(d, m, seed), want), (m, seed)
+
+
+def test_sobol_refuses_untabulated_dimensions():
+    with pytest.raises(ValueError, match="up to 9 dimensions, got 10"):
+        _sobol(10, 4, 0)
+
+
+def test_ndtri_matches_scipy():
+    # cephes' three branches: the centre, the near tail (x < 8) and the far
+    # tail (x >= 8, which the clip bound 1e-15 reaches), on both sides
+    ndtri = pytest.importorskip("scipy.special").ndtri
+    rng = np.random.default_rng(5)
+    edges = [1e-15, 1 - 1e-15, _EXP_M2, 1 - _EXP_M2, 0.5, 1e-300]
+    edges += [np.nextafter(e, to) for e in (_EXP_M2, 1 - _EXP_M2) for to in (0.0, 1.0)]
+    tail = np.exp(-rng.uniform(0.0, 36.0, 1 << 16))
+    far = 10.0 ** -rng.uniform(13.0, 15.0, 4096)
+    p = np.concatenate([rng.random(1 << 18), tail, 1.0 - tail, far, 1.0 - far, edges])
+    x = np.sqrt(-2.0 * np.log(np.minimum(p, 1.0 - p)))
+    for side in (p < 0.5, p > 0.5):
+        assert np.any(side & (x >= 8.0)) and np.any(side & (x < 8.0) & (x > 2.0))
+    assert np.array_equal(_ndtri(p), ndtri(p))
+
+
+def test_qmc_blocks_leave_the_mean_unchanged(monkeypatch):
+    # fn maps rows independently, so mapping a replicate's points in row
+    # blocks gives the mean of one call on all of them, bit for bit
+    m, green = _moll(0.1), pam_green()
+    a = c11_eps(m, green, n_samples=1 << 15, seed=4)
+    b = c12_eps(m, she_green(), n_samples=1 << 15, seed=4)
+    monkeypatch.setattr("mshe.renorm._BLOCK", 1 << 20)
+    assert c11_eps(m, green, n_samples=1 << 15, seed=4) == a
+    assert c12_eps(m, she_green(), n_samples=1 << 15, seed=4) == b

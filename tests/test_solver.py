@@ -19,6 +19,7 @@ from mshe.solver import (
     weighted_distance,
     weighted_norm_diag,
 )
+from mshe.solver import _fast_len, _heat_symbol
 
 
 def _zero_noise(grid, kind):
@@ -370,3 +371,42 @@ def test_mollified_noise_reaches_past_the_time_edges():
     w = int(np.ceil(cfg.eps ** 2 / g.dt))
     assert rows[w:g.M - w].max() < 1e-9
     assert np.all(rows[:w // 2] > 1e-3)
+
+
+def test_fast_len_matches_scipy():
+    for n in range(1, 5001):
+        assert _fast_len(n) == next_fast_len(n, real=True), n
+
+
+@pytest.mark.parametrize("equation,grid", [
+    ("pam3d", Grid(d=3, L=2.0, N=16)),
+    ("she1d", Grid(d=1, L=4.0, N=128, T=0.05, M=256)),
+])
+def test_step_loop_matches_numpy_irfftn(equation, grid):
+    # the step that reuses its buffers is, bit for bit, the one that
+    # allocates: u <- irfftn(rfftn(u e^{dt (xi - C)}) * symbol)
+    cfg = SolverConfig(equation=equation, grid=grid, eps=4 * grid.dx, C_eps=0.3,
+                       u0="dirac", T=0.02, snapshots=1, seed=2)
+    xi = mollified_noise(cfg)
+    u = np.zeros(grid.space_shape())
+    u[(grid.N // 2,) * grid.d] = grid.dx ** -grid.d
+    symbol = _heat_symbol(grid, cfg.dt)
+    for k in range(cfg.n_steps):
+        row = xi.values if xi.kind == "spatial" else xi.values[int(k * (cfg.dt / grid.dt) + 1e-9)]
+        u = np.fft.irfftn(np.fft.rfftn(u * np.exp(cfg.dt * (row - cfg.C_eps))) * symbol,
+                          s=u.shape, axes=tuple(range(grid.d)))
+    assert np.array_equal(solve_renormalised(cfg, xi_eps=xi).fields[-1], u)
+
+
+def test_solve_leaves_u0_alone_and_snapshots_are_copies():
+    g = Grid(d=3, L=2.0, N=16)
+    u0 = np.random.default_rng(1).random(g.space_shape())
+    kept = u0.copy()
+    cfg = SolverConfig(equation="pam3d", grid=g, eps=4 * g.dx, C_eps=0.3, u0=u0,
+                       T=0.02, snapshots=3)
+    traj = solve_renormalised(cfg)
+    assert np.array_equal(u0, kept) and cfg.u0 is u0
+    assert len({id(f) for f in traj.fields}) == 3
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(traj.fields)
+                   for b in traj.fields[i + 1:])
+    assert not any(np.array_equal(a, b) for a, b in zip(traj.fields, traj.fields[1:]))
