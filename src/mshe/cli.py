@@ -264,11 +264,14 @@ def cmd_reconstruct(args, outdir: Path):
     from .kernel import decompose
     from .noise import Mollifier, mollify, sample_white_noise, write_field, Field
     from .reconstruct import canonical_model, read_modelled, reconstruct, sewing_check
-    from .wavelet import build_family
+    from .wavelet import build_family, level_range
 
+    if len(level_range(args.nmin, args.nmax)) < 4:
+        raise ValueError(f"the sewing check needs at least 4 levels, got --nmin {args.nmin} "
+                         f"and --nmax {args.nmax}")
+    basis = build_family(args.family)
     f = read_modelled(args.input)
     g = f.grid
-    basis = build_family(args.family)
     dec = decompose(1, 3)
     xi = mollify(sample_white_noise(g, "spacetime", seed=args.seed),
                  Mollifier(epsilon=args.eps))

@@ -52,6 +52,8 @@ class Grid:
     M: int = 0
 
     def __post_init__(self):
+        if self.d not in (1, 2, 3):
+            raise ValueError(f"d must be 1, 2 or 3, got {self.d}")
         if self.N < 1 or self.N & (self.N - 1):
             raise ValueError(f"N must be a power of two, got {self.N}")
         if self.M < 0 or self.M & (self.M - 1):
@@ -315,18 +317,12 @@ def estimate_regularity(fld: Field, basis, n_min: int = 1, n_max: int = None) ->
     slope, where |s| is 2 + d for space-time fields and d for spatial ones.
     """
     from . import besov
-    from .wavelet import analyze
+    from .wavelet import analyze, finest_level
 
     g = fld.grid
-    if fld.kind == "spacetime":
-        if n_max is None:
-            n_max = int(np.log2(min(2 ** -2 * g.N / g.L, np.sqrt(g.M / g.T) / 2)))
-        s_half = (2 + g.d) / 2.0
-    else:
-        if n_max is None:
-            n_max = int(np.log2(g.N / g.L / 4))
-        s_half = g.d / 2.0
-    pyr = analyze(fld, basis, n_min, n_max)
+    dt = g.dt if fld.kind == "spacetime" else None
+    s_half = (2 + g.d if dt is not None else g.d) / 2.0
+    pyr = analyze(fld, basis, n_min, finest_level(g.dx, dt) if n_max is None else n_max)
     levels = sorted(pyr.levels)
     if len(levels) < 4:
         raise ValueError(f"need at least 4 usable levels, got {len(levels)}")

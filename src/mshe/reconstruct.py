@@ -35,7 +35,7 @@ import numpy as np
 from .noise import Field, Grid, exp_bump
 from .besov import row_aggregate
 from .structure import StructureParams, build_structure
-from .wavelet import LevelTransform, WaveletBasis, correlate_axis
+from .wavelet import LevelTransform, WaveletBasis, correlate_axis, level_range, step_filters
 
 __all__ = [
     "SYMBOLS",
@@ -211,19 +211,12 @@ def _level_A(f: ModelledDistribution, model: Model, basis: WaveletBasis,
     return A
 
 
-def _refine_coeffs(basis: WaveletBasis):
-    c = basis.refine_coeffs
-    cc = np.zeros(3 * (c.size - 1) + 1)
-    for k, ck in enumerate(c):
-        cc[2 * k:2 * k + c.size] += ck * c
-    return cc / 2.0, c / np.sqrt(2.0)  # time (double-refined), space
-
-
 def _delta_A(A_n: np.ndarray, A_n1: np.ndarray, basis: WaveletBasis) -> np.ndarray:
-    """delta A^n_{t,x} = sum_k a_k A^{n+1}_{(t,x) + k 2^-(n+1)} - A^n_{t,x}."""
-    a_t, a_x = _refine_coeffs(basis)
-    rows = correlate_axis(A_n1, 0, a_t, np.arange(a_t.size), 4)
-    return correlate_axis(rows, 1, a_x, np.arange(a_x.size), 2) - A_n
+    """delta A^n_{t,x} = sum_k a_k A^{n+1}_{(t,x) + k 2^-(n+1)} - A^n_{t,x}: the
+    low-pass half of the analysis step, twice in time and once in space."""
+    low = step_filters(basis)[0]
+    rows = correlate_axis(correlate_axis(A_n1, 0, *low, 2), 0, *low, 2)
+    return correlate_axis(rows, 1, *low, 2) - A_n
 
 
 def reconstruct(f: ModelledDistribution, model: Model, basis: WaveletBasis,
@@ -235,7 +228,7 @@ def reconstruct(f: ModelledDistribution, model: Model, basis: WaveletBasis,
     """
     g = model.grid
     levels, outputs = {}, {}
-    for n in range(n_min, n_max + 1):
+    for n in level_range(n_min, n_max):
         levels[n] = A = _level_A(f, model, basis, n)
         outputs[n] = LevelTransform(basis, n, g.dx, g.dt).adjoint(A, ("phi", "phi"),
                                                                   (g.M, g.N))

@@ -6,8 +6,8 @@ interpolation in between).  Quantities that must hold to near machine
 precision -- inner products of integer translates, moments, refinement
 residuals -- are evaluated through the two-scale algebra rather than by grid
 quadrature, since grid quadrature of a C^alpha scaling function cannot reach
-1e-9.  Field transforms (the ``analyze`` quadrature against rescaled wavelets)
-stay on the field's grid.
+1e-9.  ``analyze`` projects a field onto one level on its grid and descends
+with the refinement filter (the Mallat pyramid).
 
 Space-time rescaling is parabolic: the time factor of phi^n_{(t,x)} is
 2^n phi(2^{2n}(s-t)) and each space factor 2^{n/2} phi(2^n(y_i-x_i)), which
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -37,13 +36,12 @@ __all__ = [
 ]
 
 # Hoelder regularity of the Daubechies-N scaling functions (N = vanishing
-# moments).  Values for N <= 10 are the classically tabulated ones; beyond
-# that the ~0.31 per-step increment is used, which is accurate enough for
-# family selection.
+# moments) that build_family accepts: from N = 15 on the factorization loses
+# orthonormality in double precision.  Values for N <= 10 are the classical
+# ones; beyond that the ~0.31 per-step increment is enough for selection.
 _DB_REGULARITY = {
-    1: 0.0, 2: 0.550, 3: 1.088, 4: 1.618, 5: 1.969, 6: 2.189, 7: 2.460,
-    8: 2.761, 9: 3.074, 10: 3.384, 11: 3.693, 12: 4.001, 13: 4.310,
-    14: 4.618, 15: 4.926, 16: 5.235, 17: 5.543, 18: 5.852,
+    2: 0.550, 3: 1.088, 4: 1.618, 5: 1.969, 6: 2.189, 7: 2.460, 8: 2.761,
+    9: 3.074, 10: 3.384, 11: 3.693, 12: 4.001, 13: 4.310, 14: 4.618,
 }
 
 
@@ -54,8 +52,6 @@ def daubechies_coefficients(N: int) -> np.ndarray:
     Computed by spectral factorization of the halfband polynomial; the
     minimal-phase root selection gives the standard extremal-phase family.
     """
-    if N == 1:
-        return np.array([1.0, 1.0])
     # P(y) = sum_{k<N} binom(N-1+k, k) y^k with y = sin^2(xi/2)
     P = [math.comb(N - 1 + k, k) for k in range(N)]
     # substitute y = (2 - z - 1/z)/4 and clear z^-(N-1): a polynomial of
@@ -222,11 +218,11 @@ class WaveletBasis:
 def build_basis(r: int) -> WaveletBasis:
     """Minimal Daubechies family with regularity above r, tabulated to 2^-12.
 
-    Requires r in {1,...,5}; the selected family also has N >= r + 1
+    Requires r in {1,...,4}; the selected family also has N >= r + 1
     vanishing moments so that psi annihilates polynomials of degree <= r.
     """
-    if r not in (1, 2, 3, 4, 5):
-        raise ValueError(f"unsupported regularity order r={r}; need r in 1..5")
+    if r not in (1, 2, 3, 4):
+        raise ValueError(f"unsupported regularity order r={r}; need r in 1..4")
     N = min(n for n, reg in _DB_REGULARITY.items() if reg > r and n >= r + 1)
     return build_family(N)
 
@@ -237,6 +233,8 @@ def build_family(N: int) -> WaveletBasis:
     The small-support families (N = 2, 3) matter for reconstruction, where
     the one-sided evaluation shift grows like the squared support diameter.
     """
+    if N not in _DB_REGULARITY:
+        raise ValueError(f"no Daubechies-{N} family: need N in 2..14")
     c = daubechies_coefficients(N)
     depth = 12
     phi = _Table(_cascade(c, depth), lo=0.0, depth=depth)
@@ -328,21 +326,22 @@ _TIME_CODES = {
 }
 
 
-def _axis_taps(basis: WaveletBasis, kind: str, scale_pow: int, h: float, amp: float):
-    """Factor samples kind(2^scale_pow * (j*h)) with amplitude amp.
-
-    Returns (taps, offs): tap m sits at grid offset offs[m] relative to the
-    lattice point.
-    """
-    tab = basis.phi if kind == "phi" else basis.psi
+def _axis_taps(basis: WaveletBasis, scale_pow: int, h: float, amp: float):
+    """Samples amp * phi(2^scale_pow * j*h) at the grid offsets j = 0, 1, ...
+    that cover supp phi, as (taps, offs)."""
     scale = 2.0 ** scale_pow
-    lo = tab.lo / scale
-    hi = (tab.lo + basis.support) / scale
-    i0 = int(np.floor(lo / h))
-    i1 = int(np.ceil(hi / h))
-    offs = np.arange(i0, i1 + 1)
-    taps = amp * tab(scale * offs * h)
-    return taps, offs
+    offs = np.arange(int(np.ceil(basis.support / scale / h)) + 1)
+    return amp * basis.phi(scale * offs * h), offs
+
+
+def step_filters(basis: WaveletBasis):
+    """(taps, offs) of the low- and high-pass halves of one dyadic step: at
+    stride 2 along one axis they take the phi coefficients of scale 2^(m+1) to
+    the phi and psi ones of scale 2^m, by phi = sum_k c_k phi(2. - k) and
+    psi = sum_k (-1)^(1-k) c_k phi(2. - 1 + k)."""
+    c = basis.refine_coeffs / np.sqrt(2.0)
+    k = np.arange(c.size)
+    return (c, k), ((-1.0) ** (1 - k) * c, 1 - k)
 
 
 def correlate_axis(arr: np.ndarray, axis: int, taps: np.ndarray, offs: np.ndarray,
@@ -399,11 +398,11 @@ class LevelTransform:
     """The separable level-n transform between a periodic grid field and the
     lattice Lambda_n.
 
-    A combo names one factor code per array axis.  With dt given, axis 0 is
-    time and takes the codes of ``_TIME_CODES``; every other axis is space
-    and takes 'phi', 'psi', or 'disp': phi times the displacement y - x from
-    the lattice point.  ``forward`` samples <values, factor> on Lambda_n
-    without the cell volume; ``adjoint`` is its transpose.
+    A combo names one factor code per array axis: 'phi' on every axis, or on
+    a space axis 'disp', phi times the displacement y - x from the lattice
+    point (with dt given, axis 0 is time).  ``forward`` samples
+    <values, factor> on Lambda_n without the cell volume; ``adjoint`` is its
+    transpose.
     """
 
     def __init__(self, basis: WaveletBasis, n: int, dx: float, dt: float = None):
@@ -412,16 +411,14 @@ class LevelTransform:
         self.stride_x = _int_stride(2.0 ** -n / dx, "space")
 
     def _factor(self, axis: int, code: str):
-        """(taps, offs, stride) of one axis factor; offs include the lattice
-        offset of the time code."""
-        n = self.n
-        if axis == 0 and self.dt is not None:
-            kind, extra, off_half, amp_pow = _TIME_CODES[code]
-            taps, offs = _axis_taps(self.basis, kind, 2 * n + extra, self.dt,
-                                    2.0 ** (n + amp_pow))
-            return taps, offs + off_half * self.stride_t // 2, self.stride_t
-        kind = "phi" if code == "disp" else code
-        taps, offs = _axis_taps(self.basis, kind, n, self.dx, 2.0 ** (n / 2.0))
+        """(taps, offs, stride) of one axis factor."""
+        n, time = self.n, axis == 0 and self.dt is not None
+        if code not in (("phi",) if time else ("phi", "disp")):
+            raise ValueError(f"no level-transform factor {code!r} on the "
+                             f"{'time' if time else 'space'} axis")
+        if time:
+            return (*_axis_taps(self.basis, 2 * n, self.dt, 2.0 ** n), self.stride_t)
+        taps, offs = _axis_taps(self.basis, n, self.dx, 2.0 ** (n / 2.0))
         if code == "disp":
             taps = taps * (offs * self.dx)
         return taps, offs, self.stride_x
@@ -447,39 +444,41 @@ class LevelTransform:
         return coeffs
 
 
+def finest_level(dx: float, dt) -> int:
+    """The finest level n whose lattice steps are 4 grid steps or more:
+    2^-n >= 4 dx and, unless dt is None, 4^-n >= 4 dt."""
+    n = math.floor(-math.log2(4 * dx) + 1e-9)
+    return n if dt is None else min(n, math.floor(-math.log2(4 * dt) / 2 + 1e-9))
+
+
 def _check_resolution(dx: float, dt, n_max: int):
-    if 2.0 ** -n_max / dx < 4 - 1e-9:
-        raise ValueError(
-            f"resolution too coarse: need dx <= {2.0 ** -n_max / 4:.4g} "
-            f"(4x finer than level {n_max}), got dx = {dx:.4g}")
-    if dt is not None and 4.0 ** -n_max / dt < 4 - 1e-9:
-        raise ValueError(
-            f"resolution too coarse: need dt <= {4.0 ** -n_max / 4:.4g} "
-            f"(4x finer than level {n_max}), got dt = {dt:.4g}")
+    if n_max > finest_level(dx, dt):
+        steps = [("dx", dx, 2.0 ** -n_max)] + [("dt", dt, 4.0 ** -n_max)] * (dt is not None)
+        raise ValueError(f"resolution too coarse: level {n_max} needs " + " and ".join(
+            f"{w} <= {step / 4:.4g} (got {h:.4g})" for w, h, step in steps))
 
 
-def _space_combos(d: int) -> list:
-    """The 2^d phi/psi codes of d space axes, the first axis varying fastest."""
-    return [c[::-1] for c in product(("phi", "psi"), repeat=d)]
-
-
-def spacetime_combos(d: int):
-    """The set Psi for the parabolic tensor construction at one level:
-    time code x space codes, minus the all-phi scaling combination."""
-    return [(t,) + sc for t in _TIME_CODES for sc in _space_combos(d)
-            if t != "phi" or "psi" in sc]
+def level_range(n_min: int, n_max: int) -> range:
+    """The levels n_min..n_max; an empty range is refused."""
+    if n_min > n_max:
+        raise ValueError(f"no levels from n_min = {n_min} to n_max = {n_max}")
+    return range(n_min, n_max + 1)
 
 
 def analyze(fld, basis: WaveletBasis, n_min: int, n_max: int) -> CoeffPyramid:
     """Wavelet coefficients of a ``noise.Field`` on its periodic box.
 
     A space-time field (time axis first, covering [0,T) x [-L/2,L/2)^d) is
-    analysed by the parabolic combinations of ``spacetime_combos``, a spatial
-    one by the isotropic d-dimensional ones.  Values sit at cell corners;
-    inner products are Riemann sums on the field's grid with periodic wrap.
+    analysed by the parabolic combinations, time code x phi/psi per space
+    axis minus all-phi (time slowest, the first space axis fastest), a
+    spatial one by the isotropic d-dimensional ones.  Values sit at cell
+    corners.  The level-(n_max + 1) all-phi coefficients are Riemann sums on
+    the grid with periodic wrap; each level's follow from those above by the
+    ``step_filters`` step, once per space axis and twice in time.
     """
     g = fld.grid
     dt = g.dt if fld.kind == "spacetime" else None
+    levels = level_range(n_min, n_max)
     _check_resolution(g.dx, dt, n_max)
     cells = [g.L * 2.0 ** n_min] + ([g.T * 4.0 ** n_min] if dt is not None else [])
     if min(cells) < 1 or any(c % 1 for c in cells):
@@ -487,16 +486,24 @@ def analyze(fld, basis: WaveletBasis, n_min: int, n_max: int) -> CoeffPyramid:
         how = "has no point on" if min(cells) < 1 else "does not tile"
         raise ValueError(f"the level-{n_min} lattice {how} the box {box}: n_min needs "
                          "L 2^n_min (and T 4^n_min in time) whole and at least 1")
-    if dt is None:
-        combos, cell = [c for c in _space_combos(g.d) if "psi" in c], g.dx ** g.d
-    else:
-        combos, cell = spacetime_combos(g.d), dt * g.dx ** g.d
-    pyr = CoeffPyramid(d=g.d, L=g.L, n_min=n_min, spacetime=dt is not None)
-    all_phi = ("phi",) * fld.values.ndim
-    for n in range(n_min, n_max + 1):
-        coeffs = LevelTransform(basis, n, g.dx, dt).forward(
-            fld.values, combos + [all_phi] * (n == n_min))
-        pyr.levels[n] = {c: coeffs[c] * cell for c in combos}
-        if n == n_min:
-            pyr.phi_level = coeffs[all_phi] * cell
-    return pyr
+    all_phi, filters, coeffs = ("phi",) * fld.values.ndim, step_filters(basis), {}
+    phi = LevelTransform(basis, n_max + 1, g.dx, dt).forward(fld.values, [all_phi])[all_phi]
+    phi = phi * (g.dx ** g.d * (1.0 if dt is None else dt))  # the cell volume
+
+    def split(a, axis):  # [low, high] halves of one step
+        return [correlate_axis(a, axis, *f, 2) for f in filters]
+
+    for n in reversed(levels):
+        parts = {(): phi}
+        for axis in range(fld.values.ndim - g.d, fld.values.ndim):
+            halves = {p: split(a, axis) for p, a in parts.items()}
+            parts = {p + (code,): halves[p][i] for i, code in enumerate(("phi", "psi"))
+                     for p in parts}
+        if dt is not None:
+            # the first time step's high-pass rows are psi1a, psi1b in turn
+            steps = {p: split(a, 0) for p, a in parts.items()}
+            times = {p: split(lo, 0) + [hi[0::2], hi[1::2]] for p, (lo, hi) in steps.items()}
+            parts = {(t,) + p: times[p][i] for i, t in enumerate(_TIME_CODES) for p in parts}
+        phi, coeffs[n] = parts.pop(all_phi), parts
+    return CoeffPyramid(d=g.d, L=g.L, n_min=n_min, spacetime=dt is not None,
+                        levels={n: coeffs[n] for n in levels}, phi_level=phi)

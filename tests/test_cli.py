@@ -568,6 +568,7 @@ def test_structure_table_is_canonical_past_one_twelfth(tmp_path, d):
 _BESOV_NORM = ["besov", "norm", "--input", "never-read.shef", "--alpha", "-1.7"]
 _SOLVE = ["solve", "--equation", "she1d", "--eps", "0.25", "--ceps", "0",
           "--grid", "64,64,4,0.25"]
+_RECONSTRUCT = ["reconstruct", "--input", "never-read.shef"]
 _CONVERGE = ["converge", "--equation", "she1d", "--eps-list", "0.4", "0.2",
              "--grid", "64,512,4,0.25", "--seeds", "1", "--samples", "1024"]
 
@@ -599,12 +600,25 @@ _CONVERGE = ["converge", "--equation", "she1d", "--eps-list", "0.4", "0.2",
     (_CONVERGE + ["--dt", "-0.001"], "dt must be finite and positive, got -0.001"),
     (["noise", "regularity", "--d", "1", "--grid", "512,1024,3.2,0.25", "--seeds", "2",
       "--nmax", "5"], "level-1 lattice does not tile the box L = 3.2, T = 0.25"),
+    (["noise", "regularity", "--d", "1", "--grid", "64,256,1,1", "--seeds", "2",
+      "--nmin", "5", "--nmax", "2"], "no levels from n_min = 5 to n_max = 2"),
+    (["noise", "sample", "--d", "0", "--grid", "64,64,4,1"], "d must be 1, 2 or 3, got 0"),
+    (["noise", "sample", "--d", "4", "--grid", "4,4,4,1"], "d must be 1, 2 or 3, got 4"),
+    (["wavelet", "selftest", "--r", "5"], "need r in 1..4"),
+    (_RECONSTRUCT + ["--family", "0"], "no Daubechies-0 family: need N in 2..14"),
+    (_RECONSTRUCT + ["--family", "1"], "no Daubechies-1 family: need N in 2..14"),
+    (_RECONSTRUCT + ["--family", "15"], "no Daubechies-15 family: need N in 2..14"),
+    (_RECONSTRUCT + ["--nmin", "5", "--nmax", "3"], "no levels from n_min = 5 to n_max = 3"),
+    (_RECONSTRUCT + ["--nmin", "3", "--nmax", "5"],
+     "the sewing check needs at least 4 levels, got --nmin 3 and --nmax 5"),
 ], ids=["grid-N-zero", "grid-T-zero", "grid-T-negative", "grid-L-zero", "grid-L-inf",
         "checkw-T-negative", "checkw-T-zero", "kernel-points-zero", "renorm-pam2d",
         "besov-p-zero", "besov-p-half", "besov-p-minus-inf", "besov-weight-exp-nan",
         "besov-weight-poly-inf", "besov-weight-unknown", "solve-T-zero", "solve-T-negative",
         "converge-T-zero", "converge-dt-zero", "converge-dt-negative",
-        "regularity-box-not-tiled"])
+        "regularity-box-not-tiled", "regularity-no-levels", "sample-d-zero", "sample-d-four",
+        "selftest-r-five", "reconstruct-family-zero", "reconstruct-family-haar",
+        "reconstruct-family-fifteen", "reconstruct-no-levels", "reconstruct-three-levels"])
 def test_degenerate_inputs_rejected(tmp_path, capsys, argv, match):
     # a zero-sized or empty box, an empty time window and an empty sample
     # exit 1 with a message: not a traceback, a numpy warning or a report
@@ -612,11 +626,37 @@ def test_degenerate_inputs_rejected(tmp_path, capsys, argv, match):
     # p < 1 (it divided by zero at p = 0) and a weight parameter that is not
     # finite (it gave a nan norm), before the input is read; a run time or
     # step that is not finite and positive is refused by name, and so is a box
-    # that the coarsest lattice does not tile (L 2^n_min = 6.4 cells)
+    # that the coarsest lattice does not tile (L 2^n_min = 6.4 cells), a grid
+    # dimension outside 1..3, an empty level range, and a wavelet family that
+    # cannot be built; reconstruct checks its levels and family before it reads
+    # the input or draws any noise
     code, out = run_cli(argv, tmp_path, "bad")
     assert code == 1
     assert match in capsys.readouterr().err
     assert not list(out.glob("*.csv")) and not list(out.glob("*.shef"))
+
+
+def test_field_commands_refuse_a_bad_level_range_or_dimension(tmp_path, capsys):
+    # besov norm reads its field first: an empty level range is refused by
+    # analyze, and a field file of dimension 0 (which noise sample wrote
+    # before Grid checked d) by read_field, before mollify or a norm runs
+    code, out = run_cli(["noise", "sample", "--d", "1", "--grid", "64,64,4,1"], tmp_path, "f")
+    assert code == 0
+    good = out / "noise.shef"
+    flat = tmp_path / "flat.shef"
+    flat.write_bytes(good.read_bytes()[:9] + bytes([0]) + good.read_bytes()[10:])
+    for i, (argv, match) in enumerate([
+            (["besov", "norm", "--input", str(good), "--alpha", "-1.7", "--nmin", "3",
+              "--nmax", "2"], "no levels from n_min = 3 to n_max = 2"),
+            (["besov", "norm", "--input", str(flat), "--alpha", "-1.7", "--nmin", "0",
+              "--nmax", "1"], "d must be 1, 2 or 3, got 0"),
+            (["noise", "mollify", "--input", str(flat), "--eps", "0.5"],
+             "d must be 1, 2 or 3, got 0")]):
+        capsys.readouterr()
+        code, bad = run_cli(argv, tmp_path, f"bad{i}")
+        assert code == 1
+        assert match in capsys.readouterr().err
+        assert not list(bad.glob("*.csv")) and not list(bad.glob("*.shef"))
 
 
 def _float_options(parser, path=()):

@@ -198,6 +198,8 @@ def test_field_file_roundtrip(tmp_path_factory, d, kind, log_n, log_m, L, T, see
     pytest.param(lambda b: b"SHEX" + b[4:], "not a field file", id="magic"),
     pytest.param(lambda b: b[:10] + (3).to_bytes(8, "little") + b[18:], "power of two",
                  id="grid"),
+    pytest.param(lambda b: b[:9] + bytes([0]) + b[10:], "d must be 1, 2 or 3, got 0",
+                 id="dimension"),
 ])
 def test_read_field_malformed(tmp_path, cut, match):
     # a damaged file raises ValueError naming the file and the fault
@@ -223,6 +225,7 @@ def test_field_shape_validation():
     (dict(M=-2), "M must be 0 or a power of two"), (dict(L=float("nan")), "L must be"),
     (dict(L=-1.0), "L must be"), (dict(T=-0.5, M=0), "T must be"),
     (dict(T=0.0), "positive when M > 0"), (dict(T=float("inf")), "T must be"),
+    (dict(d=0), "d must be 1, 2 or 3, got 0"), (dict(d=4), "d must be 1, 2 or 3, got 4"),
 ])
 def test_grid_rejects_degenerate_boxes(kw, match):
     with pytest.raises(ValueError, match=match):

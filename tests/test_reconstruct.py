@@ -387,7 +387,12 @@ def test_delta_A_explicit_double_sum(setup):
     basis = setup[0]
     rng = np.random.default_rng(5)
     A_n, A_n1 = rng.standard_normal((8, 6)), rng.standard_normal((32, 12))
-    a_t, a_x = rec._refine_coeffs(basis)
+    # the parabolic refinement: double-refined (c *_2 c)/2 in time, c/sqrt 2 in space
+    c = basis.refine_coeffs
+    a_t = np.zeros(3 * (c.size - 1) + 1)
+    for k, ck in enumerate(c):
+        a_t[2 * k:2 * k + c.size] += ck * c / 2.0
+    a_x = c / np.sqrt(2.0)
     want = -A_n
     for t in range(8):
         for x in range(6):
