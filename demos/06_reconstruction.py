@@ -11,16 +11,14 @@ stay bounded.
 
 import numpy as np
 
-from mshe.kernel import decompose
 from mshe.noise import Grid, Mollifier, mollify, sample_white_noise
 from mshe.reconstruct import ModelledDistribution, canonical_model, reconstruct, sewing_check
 from mshe.wavelet import build_family
 
 basis = build_family(2)
 g = Grid(d=1, L=2.0, N=256, T=2.0, M=16384)
-dec = decompose(1, 3)
 xi = mollify(sample_white_noise(g, "spacetime", seed=0), Mollifier(epsilon=0.25))
-model = canonical_model(xi, dec)
+model = canonical_model(xi)
 tt, xx = np.meshgrid(g.ts, g.xs, indexing="ij")
 
 print("1) smooth polynomial lift f = g 1 + g' X:")

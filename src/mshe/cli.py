@@ -261,21 +261,22 @@ def cmd_renorm(args, outdir: Path):
 
 
 def cmd_reconstruct(args, outdir: Path):
-    from .kernel import decompose
     from .noise import Mollifier, mollify, sample_white_noise, write_field, Field
     from .reconstruct import canonical_model, read_modelled, reconstruct, sewing_check
-    from .wavelet import build_family, level_range
+    from .wavelet import build_family, check_lattices, level_range
 
     if len(level_range(args.nmin, args.nmax)) < 4:
         raise ValueError(f"the sewing check needs at least 4 levels, got --nmin {args.nmin} "
                          f"and --nmax {args.nmax}")
     basis = build_family(args.family)
+    mollifier = Mollifier(epsilon=args.eps)
     f = read_modelled(args.input)
     g = f.grid
-    dec = decompose(1, 3)
-    xi = mollify(sample_white_noise(g, "spacetime", seed=args.seed),
-                 Mollifier(epsilon=args.eps))
-    model = canonical_model(xi, dec)
+    check_lattices(g, g.dt, args.nmin, args.nmax)
+    model = None
+    if f.reads_model:
+        model = canonical_model(mollify(sample_white_noise(g, "spacetime", seed=args.seed),
+                                        mollifier))
     res = reconstruct(f, model, basis, args.nmin, args.nmax)
     rep = sewing_check(res, alpha=args.alpha, gamma=f.gamma, p=f.p)
     write_field(outdir / "reconstructed.shef",
@@ -512,7 +513,7 @@ def main(argv=None) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     try:
         code = args.func(args, outdir)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (RuntimeError, FloatingPointError) as exc:

@@ -19,9 +19,11 @@ The reconstruction sequence is
 
 with the one-sided time shift t_dn = t - (7 M^2 + 1) 2^{-2n}, M the support
 diameter bound of the wavelet family.  Pairings are Riemann sums on the
-field's grid; every A^n reduces to level transforms of the base fields N Phi^c
-that the symbols present need (those of 1 are axis tap sums), so levels cost
-at most a handful of separable correlations plus ball averages along space.
+field's grid.  A^n reads the level-n transforms of the base fields N Phi^c
+that the symbols present need: each is projected once, at n_max, and
+descends through the low-pass half of ``step_filters`` as in
+``wavelet.analyze``; those of 1 are closed forms, so a lift of 1 and X reads
+no model.  R_n f rises to n_max by the transposed filter for one adjoint.
 """
 
 from __future__ import annotations
@@ -34,8 +36,10 @@ import numpy as np
 
 from .noise import Field, Grid, exp_bump
 from .besov import row_aggregate
+from .kernel import decompose
 from .structure import StructureParams, build_structure
-from .wavelet import LevelTransform, WaveletBasis, correlate_axis, level_range, step_filters
+from .wavelet import (LevelTransform, WaveletBasis, _adjoint_axis, check_lattices,
+                      correlate_axis, level_range, step_filters)
 
 __all__ = [
     "SYMBOLS",
@@ -127,7 +131,7 @@ class ModelledDistribution:
     def __post_init__(self):
         for s in self.coeffs:
             if s not in SYMBOLS:
-                raise KeyError(f"unknown symbol {s!r}")
+                raise ValueError(f"unknown symbol {s!r}; the symbols are {', '.join(SYMBOLS)}")
         shape = (self.grid.M, self.grid.N)
         for s, a in self.coeffs.items():
             if a.shape != shape:
@@ -137,24 +141,29 @@ class ModelledDistribution:
         z = self.coeffs.get(sym)
         return z if z is not None else np.zeros((self.grid.M, self.grid.N))
 
+    @property
+    def reads_model(self) -> bool:
+        """Whether a symbol has the factor Xi or a power of Phi in _FACTORS."""
+        return any(_FACTORS[s][0] == "Xi" or _FACTORS[s][2] for s in self.coeffs)
 
-def canonical_model(xi_eps: Field, dec, kappa: float = 0.05) -> Model:
+
+def canonical_model(xi_eps: Field) -> Model:
     """Lift a mollified noise field to the canonical model.
 
     Phi = P_+ * xi is computed by FFT on the periodic box with the exact
     telescoped closed form of P_+ (heat kernel localized to the unit
-    parabolic ball minus the moment correction), evaluated on a time column
-    and a space row that broadcast to the box.
+    parabolic ball minus the moment correction) of ``kernel.decompose(1, 3)``,
+    evaluated on a time column and a space row that broadcast to the box.
     """
     if xi_eps.kind != "spacetime" or xi_eps.grid.d != 1:
         raise ValueError("canonical_model expects a d=1 space-time field")
     g = xi_eps.grid
     toffs = np.fft.fftfreq(g.M, d=1.0 / g.M) * g.dt
     xoffs = np.fft.fftfreq(g.N, d=1.0 / g.N) * g.dx
-    kern = dec._gm(toffs[:, None], xoffs[None, :, None]) * g.dt * g.dx
+    kern = decompose(1, 3)._gm(toffs[:, None], xoffs[None, :, None]) * g.dt * g.dx
     phi_field = np.fft.irfftn(np.fft.rfftn(xi_eps.values) * np.fft.rfftn(kern),
                               s=xi_eps.values.shape, axes=(0, 1))
-    return Model(grid=g, xi=xi_eps.values.copy(), phi_field=phi_field, kappa=kappa)
+    return Model(grid=g, xi=xi_eps.values.copy(), phi_field=phi_field)
 
 
 # -- reconstruction ------------------------------------------------------------
@@ -167,75 +176,77 @@ def time_shift_cells(basis: WaveletBasis, n: int, g: Grid) -> int:
     return int(round(C * 4.0 ** -n / g.dt))
 
 
-def _level_A(f: ModelledDistribution, model: Model, basis: WaveletBasis,
+def _level_A(f: ModelledDistribution, model: Model, fields: dict, basis: WaveletBasis,
              n: int) -> np.ndarray:
-    """A^n summed over the symbols f carries, from the level-n transforms of
-    the base fields N Phi^c against phi^n ("phi") and phi^n (y - x) ("disp")."""
-    g = model.grid
-    eng = LevelTransform(basis, n, g.dx, g.dt)
-    half = max(1, int(round(2.0 ** -n / g.dx)))
-    shift = time_shift_cells(basis, n, g)
+    """A^n summed over the symbols f carries, from the level-n transforms
+    fields[N, c] of the base fields N Phi^c against phi^n ("phi") and phi^n
+    (y - x) ("disp"); those of the field 1 are 2^{-3n/2} and 2^{-5n/2} M_1."""
+    g = f.grid
+    stride_t, stride_x = int(round(4.0 ** -n / g.dt)), int(round(2.0 ** -n / g.dx))
+    T = {("1", 0): {"phi": 2.0 ** (-1.5 * n), "disp": 2.0 ** (-2.5 * n)
+                    * basis.phi_moments(1)[1]}, **fields}
     # the ball averages act along space only, so the lattice rows are picked first
-    t_rows = (np.arange(g.M // eng.stride_t) * eng.stride_t - shift) % g.M
-    offs = np.arange(-half, half + 1)
+    t_rows = (np.arange(g.M // stride_t) * stride_t - time_shift_cells(basis, n, g)) % g.M
+    offs = np.arange(-stride_x, stride_x + 1)
     box, disp = np.full(offs.size, 1.0 / offs.size), offs / offs.size * g.dx
 
     def avg(rows, taps):
         # avg over y in the ball of rows(y), times (y - x_lattice) for disp
-        return correlate_axis(rows, 1, taps, offs, eng.stride_x)
+        return correlate_axis(rows, 1, taps, offs, stride_x)
 
-    @functools.cache
-    def transforms(noise, c):
-        # {space code: the level-n transform of the base field N Phi^c}
-        field = {"1": None, "Xi": model.xi}[noise]
-        if c:
-            field = model.phi_field if field is None else field * model.phi_field
-        if field is None:
-            # the transforms of the constant field 1 are the products of the axis tap sums
-            t_sum = eng._factor(0, "phi")[0].sum() * g.dt * g.dx
-            return {code: t_sum * eng._factor(1, code)[0].sum() for code in ("phi", "disp")}
-        out = eng.forward(field, [("phi", "phi"), ("phi", "disp")])
-        return {code: v * g.dt * g.dx for (_, code), v in out.items()}
-
-    A = np.zeros((t_rows.size, g.N // eng.stride_x))
+    A = np.zeros((t_rows.size, g.N // stride_x))
     for sym, coeff in f.coeffs.items():
         noise, b, c = _FACTORS[sym]
-        rows, T = coeff[t_rows], transforms(noise, 0)
+        rows, T0 = coeff[t_rows], T[noise, 0]
         if b:    # <N (. - y), phi^n_x> = D_N - (y - x) T_N
-            A += T["disp"] * avg(rows, box) - T["phi"] * avg(rows, disp)
+            A += T0["disp"] * avg(rows, box) - T0["phi"] * avg(rows, disp)
         elif c:  # <N (Phi - Phi(y)), phi^n_x> = T_{N Phi} - Phi(y) T_N
-            A += transforms(noise, 1)["phi"] * avg(rows, box) - T["phi"] * avg(
+            A += T[noise, 1]["phi"] * avg(rows, box) - T0["phi"] * avg(
                 rows * model.phi_field[t_rows], box)
         else:
-            A += T["phi"] * avg(rows, box)
+            A += T0["phi"] * avg(rows, box)
     return A
 
 
-def _delta_A(A_n: np.ndarray, A_n1: np.ndarray, basis: WaveletBasis) -> np.ndarray:
-    """delta A^n_{t,x} = sum_k a_k A^{n+1}_{(t,x) + k 2^-(n+1)} - A^n_{t,x}: the
-    low-pass half of the analysis step, twice in time and once in space."""
-    low = step_filters(basis)[0]
-    rows = correlate_axis(correlate_axis(A_n1, 0, *low, 2), 0, *low, 2)
-    return correlate_axis(rows, 1, *low, 2) - A_n
+def _coarser(T: dict, low, h: float) -> dict:
+    """Level-n transforms from the level-(n+1) ones T by the low-pass half of
+    one step, twice in time and once in space; as y - x = (y - x - k h) + k h,
+    h = 2^-(n+1), a "disp" one picks up h sum_k k c_k phi^{n+1}_{x + k h}."""
+    c, k = low
+    rows = {key: correlate_axis(correlate_axis(a, 0, c, k, 2), 0, c, k, 2) for key, a in T.items()}
+    out = {key: correlate_axis(a, 1, c, k, 2) for key, a in rows.items()}
+    if "disp" in out:
+        out["disp"] = out["disp"] + h * correlate_axis(rows["phi"], 1, k * c, k, 2)
+    return out
 
 
 def reconstruct(f: ModelledDistribution, model: Model, basis: WaveletBasis,
                 n_min: int = 2, n_max: int = 5) -> dict:
-    """Dyadic reconstruction: R_{n_max} f on the grid plus per-level data.
+    """Dyadic reconstruction: R_{n_max} f on the grid plus per-level data; a
+    lift that does not read the model (``f.reads_model``) takes model None.
 
     Returns {"field", "levels": {n: A^n}, "deltas": {n: delta A^n},
     "outputs": {n: R_n f}}.
     """
-    g = model.grid
-    levels, outputs = {}, {}
-    for n in level_range(n_min, n_max):
-        levels[n] = A = _level_A(f, model, basis, n)
-        outputs[n] = LevelTransform(basis, n, g.dx, g.dt).adjoint(A, ("phi", "phi"),
-                                                                  (g.M, g.N))
-    deltas = {n: _delta_A(levels[n], levels[n + 1], basis)
-              for n in range(n_min, n_max)}
-    return {"field": outputs[n_max], "levels": levels, "deltas": deltas,
-            "outputs": outputs}
+    g = f.grid
+    levels = level_range(n_min, n_max)
+    check_lattices(g, g.dt, n_min, n_max)
+    eng, low = LevelTransform(basis, n_max, g.dx, g.dt), step_filters(basis)[0]
+    fields = {}  # (N, c) -> the transforms of N Phi^c, projected once at n_max
+    for key in {(N, k) for N, _, c in map(_FACTORS.get, f.coeffs) for k in {0, c}} - {("1", 0)}:
+        base = (model.xi if key[0] == "Xi" else 1.0) * (model.phi_field if key[1] else 1.0)
+        out = eng.forward(base, [("phi", "phi"), ("phi", "disp")])
+        fields[key] = {code: v * g.dt * g.dx for (_, code), v in out.items()}
+    A, outputs = dict.fromkeys(levels), dict.fromkeys(levels)
+    for n in reversed(levels):
+        if n < n_max:
+            fields = {key: _coarser(T, low, 2.0 ** -(n + 1)) for key, T in fields.items()}
+        A[n] = coeffs = _level_A(f, model, fields, basis, n)
+        for axis in (1, 0, 0) * (n_max - n):  # phi^n = sum_k c_k phi^{n+1}, transposed
+            coeffs = _adjoint_axis(coeffs, axis, *low, 2, 2 * coeffs.shape[axis])
+        outputs[n] = eng.adjoint(coeffs, ("phi", "phi"), (g.M, g.N))
+    deltas = {n: _coarser({"phi": A[n + 1]}, low, 0.0)["phi"] - A[n] for n in levels[:-1]}
+    return {"field": outputs[n_max], "levels": A, "deltas": deltas, "outputs": outputs}
 
 
 def sewing_check(result: dict, alpha: float, gamma: float, p: float = 2.0) -> dict:
@@ -383,6 +394,9 @@ def read_modelled(path) -> ModelledDistribution:
     carrier = read_field(path)
     with open(str(path) + ".json") as fh:
         sidecar = json.load(fh)
+    missing = [k for k in ("symbols", "M", "T", "gamma", "p") if k not in sidecar]
+    if missing:
+        raise ValueError(f"{path}.json lacks the field(s) {', '.join(missing)}")
     syms = sidecar["symbols"]
     M = sidecar["M"]
     grid = Grid(d=1, L=carrier.grid.L, N=carrier.grid.N, T=sidecar["T"], M=M)

@@ -33,6 +33,7 @@ __all__ = [
     "analyze",
     "LevelTransform",
     "correlate_axis",
+    "check_lattices",
 ]
 
 # Hoelder regularity of the Daubechies-N scaling functions (N = vanishing
@@ -387,13 +388,6 @@ def _adjoint_axis(arr: np.ndarray, axis: int, taps: np.ndarray, offs: np.ndarray
     return res
 
 
-def _int_stride(v: float, what: str) -> int:
-    s = int(round(v))
-    if abs(v - s) > 1e-9 or s < 1:
-        raise ValueError(f"{what} stride {v} not a positive integer; use dyadic box sizes")
-    return s
-
-
 class LevelTransform:
     """The separable level-n transform between a periodic grid field and the
     lattice Lambda_n.
@@ -407,8 +401,19 @@ class LevelTransform:
 
     def __init__(self, basis: WaveletBasis, n: int, dx: float, dt: float = None):
         self.basis, self.n, self.dx, self.dt = basis, n, dx, dt
-        self.stride_t = None if dt is None else _int_stride(4.0 ** -n / dt, "time")
-        self.stride_x = _int_stride(2.0 ** -n / dx, "space")
+        self.stride_t = None if dt is None else self._stride(4.0 ** -n / dt, "time")
+        self.stride_x = self._stride(2.0 ** -n / dx, "space")
+
+    def _stride(self, v: float, axis: str) -> int:
+        """The lattice step in grid steps, which ``_axis_taps`` samples phi at:
+        a whole number no greater than the table's points per unit."""
+        s, depth = int(round(v)), self.basis.phi.depth
+        if abs(v - s) > 1e-9 or s < 1:
+            raise ValueError(f"{axis} stride {v} not a positive integer; use dyadic box sizes")
+        if s > 2 ** depth:
+            raise ValueError(f"the level-{self.n} {axis} stride {s} exceeds the 2^{depth} "
+                             "points per unit of the phi table; use a finer level")
+        return s
 
     def _factor(self, axis: int, code: str):
         """(taps, offs, stride) of one axis factor."""
@@ -458,6 +463,25 @@ def _check_resolution(dx: float, dt, n_max: int):
             f"{w} <= {step / 4:.4g} (got {h:.4g})" for w, h, step in steps))
 
 
+def check_lattices(g, dt, n_min: int, n_max: int) -> None:
+    """Refuse the levels n_min..n_max of the periodic box of grid g (dt None
+    for a spatial field) unless the level-n_min lattice tiles the box and the
+    level-n_max lattice steps are whole numbers of grid steps."""
+    cells = [g.L * 2.0 ** n_min] + ([g.T * 4.0 ** n_min] if dt is not None else [])
+    if min(cells) < 1 or any(c % 1 for c in cells):
+        box = f"L = {g.L:g}" + (f", T = {g.T:g}" if dt is not None else "")
+        how = "has no point on" if min(cells) < 1 else "does not tile"
+        raise ValueError(f"the level-{n_min} lattice {how} the box {box}: n_min needs "
+                         "L 2^n_min (and T 4^n_min in time) whole and at least 1")
+    steps = {"space": 2.0 ** -n_max / g.dx}
+    if dt is not None:
+        steps["time"] = 4.0 ** -n_max / dt
+    if min(steps.values()) < 1 or any(abs(s - round(s)) > 1e-9 for s in steps.values()):
+        raise ValueError(f"the level-{n_max} lattice is finer than the grid: its steps are "
+                         + " and ".join(f"{s:g} grid steps in {w}" for w, s in steps.items())
+                         + "; n_max needs whole numbers of at least 1")
+
+
 def level_range(n_min: int, n_max: int) -> range:
     """The levels n_min..n_max; an empty range is refused."""
     if n_min > n_max:
@@ -480,12 +504,7 @@ def analyze(fld, basis: WaveletBasis, n_min: int, n_max: int) -> CoeffPyramid:
     dt = g.dt if fld.kind == "spacetime" else None
     levels = level_range(n_min, n_max)
     _check_resolution(g.dx, dt, n_max)
-    cells = [g.L * 2.0 ** n_min] + ([g.T * 4.0 ** n_min] if dt is not None else [])
-    if min(cells) < 1 or any(c % 1 for c in cells):
-        box = f"L = {g.L:g}" + (f", T = {g.T:g}" if dt is not None else "")
-        how = "has no point on" if min(cells) < 1 else "does not tile"
-        raise ValueError(f"the level-{n_min} lattice {how} the box {box}: n_min needs "
-                         "L 2^n_min (and T 4^n_min in time) whole and at least 1")
+    check_lattices(g, dt, n_min, n_max)
     all_phi, filters, coeffs = ("phi",) * fld.values.ndim, step_filters(basis), {}
     phi = LevelTransform(basis, n_max + 1, g.dx, dt).forward(fld.values, [all_phi])[all_phi]
     phi = phi * (g.dx ** g.d * (1.0 if dt is None else dt))  # the cell volume

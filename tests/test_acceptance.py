@@ -265,9 +265,8 @@ def test_07_reconstruction():
     t0 = time.time()
     basis = build_family(2)
     g = Grid(d=1, L=2.0, N=256, T=2.0, M=16384)
-    dec = decompose(1, 3)
     xi = mollify(sample_white_noise(g, "spacetime", seed=0), Mollifier(epsilon=0.25))
-    model = canonical_model(xi, dec)
+    model = canonical_model(xi)
     ttg, xxg = np.meshgrid(g.ts, g.xs, indexing="ij")
 
     # constant lift: exact to quadrature tolerance

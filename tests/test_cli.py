@@ -611,6 +611,8 @@ _CONVERGE = ["converge", "--equation", "she1d", "--eps-list", "0.4", "0.2",
     (_RECONSTRUCT + ["--nmin", "5", "--nmax", "3"], "no levels from n_min = 5 to n_max = 3"),
     (_RECONSTRUCT + ["--nmin", "3", "--nmax", "5"],
      "the sewing check needs at least 4 levels, got --nmin 3 and --nmax 5"),
+    (_RECONSTRUCT + ["--eps", "0"], "eps must be finite and positive, got 0.0"),
+    (_RECONSTRUCT + ["--eps", "-1"], "eps must be finite and positive, got -1.0"),
 ], ids=["grid-N-zero", "grid-T-zero", "grid-T-negative", "grid-L-zero", "grid-L-inf",
         "checkw-T-negative", "checkw-T-zero", "kernel-points-zero", "renorm-pam2d",
         "besov-p-zero", "besov-p-half", "besov-p-minus-inf", "besov-weight-exp-nan",
@@ -618,7 +620,8 @@ _CONVERGE = ["converge", "--equation", "she1d", "--eps-list", "0.4", "0.2",
         "converge-T-zero", "converge-dt-zero", "converge-dt-negative",
         "regularity-box-not-tiled", "regularity-no-levels", "sample-d-zero", "sample-d-four",
         "selftest-r-five", "reconstruct-family-zero", "reconstruct-family-haar",
-        "reconstruct-family-fifteen", "reconstruct-no-levels", "reconstruct-three-levels"])
+        "reconstruct-family-fifteen", "reconstruct-no-levels", "reconstruct-three-levels",
+        "reconstruct-eps-zero", "reconstruct-eps-negative"])
 def test_degenerate_inputs_rejected(tmp_path, capsys, argv, match):
     # a zero-sized or empty box, an empty time window and an empty sample
     # exit 1 with a message: not a traceback, a numpy warning or a report
@@ -628,8 +631,8 @@ def test_degenerate_inputs_rejected(tmp_path, capsys, argv, match):
     # step that is not finite and positive is refused by name, and so is a box
     # that the coarsest lattice does not tile (L 2^n_min = 6.4 cells), a grid
     # dimension outside 1..3, an empty level range, and a wavelet family that
-    # cannot be built; reconstruct checks its levels and family before it reads
-    # the input or draws any noise
+    # cannot be built; reconstruct checks its levels, family and eps before it
+    # reads the input or draws any noise
     code, out = run_cli(argv, tmp_path, "bad")
     assert code == 1
     assert match in capsys.readouterr().err
@@ -657,6 +660,100 @@ def test_field_commands_refuse_a_bad_level_range_or_dimension(tmp_path, capsys):
         assert code == 1
         assert match in capsys.readouterr().err
         assert not list(bad.glob("*.csv")) and not list(bad.glob("*.shef"))
+
+
+def _write_lift(path, syms, g=Grid(d=1, L=2.0, N=64, T=2.0, M=1024)):
+    from mshe.reconstruct import ModelledDistribution, write_modelled
+
+    xx = np.broadcast_to(g.xs, (g.M, g.N))
+    write_modelled(path, ModelledDistribution(
+        grid=g, coeffs={s: np.cos(np.pi * (i + 1) * xx) for i, s in enumerate(syms)}))
+    return path
+
+
+def _count_model_calls(monkeypatch):
+    """Wrap the four steps that build a canonical model with call counters."""
+    import mshe.noise
+    import mshe.reconstruct
+
+    calls = {}
+    for module, name in ((mshe.noise, "sample_white_noise"), (mshe.noise, "mollify"),
+                         (mshe.reconstruct, "decompose"),
+                         (mshe.reconstruct, "canonical_model")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("syms, built", [
+    (["1", "X"], False), (["1", "Xi"], True), (["I(Xi)"], True)], ids=["1-X", "Xi", "I(Xi)"])
+def test_reconstruct_builds_the_model_only_for_a_lift_that_reads_it(tmp_path, monkeypatch,
+                                                                      syms, built):
+    # a lift of 1 and X reads neither xi nor Phi: no noise is drawn or
+    # mollified and no model is built; a lift carrying Xi or I(Xi) builds each
+    # once
+    calls = _count_model_calls(monkeypatch)
+    lift = _write_lift(tmp_path / "lift.shef", syms)
+    code, out = run_cli(["reconstruct", "--input", str(lift), "--nmin", "1", "--nmax", "4"],
+                        tmp_path, "rec")
+    assert code == 0 and (out / "reconstructed.shef").exists()
+    names = ("sample_white_noise", "mollify", "decompose", "canonical_model")
+    assert calls == (dict.fromkeys(names, 1) if built else {})
+
+
+@pytest.mark.parametrize("levels, match", [
+    (["--nmin", "1", "--nmax", "5"], "the level-5 lattice is finer than the grid: its steps "
+     "are 1 grid steps in space and 0.5 grid steps in time"),
+    (["--nmin", "-1", "--nmax", "3"], "the level--1 lattice has no point on the box L = 2, T = 2"),
+], ids=["nmax-finer-than-grid", "nmin-not-tiled"])
+def test_reconstruct_refuses_a_bad_level_range_before_drawing_noise(tmp_path, capsys,
+                                                                    monkeypatch, levels,
+                                                                    match):
+    # on a dyadic box (dx = 1/32, dt = 1/512) level 5 has half a grid step in
+    # time and the level -1 lattice half a cell in time: both are refused by
+    # name before any noise is drawn, though the lift reads the model
+    calls = _count_model_calls(monkeypatch)
+    lift = _write_lift(tmp_path / "lift.shef", ["1", "Xi"])
+    code, out = run_cli(["reconstruct", "--input", str(lift)] + levels, tmp_path, "rec")
+    assert code == 1
+    assert match in capsys.readouterr().err
+    assert calls == {}
+    assert not list(out.glob("*.csv")) and not list(out.glob("*.shef"))
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda side: side.pop("gamma"), "lacks the field(s) gamma"),
+    (lambda side: side.update(symbols=["1", "Y"]), "unknown symbol 'Y'"),
+], ids=["missing-field", "unknown-symbol"])
+def test_reconstruct_names_a_bad_sidecar(tmp_path, capsys, edit, match):
+    # a sidecar without a field, or naming a symbol the model lacks, exits 1
+    # with the field or symbol named, not a bare KeyError message
+    import json
+
+    lift = _write_lift(tmp_path / "lift.shef", ["1", "X"])
+    sidecar = Path(str(lift) + ".json")
+    side = json.loads(sidecar.read_text())
+    edit(side)
+    sidecar.write_text(json.dumps(side))
+    code, _ = run_cli(["reconstruct", "--input", str(lift), "--nmin", "1", "--nmax", "4"],
+                      tmp_path, "rec")
+    assert code == 1
+    assert match in capsys.readouterr().err
+
+
+def test_internal_key_error_is_not_a_validation_error(tmp_path, monkeypatch):
+    # a KeyError from inside a command is a bug, not bad input: it surfaces
+    # from main instead of exiting 1
+    import mshe.wavelet
+
+    def broken(r):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(mshe.wavelet, "build_basis", broken)
+    with pytest.raises(KeyError, match="internal"):
+        main(["wavelet", "selftest", "--out", str(tmp_path / "w")])
 
 
 def _float_options(parser, path=()):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -18,16 +20,16 @@ from mshe.reconstruct import (
     time_shift_cells,
     write_modelled,
 )
-from mshe.wavelet import LevelTransform, build_family, rescale_psi
+from mshe.wavelet import (LevelTransform, _cascade, _Table, build_family, rescale_psi,
+                          step_filters)
 
 
 @pytest.fixture(scope="module")
 def setup():
     basis = build_family(2)
     g = Grid(d=1, L=2.0, N=256, T=2.0, M=16384)
-    dec = decompose(1, 3)
     xi = mollify(sample_white_noise(g, "spacetime", seed=0), Mollifier(epsilon=0.25))
-    model = canonical_model(xi, dec)
+    model = canonical_model(xi)
     return basis, g, model, xi
 
 
@@ -42,7 +44,7 @@ def test_canonical_model_matches_the_mesh_kernel():
     kern = dec._gm(tt, xx[..., None]) * g.dt * g.dx
     want = np.fft.irfftn(np.fft.rfftn(xi.values) * np.fft.rfftn(kern), s=(g.M, g.N),
                          axes=(0, 1))
-    assert np.array_equal(canonical_model(xi, dec).phi_field, want)
+    assert np.array_equal(canonical_model(xi).phi_field, want)
 
 
 def _smooth_pair(g):
@@ -326,22 +328,22 @@ def test_modelled_roundtrip_any_symbol_count(tmp_path, syms):
     assert not carrier[len(syms) * g.M:].any()
 
 
-def test_reconstruct_norms_independent_of_layout(setup, monkeypatch):
-    # the same level values, C- or Fortran-ordered, give the same deltas and
-    # the same sewing norms bit for bit
+def test_reconstruct_norms_independent_of_layout(setup):
+    # the same level values, C- or Fortran-ordered, give the same deltas
+    # through the filter reconstruct takes them by, and the same sewing norms,
+    # bit for bit
     basis, g, model, _ = setup
     gf, gx = _smooth_pair(g)
-    f = ModelledDistribution(grid=g, coeffs={"1": gf, "X": gx})
-    res = reconstruct(f, model, basis, 3, 6)
-    level_A = rec._level_A
-    monkeypatch.setattr(rec, "_level_A", lambda *a: np.asfortranarray(level_A(*a)))
-    res_f = reconstruct(f, model, basis, 3, 6)
-    assert all(A.flags.f_contiguous and not A.flags.c_contiguous
-               for A in res_f["levels"].values())
-    for n in res["levels"]:
-        assert np.array_equal(res_f["levels"][n], res["levels"][n])
+    res = reconstruct(ModelledDistribution(grid=g, coeffs={"1": gf, "X": gx}), model,
+                      basis, 3, 6)
+    low = step_filters(basis)[0]
+    levels_f = {n: np.asfortranarray(A) for n, A in res["levels"].items()}
+    assert all(A.flags.f_contiguous and not A.flags.c_contiguous for A in levels_f.values())
+    deltas_f = {n: rec._coarser({"phi": levels_f[n + 1]}, low, 0.0)["phi"] - levels_f[n]
+                for n in res["deltas"]}
     for n in res["deltas"]:
-        assert np.array_equal(res_f["deltas"][n], res["deltas"][n])
+        assert np.array_equal(deltas_f[n], res["deltas"][n])
+    res_f = dict(res, levels=levels_f, deltas=deltas_f)
     assert sewing_check(res_f, alpha=0.0, gamma=2.0) == sewing_check(res, alpha=0.0, gamma=2.0)
 
 
@@ -383,36 +385,47 @@ def test_sewing_rate_from_lp_error(p):
     assert rate == pytest.approx(want, rel=1e-12)
 
 
+def _random_model_and_lift(seed, syms):
+    g = Grid(d=1, L=2.0, N=64, T=1.0, M=1024)
+    rng = np.random.default_rng(seed)
+    model = Model(grid=g, xi=rng.standard_normal((g.M, g.N)),
+                  phi_field=rng.standard_normal((g.M, g.N)))
+    f = ModelledDistribution(grid=g, coeffs={s: rng.standard_normal((g.M, g.N)) for s in syms})
+    return g, model, f
+
+
 def test_delta_A_explicit_double_sum(setup):
+    # delta A^n = sum_k a_k A^{n+1}_{(t,x) + k 2^-(n+1)} - A^n with the
+    # parabolic refinement: double-refined (c *_2 c)/2 in time, c/sqrt 2 in space
     basis = setup[0]
-    rng = np.random.default_rng(5)
-    A_n, A_n1 = rng.standard_normal((8, 6)), rng.standard_normal((32, 12))
-    # the parabolic refinement: double-refined (c *_2 c)/2 in time, c/sqrt 2 in space
+    _, model, f = _random_model_and_lift(5, SYMBOLS)
+    res = reconstruct(f, model, basis, 2, 3)
+    A_n, A_n1 = res["levels"][2], res["levels"][3]
+    (M1, N1) = A_n1.shape
+    assert A_n.shape == (M1 // 4, N1 // 2) == (16, 8)
     c = basis.refine_coeffs
     a_t = np.zeros(3 * (c.size - 1) + 1)
     for k, ck in enumerate(c):
         a_t[2 * k:2 * k + c.size] += ck * c / 2.0
     a_x = c / np.sqrt(2.0)
     want = -A_n
-    for t in range(8):
-        for x in range(6):
+    for t in range(A_n.shape[0]):
+        for x in range(A_n.shape[1]):
             for k0, at in enumerate(a_t):
                 for k1, ax in enumerate(a_x):
-                    want[t, x] += at * ax * A_n1[(4 * t + k0) % 32, (2 * x + k1) % 12]
-    got = rec._delta_A(A_n, A_n1, basis)
+                    want[t, x] += at * ax * A_n1[(4 * t + k0) % M1, (2 * x + k1) % N1]
+    got = res["deltas"][2]
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_level_A_ball_averages(setup):
     # a lift with one coefficient c gives T1 * avg(c) for symbol 1, and
-    # D1 * avg(c) - T1 * avg(c(y) (y - x)) for X; the ball averages agree
-    # with scipy's wrapped filters subsampled at the lattice columns
+    # D1 * avg(c) - T1 * avg(c(y) (y - x)) for X, with T1 and D1 the level
+    # transforms of the field 1; the ball averages agree with scipy's wrapped
+    # filters subsampled at the lattice columns, at a level descended twice
     basis = setup[0]
     g = Grid(d=1, L=2.0, N=64, T=1.0, M=1024)
-    rng = np.random.default_rng(6)
-    model = Model(grid=g, xi=rng.standard_normal((g.M, g.N)),
-                  phi_field=rng.standard_normal((g.M, g.N)))
-    c = rng.standard_normal((g.M, g.N))
+    c = np.random.default_rng(6).standard_normal((g.M, g.N))
     n = 2
     eng = LevelTransform(basis, n, g.dx, g.dt)
     T1, D1 = (v * g.dt * g.dx for v in
@@ -424,7 +437,8 @@ def test_level_A_ball_averages(setup):
     lin = ndimage.correlate1d(rows, np.arange(-half, half + 1) / (2 * half + 1.0),
                               axis=1, mode="wrap")[:, cols] * g.dx
     for sym, want in (("1", T1 * box), ("X", D1 * box - T1 * lin)):
-        got = rec._level_A(ModelledDistribution(grid=g, coeffs={sym: c}), model, basis, n)
+        f = ModelledDistribution(grid=g, coeffs={sym: c})
+        got = reconstruct(f, None, basis, n, n + 2)["levels"][n]
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), sym
 
@@ -433,26 +447,78 @@ def test_level_A_ball_averages(setup):
 def test_level_A_against_its_definition(setup, sym):
     # A^n_{t,x} = avg_{y in B(x, 2^-n)} c(t_dn, y) <Pi_{(t_dn, y)} sym, phi^n_{t,x}>
     # by brute force at a few lattice points away from the box's edges, with
-    # Pi from Model.pi_field and phi^n_{t,x} from rescale_psi on the grid
+    # Pi from Model.pi_field and phi^n_{t,x} from rescale_psi on the grid; the
+    # level is descended two steps from the projection at n_max
     basis = setup[0]
-    g = Grid(d=1, L=2.0, N=64, T=1.0, M=1024)
-    rng = np.random.default_rng(7)
-    model = Model(grid=g, xi=rng.standard_normal((g.M, g.N)),
-                  phi_field=rng.standard_normal((g.M, g.N)))
-    c = rng.standard_normal((g.M, g.N))
+    g, model, f = _random_model_and_lift(7, [sym])
+    c = f.coeffs[sym]
     n = 2
-    got = rec._level_A(ModelledDistribution(grid=g, coeffs={sym: c}), model, basis, n)
-    eng = LevelTransform(basis, n, g.dx, g.dt)
+    got = reconstruct(f, model, basis, n, n + 2)["levels"][n]
+    stride_t, stride_x = int(4.0 ** -n / g.dt), int(2.0 ** -n / g.dx)
     shift = time_shift_cells(basis, n, g)
     tt, xx = np.meshgrid(g.ts, g.xs, indexing="ij")
     for i, j in [(4, 1), (8, 2), (11, 3)]:
-        it, ix = i * eng.stride_t, j * eng.stride_x
+        it, ix = i * stride_t, j * stride_x
         atom = rescale_psi(basis, n, (g.ts[it], g.xs[ix]), ("phi", "phi"))(tt, xx)
         t_dn = (it - shift) % g.M
-        ys = range(ix - eng.stride_x, ix + eng.stride_x + 1)
+        ys = range(ix - stride_x, ix + stride_x + 1)
         want = np.mean([c[t_dn, y] * np.sum(model.pi_field(sym, (t_dn, y)) * atom)
                         for y in ys]) * g.dt * g.dx
         assert got[i, j] == pytest.approx(want, rel=1e-12, abs=0), (i, j)
+
+
+def test_coarse_levels_against_a_deep_table(setup):
+    # at level 0 of a T = 2, M = 16384 box the time stride is 2^13, past the
+    # 2^-12 phi table: the levels and R_0 f descended from a projection at
+    # level 1 (stride 2^11) agree with those of a direct projection at level 0
+    # on a table of depth 16, where every sample is exact
+    basis = setup[0]
+    g = Grid(d=1, L=2.0, N=32, T=2.0, M=16384)
+    rng = np.random.default_rng(8)
+    model = Model(grid=g, xi=rng.standard_normal((g.M, g.N)),
+                  phi_field=rng.standard_normal((g.M, g.N)))
+    f = ModelledDistribution(grid=g, coeffs={s: rng.standard_normal((g.M, g.N))
+                                             for s in SYMBOLS})
+    deep = dataclasses.replace(basis, phi=_Table(_cascade(basis.refine_coeffs, 16),
+                                                 lo=0.0, depth=16))
+    want = reconstruct(f, model, deep, 0, 0)
+    got = reconstruct(f, model, basis, 0, 1)
+    for key in ("levels", "outputs"):
+        a, b = got[key][0], want[key][0]
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), key
+    with pytest.raises(ValueError, match="level-0 time stride 8192 exceeds the 2"):
+        reconstruct(f, model, basis, 0, 0)
+
+
+def test_reconstruct_builds_one_level_transform(setup, monkeypatch):
+    # each base field is projected once, at n_max, and every coarser level
+    # and R_n f go through the filter: one LevelTransform per call
+    basis = setup[0]
+    _, model, f = _random_model_and_lift(9, SYMBOLS)
+    built = []
+    init = LevelTransform.__init__
+
+    def counting(self, basis, n, *args):
+        built.append(n)
+        init(self, basis, n, *args)
+
+    monkeypatch.setattr(LevelTransform, "__init__", counting)
+    reconstruct(f, model, basis, 1, 4)
+    assert built == [4]
+
+
+def test_polynomial_lift_reads_no_model(setup):
+    # a lift of 1 and X reads neither xi nor Phi: without a model it gives
+    # the same bytes
+    basis, g, model, _ = setup
+    gf, gx = _smooth_pair(g)
+    f = ModelledDistribution(grid=g, coeffs={"1": gf, "X": gx})
+    assert not f.reads_model
+    assert all(ModelledDistribution(grid=g, coeffs={s: gf}).reads_model
+               for s in ("I(Xi)", "Xi", "X*Xi", "Xi*I(Xi)"))
+    want, got = reconstruct(f, model, basis, 3, 4), reconstruct(f, None, basis, 3, 4)
+    for key in ("levels", "deltas", "outputs"):
+        assert all(np.array_equal(got[key][n], want[key][n]) for n in want[key]), key
 
 
 def test_polynomial_lift_runs_no_field_transform(setup, monkeypatch):

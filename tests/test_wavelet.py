@@ -311,6 +311,18 @@ def test_level_transform_refuses_wavelet_codes(basis2):
             eng.forward(np.zeros((256, 64)), [combo])
 
 
+def test_level_transform_refuses_strides_past_the_phi_table(basis2):
+    # phi is tabulated at 2^-12: a lattice step of 2^13 grid steps would
+    # sample it between table points, so it is refused with the level named,
+    # in time and in space; 2^12 steps are exact lookups and pass
+    for dx, dt, axis in [(2.0 ** -4, 2.0 ** -13, "time"), (2.0 ** -13, 2.0 ** -4, "space")]:
+        with pytest.raises(ValueError, match=f"the level-0 {axis} stride 8192 exceeds the "
+                                             "2\\^12 points per unit of the phi table"):
+            LevelTransform(basis2, 0, dx, dt)
+    eng = LevelTransform(basis2, 0, 2.0 ** -12, 2.0 ** -12)
+    assert (eng.stride_t, eng.stride_x) == (4096, 4096)
+
+
 @settings(max_examples=60)
 @given(n=st.integers(0, 2), kt=st.integers(0, 3), kx=st.integers(0, 3),
        tcode=st.sampled_from(["phi", None]),
