@@ -38,8 +38,9 @@ __all__ = [
     "model_weight",
     "SolutionWeights",
     "besov_norm",
+    "level_norm",
     "level_aggregate",
-    "row_aggregate",
+    "scaling_dim",
     "check_weight",
     "check_assumption_w",
     "dirac_membership",
@@ -101,22 +102,43 @@ class SolutionWeights:
 # -- norms -------------------------------------------------------------------
 
 
-def row_aggregate(arr, wvals, vol, p, reduce="max"):
-    """l^p-in-x aggregate with cell volume vol, weight divided out.
+def scaling_dim(d: int, spacetime: bool) -> int:
+    """The parabolic |s| of d space dimensions: d + 2 with a time axis."""
+    return d + 2 if spacetime else d
 
-    arr has the time axis first for space-time pyramids (absent for spatial).
-    reduce='max' takes the sup over time rows (norm semantics); 'mean'
-    averages the p-th powers over rows (estimator semantics, unbiased for
-    stationary fields).
-    """
-    scaled = np.abs(arr) / wvals
+
+def _aggregate(arr, n: int, d: int, p: float, wvals, reduce) -> float:
+    """l^p over the d trailing (space) axes of arr at the level-n cell volume
+    2^{-nd}, with the weight wvals (None for 1) divided out, then reduced
+    over the time rows: np.max for norms, np.mean of the p-th powers for
+    estimators (unbiased for stationary fields).  The rows are summed
+    C-ordered, as row sums round by memory layout."""
+    scaled = np.abs(np.ascontiguousarray(arr)) / (1.0 if wvals is None else wvals)
     if math.isinf(p):
         return float(np.max(scaled))
-    axes = tuple(range(arr.ndim - wvals.ndim, arr.ndim))
-    agg_p = vol * np.sum(scaled ** p, axis=axes)
-    if reduce == "mean":
-        return float(np.mean(agg_p) ** (1.0 / p))
-    return float(np.max(agg_p) ** (1.0 / p))
+    agg_p = 2.0 ** (-n * d) * np.sum(scaled ** p, axis=tuple(range(arr.ndim - d, arr.ndim)))
+    return float(reduce(agg_p) ** (1.0 / p))
+
+
+def level_norm(arr, n: int, alpha: float, p: float, spacetime: bool, wvals) -> float:
+    """The weighted level-n norm of an array of level-n coefficients (time
+    axis first when spacetime),
+
+        sup_t ( sum_x 2^{-nd} | arr / (w(x) 2^{-n|s|/2 - n alpha}) |^p )^{1/p},
+
+    with wvals the weight at the lattice points, or None for w = 1.  Raises
+    FloatingPointError, naming the level and alpha, when the norm is not a
+    finite number or the normaliser is not a normal float."""
+    d = arr.ndim - spacetime
+    log2_normaliser = -n * scaling_dim(d, spacetime) / 2.0 - n * alpha
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        agg = _aggregate(arr, n, d, p, wvals, np.max)
+    if -1022.0 <= log2_normaliser < 1024.0:
+        norm = agg / 2.0 ** log2_normaliser
+        if math.isfinite(norm):
+            return norm
+    raise FloatingPointError(f"the level-{n} norm at alpha = {alpha:g}, p = {p:g} is "
+                             f"outside the floating-point range")
 
 
 def level_aggregate(pyr, n: int) -> float:
@@ -124,18 +146,8 @@ def level_aggregate(pyr, n: int) -> float:
     squares averaged over tensor combinations and time rows (the regularity
     estimator's mean, which avoids the small-sample maximum bias at coarse
     levels)."""
-    per = _row_aggregates(pyr, n, pyr.levels[n].values(), 2.0, None, "mean")
+    per = [_aggregate(arr, n, pyr.d, 2.0, None, np.mean) for arr in pyr.levels[n].values()]
     return float(np.mean(np.asarray(per) ** 2.0) ** 0.5)
-
-
-def _row_aggregates(pyr, n: int, arrays, p: float, weight: Weight, reduce: str) -> list:
-    """row_aggregate of each level-n coefficient array, with the weight at the
-    radii of the level-n lattice divided out."""
-    grids = np.meshgrid(*([pyr.xs(n)] * pyr.d), indexing="ij")
-    r = np.sqrt(sum(g ** 2 for g in grids))
-    wvals = weight(r) if weight is not None else np.ones_like(r)
-    return [row_aggregate(arr, wvals, 2.0 ** (-n * pyr.d), p, reduce=reduce)
-            for arr in arrays]
 
 
 def besov_norm(pyr, alpha: float, p: float = 2.0, weight: Weight = None) -> float:
@@ -143,11 +155,16 @@ def besov_norm(pyr, alpha: float, p: float = 2.0, weight: Weight = None) -> floa
     the max over the wavelet levels and the coarsest scaling term."""
     if not pyr.levels:
         raise ValueError("empty pyramid")
-    s_norm = (2 + pyr.d) if pyr.spacetime else pyr.d
     terms = [(n, pyr.levels[n].values()) for n in sorted(pyr.levels)]
     terms.append((pyr.n_min, [pyr.phi_level]))
-    return max(max(_row_aggregates(pyr, n, arrays, p, weight, "max"))
-               / 2.0 ** (-n * s_norm / 2.0 - n * alpha) for n, arrays in terms)
+    norms = []
+    for n, arrays in terms:
+        wvals = None
+        if weight is not None:  # at the radii of the level-n lattice
+            grids = np.meshgrid(*([pyr.xs(n)] * pyr.d), indexing="ij")
+            wvals = weight(np.sqrt(sum(g ** 2 for g in grids)))
+        norms += [level_norm(arr, n, alpha, p, pyr.spacetime, wvals) for arr in arrays]
+    return max(norms)
 
 
 # -- weight validators -------------------------------------------------------

@@ -310,18 +310,18 @@ def read_field(path) -> Field:
 def estimate_regularity(fld: Field, basis, n_min: int = 1, n_max: int = None) -> dict:
     """Critical Besov exponent from the decay of level aggregates.
 
-    Per level n the unweighted L^2 aggregate of coefficients (volume-weighted,
-    averaged over time rows and tensor combinations, WITHOUT the
-    2^{-n|s|/2 - n alpha} normalization) behaves like 2^{-n(|s|/2 + alpha_c)};
-    a linear fit of log2(aggregate) against n returns alpha_hat = -|s|/2 -
-    slope, where |s| is 2 + d for space-time fields and d for spatial ones.
+    Per level n the unweighted L^2 aggregate of coefficients
+    (``besov.level_aggregate``: without the normalization of
+    ``besov.level_norm``) behaves like 2^{-n(|s|/2 + alpha_c)}; a linear fit
+    of log2(aggregate) against n returns alpha_hat = -|s|/2 - slope, with
+    |s| = ``besov.scaling_dim``.
     """
     from . import besov
     from .wavelet import analyze, finest_level
 
     g = fld.grid
     dt = g.dt if fld.kind == "spacetime" else None
-    s_half = (2 + g.d if dt is not None else g.d) / 2.0
+    s_half = besov.scaling_dim(g.d, dt is not None) / 2.0
     pyr = analyze(fld, basis, n_min, finest_level(g.dx, dt) if n_max is None else n_max)
     levels = sorted(pyr.levels)
     if len(levels) < 4:

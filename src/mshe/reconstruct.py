@@ -20,10 +20,13 @@ The reconstruction sequence is
 with the one-sided time shift t_dn = t - (7 M^2 + 1) 2^{-2n}, M the support
 diameter bound of the wavelet family.  Pairings are Riemann sums on the
 field's grid.  A^n reads the level-n transforms of the base fields N Phi^c
-that the symbols present need: each is projected once, at n_max, and
-descends through the low-pass half of ``step_filters`` as in
+that the symbols present need: each is projected once, at n_max, onto
+phi^n and, for a field N that a symbol N X reads so, onto phi^n (y - x),
+and descends through the low-pass half of ``step_filters`` as in
 ``wavelet.analyze``; those of 1 are closed forms, so a lift of 1 and X reads
 no model.  R_n f rises to n_max by the transposed filter for one adjoint.
+The sewing check measures A^n and delta A^n by ``besov.level_norm``, the
+level norm of the weighted Besov norms.
 """
 
 from __future__ import annotations
@@ -35,9 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .noise import Field, Grid, exp_bump
-from .besov import row_aggregate
+from .besov import level_norm
 from .kernel import decompose
-from .structure import StructureParams, build_structure
 from .wavelet import (LevelTransform, WaveletBasis, _adjoint_axis, check_lattices,
                       correlate_axis, level_range, step_filters)
 
@@ -48,7 +50,6 @@ __all__ = [
     "canonical_model",
     "reconstruct",
     "sewing_check",
-    "dgamma_norm",
     "write_modelled",
     "read_modelled",
 ]
@@ -76,14 +77,6 @@ def _transport(coeffs: dict, increments: dict) -> dict:
     return out
 
 
-def symbol_homogeneity(sym: str, kappa: float) -> float:
-    """Homogeneity at kappa of one of SYMBOLS, from the d = 1 structure
-    table, which names X as X_1 and X*Xi as Xi*X_1."""
-    rs = build_structure(StructureParams(kappa=kappa, d=1))
-    table = {str(s): s.homogeneity for s in rs.symbols_U + rs.symbols_F}
-    return table[{"X": "X_1", "X*Xi": "Xi*X_1"}.get(sym, sym)].value(kappa)
-
-
 @dataclass
 class Model:
     """Canonical model data on a grid: the noise field and Phi = P_+ * xi."""
@@ -91,7 +84,6 @@ class Model:
     grid: Grid
     xi: np.ndarray          # (M, N)
     phi_field: np.ndarray   # (M, N), P_+ * xi
-    kappa: float = 0.05
 
     def pi_field(self, sym: str, z_idx: tuple) -> np.ndarray:
         """Pi_z tau as a grid function; z_idx = (time index, space index)."""
@@ -137,10 +129,6 @@ class ModelledDistribution:
             if a.shape != shape:
                 raise ValueError(f"coefficient {s} has shape {a.shape} != {shape}")
 
-    def get(self, sym: str) -> np.ndarray:
-        z = self.coeffs.get(sym)
-        return z if z is not None else np.zeros((self.grid.M, self.grid.N))
-
     @property
     def reads_model(self) -> bool:
         """Whether a symbol has the factor Xi or a power of Phi in _FACTORS."""
@@ -152,15 +140,20 @@ def canonical_model(xi_eps: Field) -> Model:
 
     Phi = P_+ * xi is computed by FFT on the periodic box with the exact
     telescoped closed form of P_+ (heat kernel localized to the unit
-    parabolic ball minus the moment correction) of ``kernel.decompose(1, 3)``,
-    evaluated on a time column and a space row that broadcast to the box.
+    parabolic ball minus the moment correction) of ``kernel.decompose(1, 3)``.
+    P_+ is exactly 0 off 0 < t < 1, |x| < 1, so it is evaluated on the rows
+    and columns of the box inside, a time column and a space row that
+    broadcast, and is 0 elsewhere.
     """
     if xi_eps.kind != "spacetime" or xi_eps.grid.d != 1:
         raise ValueError("canonical_model expects a d=1 space-time field")
     g = xi_eps.grid
     toffs = np.fft.fftfreq(g.M, d=1.0 / g.M) * g.dt
     xoffs = np.fft.fftfreq(g.N, d=1.0 / g.N) * g.dx
-    kern = decompose(1, 3)._gm(toffs[:, None], xoffs[None, :, None]) * g.dt * g.dx
+    rows, cols = np.flatnonzero((toffs > 0) & (toffs < 1)), np.flatnonzero(np.abs(xoffs) < 1)
+    kern = np.zeros((g.M, g.N))
+    kern[np.ix_(rows, cols)] = decompose(1, 3)._gm(toffs[rows, None],
+                                                   xoffs[None, cols, None]) * g.dt * g.dx
     phi_field = np.fft.irfftn(np.fft.rfftn(xi_eps.values) * np.fft.rfftn(kern),
                               s=xi_eps.values.shape, axes=(0, 1))
     return Model(grid=g, xi=xi_eps.values.copy(), phi_field=phi_field)
@@ -233,9 +226,11 @@ def reconstruct(f: ModelledDistribution, model: Model, basis: WaveletBasis,
     check_lattices(g, g.dt, n_min, n_max)
     eng, low = LevelTransform(basis, n_max, g.dx, g.dt), step_filters(basis)[0]
     fields = {}  # (N, c) -> the transforms of N Phi^c, projected once at n_max
+    # _level_A reads a field's phi^n (y - x) transform only for a symbol N X^b, b > 0
+    disp = {(N, 0) for N, b, _ in map(_FACTORS.get, f.coeffs) if b}
     for key in {(N, k) for N, _, c in map(_FACTORS.get, f.coeffs) for k in {0, c}} - {("1", 0)}:
         base = (model.xi if key[0] == "Xi" else 1.0) * (model.phi_field if key[1] else 1.0)
-        out = eng.forward(base, [("phi", "phi"), ("phi", "disp")])
+        out = eng.forward(base, [("phi", "phi")] + [("phi", "disp")] * (key in disp))
         fields[key] = {code: v * g.dt * g.dx for (_, code), v in out.items()}
     A, outputs = dict.fromkeys(levels), dict.fromkeys(levels)
     for n in reversed(levels):
@@ -252,30 +247,22 @@ def reconstruct(f: ModelledDistribution, model: Model, basis: WaveletBasis,
 def sewing_check(result: dict, alpha: float, gamma: float, p: float = 2.0) -> dict:
     """Level norms of the sewing criterion plus the convergence-rate fit.
 
-    A-norm: sup_n sup_t (sum_x 2^{-nd} |A^n / 2^{-n|s|/2 - n alpha}|^p)^{1/p},
-    delta-norm: the same with gamma in place of alpha for delta A^n; the rate
-    is fitted from ||R_{n_max} f - R_n f||_p ~ 2^{-n rate} (the sup at p = inf).
-    d and |s| = 2 + d are those of the level arrays (time first).
+    The A-norm of level n is ``besov.level_norm`` of A^n at alpha, the
+    delta-norm that of delta A^n at gamma; the rate is fitted from
+    ||R_{n_max} f - R_n f||_p ~ 2^{-n rate} (the sup at p = inf).
     """
     levels = result["levels"]
     deltas = result["deltas"]
     ns = sorted(levels)
     if len(ns) < 4:
         raise ValueError("need at least 4 levels for the sewing check")
-    d = levels[ns[0]].ndim - 1
-
-    def level_norm(arr, n, expo):
-        # row sums round by memory layout: sum over C-ordered rows
-        normaliser = np.full(arr.shape[1:], 2.0 ** (-n * (2 + d) / 2.0 - n * expo))
-        return row_aggregate(np.ascontiguousarray(arr), normaliser, 2.0 ** (-n * d), p)
-
-    a_norms = {n: level_norm(levels[n], n, alpha) for n in ns}
-    d_norms = {n: level_norm(deltas[n], n, gamma) for n in sorted(deltas)}
+    a_norms = {n: level_norm(levels[n], n, alpha, p, True, None) for n in ns}
+    d_norms = {n: level_norm(deltas[n], n, gamma, p, True, None) for n in sorted(deltas)}
     fine = result["outputs"][ns[-1]]
     # the mean over cells: the L^p norm up to a constant, which the fit ignores
     ens = ns[:-1]
-    errs = [row_aggregate((result["outputs"][n] - fine).ravel(), np.ones(1),
-                          1.0 / fine.size, p) for n in ens]
+    diffs = (np.abs(result["outputs"][n] - fine).ravel() for n in ens)  # one at a time
+    errs = [np.max(e) if np.isinf(p) else np.mean(e ** p) ** (1.0 / p) for e in diffs]
     rate = float(-np.polyfit(ens, np.log2(np.maximum(errs, 1e-300)), 1)[0])
     a_sup = max(a_norms.values())
     d_sup = max(d_norms.values())
@@ -283,85 +270,6 @@ def sewing_check(result: dict, alpha: float, gamma: float, p: float = 2.0) -> di
     stable = all(b <= a * 2.0 ** (-0.5 * gamma) * 4.0 for a, b in zip(d_vals, d_vals[1:]))
     return {"A_norms": a_norms, "delta_norms": d_norms, "A_sup": a_sup,
             "delta_sup": d_sup, "rate": rate, "delta_stable": bool(stable)}
-
-
-# -- D^{gamma,p} norm ----------------------------------------------------------
-
-
-def _gamma_transport_space(f: ModelledDistribution, model: Model, dx_cells: int):
-    """Coefficients of Gamma^t_{y,x} f(t,x) where y = x + dx_cells * dx,
-    expressed in the basis at y (arrays indexed by (t, x))."""
-    phi = model.phi_field
-    dphi = np.roll(phi, -dx_cells, axis=1) - phi  # Phi(t, y) - Phi(t, x)
-    return _transport({s: f.get(s) for s in SYMBOLS},
-                      {"x": dx_cells * f.grid.dx, "Phi": dphi})
-
-
-def _gamma_transport_time(f: ModelledDistribution, model: Model, dt_cells: int):
-    """Coefficients of Gamma^x_{t, t - dt_cells dt} f(t - dt_cells dt, x)."""
-    phi = model.phi_field
-    dphi = phi - np.roll(phi, dt_cells, axis=0)  # Phi(t, x) - Phi(t - s, x)
-    return _transport({s: np.roll(f.get(s), dt_cells, axis=0) for s in SYMBOLS},
-                      {"Phi": dphi})
-
-
-def dgamma_norm(f: ModelledDistribution, model: Model, gamma: float = None,
-                p: float = None) -> float:
-    """The three-term coherence norm by grid quadrature.
-
-    Terms: pointwise L^p of |f|_zeta; the local-average space increment
-    |f(t,y) - Gamma^t_{y,x} f(t,x)|_zeta / lambda^{gamma-zeta} over
-    y in B(x, lambda); the time increment with lambda^2 steps, for
-    lambda = 2^-j, j = 2..6.  The ball average is subsampled to at most 9
-    displacements.
-    """
-    g = f.grid
-    gamma = f.gamma if gamma is None else gamma
-    p = f.p if p is None else p
-    # the sup over t is estimated on a decimated time grid
-    tstride = max(1, g.M // 1024)
-    if tstride > 1:
-        sub_grid = Grid(d=1, L=g.L, N=g.N, T=g.T, M=g.M // tstride)
-        f = ModelledDistribution(
-            grid=sub_grid, coeffs={s: a[::tstride] for s, a in f.coeffs.items()},
-            gamma=gamma, p=p)
-        model = Model(grid=sub_grid, xi=model.xi[::tstride],
-                      phi_field=model.phi_field[::tstride], kappa=model.kappa)
-        g = sub_grid
-    groups = {}  # the symbols of each homogeneity zeta
-    for s in SYMBOLS:
-        groups.setdefault(round(symbol_homogeneity(s, model.kappa), 9), []).append(s)
-    best = 0.0
-
-    def lp_over_x(arr):
-        return row_aggregate(arr, np.ones(g.N), g.dx, p)
-
-    for zeta, syms in groups.items():
-        point = sum(np.abs(f.get(s)) for s in syms)
-        best = max(best, lp_over_x(point))
-
-    for j in range(2, 7):
-        lam = 2.0 ** -j
-        cells = max(1, int(round(lam / g.dx)))
-        steps = max(1, int(round(lam ** 2 / g.dt)))
-        n_side = min(cells, 4)
-        offsets = np.unique(np.round(np.linspace(-cells, cells, 2 * n_side + 1))
-                            .astype(int))
-        acc = {z: np.zeros((g.M, g.N)) for z in groups}
-        for dc in offsets:
-            tr = _gamma_transport_space(f, model, int(dc))
-            for zeta, syms in groups.items():
-                diff = sum(np.abs(np.roll(f.get(s), -int(dc), axis=1) - tr[s])
-                           for s in syms)
-                acc[zeta] += diff
-        for zeta in groups:
-            term = acc[zeta] / offsets.size / lam ** (gamma - zeta)
-            best = max(best, lp_over_x(term))
-        tr = _gamma_transport_time(f, model, steps)
-        for zeta, syms in groups.items():
-            diff = sum(np.abs(f.get(s) - tr[s]) for s in syms)
-            best = max(best, lp_over_x(diff / lam ** (gamma - zeta)))
-    return best
 
 
 # -- storage -------------------------------------------------------------------

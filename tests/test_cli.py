@@ -756,6 +756,36 @@ def test_internal_key_error_is_not_a_validation_error(tmp_path, monkeypatch):
         main(["wavelet", "selftest", "--out", str(tmp_path / "w")])
 
 
+@pytest.mark.parametrize("argv, level", [
+    (["besov", "norm", "--alpha", "-1.7", "--p", "1000"], 0),
+    (["besov", "norm", "--alpha", "-1.7", "--weight", "exp:-300"], 0),
+    (["besov", "norm", "--alpha", "-1.7", "--weight", "poly:-400"], 0),
+    (["besov", "norm", "--alpha", "400"], 3),
+    (["besov", "norm", "--alpha", "-400"], 3),
+    (["reconstruct", "--alpha", "400", "--nmin", "1", "--nmax", "4"], 3),
+    (["reconstruct", "--alpha", "-400", "--nmin", "1", "--nmax", "4"], 3),
+], ids=["besov-p-1000", "besov-weight-exp", "besov-weight-poly", "besov-alpha-400",
+        "besov-alpha-minus-400", "reconstruct-alpha-400", "reconstruct-alpha-minus-400"])
+def test_level_norm_out_of_range_is_a_numerical_failure(tmp_path, capsys, argv, level):
+    # a level norm outside the floating-point range exits 2 naming its level,
+    # where it wrote inf (p = 1000, a weight that underflows on the L = 16
+    # box, reconstruct at alpha = 400) or raised a ZeroDivisionError or
+    # OverflowError (alpha = -400, and besov norm at alpha = 400): the
+    # normaliser 2^{-n|s|/2 - n alpha} leaves the range at level 3
+    _, sample = run_cli(["noise", "sample", "--d", "1", "--grid", "512,256,16,1"],
+                        tmp_path, "f")
+    inputs = {"besov": str(sample / "noise.shef"),
+              "reconstruct": str(_write_lift(tmp_path / "lift.shef", ["1", "X"]))}
+    capsys.readouterr()
+    code, out = run_cli(argv + ["--input", inputs[argv[0]]], tmp_path, "bad")
+    alpha = argv[argv.index("--alpha") + 1]
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"numerical failure: the level-{level} norm at alpha = {alpha}" in err
+    assert not any(re.search(r"\b(inf|nan)\b", path.read_text())
+                   for path in out.glob("*.csv"))
+
+
 def _float_options(parser, path=()):
     """(subcommand path, option) for every option of every subcommand whose
     type reads "1.5" as a float."""

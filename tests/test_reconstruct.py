@@ -12,11 +12,9 @@ from mshe.reconstruct import (
     Model,
     ModelledDistribution,
     canonical_model,
-    dgamma_norm,
     read_modelled,
     reconstruct,
     sewing_check,
-    symbol_homogeneity,
     time_shift_cells,
     write_modelled,
 )
@@ -34,17 +32,20 @@ def setup():
 
 
 def test_canonical_model_matches_the_mesh_kernel():
-    # the kernel evaluated on a time column and a space row is bit for bit
-    # the kernel on the full mesh, and so is Phi through the same F*K product
-    g = Grid(d=1, L=2.0, N=64, T=1.0, M=1024)
+    # the kernel evaluated on the rows and columns of its support 0 < t < 1,
+    # |x| < 1 is bit for bit the kernel on the full mesh, and so is Phi through
+    # the same F*K product; on the boxes T = 2 and T = 4 (and L = 4) the mesh
+    # reaches past the support in time (and in space)
     dec = decompose(1, 3)
-    xi = mollify(sample_white_noise(g, "spacetime", seed=4), Mollifier(epsilon=0.25))
-    tt, xx = np.meshgrid(np.fft.fftfreq(g.M, d=1.0 / g.M) * g.dt,
-                         np.fft.fftfreq(g.N, d=1.0 / g.N) * g.dx, indexing="ij")
-    kern = dec._gm(tt, xx[..., None]) * g.dt * g.dx
-    want = np.fft.irfftn(np.fft.rfftn(xi.values) * np.fft.rfftn(kern), s=(g.M, g.N),
-                         axes=(0, 1))
-    assert np.array_equal(canonical_model(xi).phi_field, want)
+    for seed, (T, L) in enumerate([(1.0, 2.0), (2.0, 2.0), (4.0, 4.0)]):
+        g = Grid(d=1, L=L, N=int(32 * L), T=T, M=int(1024 * T))
+        xi = mollify(sample_white_noise(g, "spacetime", seed=4 + seed), Mollifier(epsilon=0.25))
+        tt, xx = np.meshgrid(np.fft.fftfreq(g.M, d=1.0 / g.M) * g.dt,
+                             np.fft.fftfreq(g.N, d=1.0 / g.N) * g.dx, indexing="ij")
+        kern = dec._gm(tt, xx[..., None]) * g.dt * g.dx
+        want = np.fft.irfftn(np.fft.rfftn(xi.values) * np.fft.rfftn(kern), s=(g.M, g.N),
+                             axes=(0, 1))
+        assert np.array_equal(canonical_model(xi).phi_field, want), (T, L)
 
 
 def _smooth_pair(g):
@@ -77,7 +78,7 @@ def test_pi_unit_mass_pairing(setup):
 
 def test_algebraic_property(setup):
     # Pi_z Gamma_{z,z'} tau = Pi_{z'} tau, exactly for the canonical maps;
-    # Gamma_{z,z'} is the transport dgamma_norm applies, here to each symbol
+    # Gamma_{z,z'} is the transport _transport applies, here to each symbol
     _, g, model, _ = setup
     z, zp = (3000, 60), (3100, 80)
     increments = {"x": g.xs[z[1]] - g.xs[zp[1]],
@@ -131,6 +132,11 @@ def test_smooth_lift_rate(setup):
     rep = sewing_check(res, alpha=0.0, gamma=2.0)
     assert rep["rate"] == pytest.approx(2.0, rel=0.15)
     assert rep["delta_stable"]
+    # the level norms are absolutely homogeneous: those of -3 f are 3 times those of f
+    scaled = ModelledDistribution(grid=g, coeffs={"1": -3.0 * gf, "X": -3.0 * gx})
+    rep3 = sewing_check(reconstruct(scaled, model, basis, 3, 6), alpha=0.0, gamma=2.0)
+    for key in ("A_norms", "delta_norms"):
+        assert rep3[key] == pytest.approx({n: 3.0 * v for n, v in rep[key].items()}, rel=1e-12)
 
 
 def test_product_consistency(setup):
@@ -157,9 +163,9 @@ def test_reconstruct_linear(setup):
                                               "Xi": 0.3 * np.roll(gx, 10, axis=1)})
     a, b = 1.3, -0.7
     f3 = ModelledDistribution(grid=g, coeffs={
-        "1": a * f1.get("1") + b * f2.get("1"),
-        "X": a * f1.get("X"),
-        "Xi": b * f2.get("Xi"),
+        "1": a * f1.coeffs["1"] + b * f2.coeffs["1"],
+        "X": a * f1.coeffs["X"],
+        "Xi": b * f2.coeffs["Xi"],
     })
     r1 = reconstruct(f1, model, basis, 3, 4)["field"]
     r2 = reconstruct(f2, model, basis, 3, 4)["field"]
@@ -205,17 +211,6 @@ def test_sewing_zero(setup):
     rep = sewing_check(res, alpha=0.0, gamma=1.5)
     assert rep["A_sup"] == 0.0 and rep["delta_sup"] == 0.0
     assert np.all(res["field"] == 0.0)
-
-
-def test_dgamma_zero_and_homogeneity(setup):
-    basis, g, model, _ = setup
-    assert dgamma_norm(ModelledDistribution(grid=g, coeffs={}), model) == 0.0
-    gf, gx = _smooth_pair(g)
-    f = ModelledDistribution(grid=g, coeffs={"1": gf, "X": gx})
-    n1 = dgamma_norm(f, model, gamma=2.0, p=2.0)
-    scaled = ModelledDistribution(grid=g, coeffs={s: -3.0 * a for s, a in f.coeffs.items()})
-    n2 = dgamma_norm(scaled, model, gamma=2.0, p=2.0)
-    assert n2 == pytest.approx(3.0 * n1, rel=1e-12)
 
 
 def test_function_level_reconstruction_identity(setup):
@@ -285,14 +280,6 @@ def test_time_shift_cells(setup):
     assert time_shift_cells(basis, n, g) == int(round(C * 4.0 ** -n / g.dt))
 
 
-def test_symbol_homogeneities():
-    k = 0.05
-    assert symbol_homogeneity("1", k) == 0.0
-    assert symbol_homogeneity("Xi", k) == -1.55
-    assert symbol_homogeneity("I(Xi)", k) == pytest.approx(0.45)
-    assert symbol_homogeneity("Xi*I(Xi)", k) == pytest.approx(-1.1)
-
-
 def test_modelled_roundtrip(tmp_path, setup):
     _, g, _, _ = setup
     gf, gx = _smooth_pair(g)
@@ -301,9 +288,9 @@ def test_modelled_roundtrip(tmp_path, setup):
     write_modelled(path, f)
     h = read_modelled(path)
     assert h.gamma == 1.5 and h.p == 3.0
-    assert np.array_equal(h.get("1"), gf)
-    assert np.array_equal(h.get("X*Xi"), gx)
-    assert np.all(h.get("Xi") == 0.0)
+    assert list(h.coeffs) == ["1", "X*Xi"]
+    assert np.array_equal(h.coeffs["1"], gf)
+    assert np.array_equal(h.coeffs["X*Xi"], gx)
 
 
 @pytest.mark.parametrize("syms", [SYMBOLS[:2], SYMBOLS[:3], SYMBOLS[:4], SYMBOLS],
@@ -505,6 +492,26 @@ def test_reconstruct_builds_one_level_transform(setup, monkeypatch):
     monkeypatch.setattr(LevelTransform, "__init__", counting)
     reconstruct(f, model, basis, 1, 4)
     assert built == [4]
+
+
+def test_reconstruct_projects_disp_only_where_read(setup, monkeypatch):
+    # A^n reads the phi (y - x) transform of the field N only for a symbol
+    # with the noise factor N and b > 0 (X*Xi for xi): on a six-symbol lift,
+    # Phi and xi Phi are projected onto phi alone
+    basis = setup[0]
+    _, model, f = _random_model_and_lift(9, SYMBOLS)
+    bases = {"xi": model.xi, "Phi": model.phi_field, "xi Phi": model.xi * model.phi_field}
+    seen = {}
+    forward = LevelTransform.forward
+
+    def spy(self, values, combos):
+        seen[next(k for k, v in bases.items() if np.array_equal(values, v))] = list(combos)
+        return forward(self, values, combos)
+
+    monkeypatch.setattr(LevelTransform, "forward", spy)
+    reconstruct(f, model, basis, 1, 4)
+    assert seen == {"xi": [("phi", "phi"), ("phi", "disp")], "Phi": [("phi", "phi")],
+                    "xi Phi": [("phi", "phi")]}
 
 
 def test_polynomial_lift_reads_no_model(setup):
