@@ -162,7 +162,9 @@ def besov_norm(pyr, alpha: float, p: float = 2.0, weight: Weight = None) -> floa
         wvals = None
         if weight is not None:  # at the radii of the level-n lattice
             grids = np.meshgrid(*([pyr.xs(n)] * pyr.d), indexing="ij")
-            wvals = weight(np.sqrt(sum(g ** 2 for g in grids)))
+            # a weight past the float range is inf, which only zeroes its terms
+            with np.errstate(over="ignore"):
+                wvals = weight(np.sqrt(sum(g ** 2 for g in grids)))
         norms += [level_norm(arr, n, alpha, p, pyr.spacetime, wvals) for arr in arrays]
     return max(norms)
 

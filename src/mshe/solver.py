@@ -20,16 +20,18 @@ noise field as the mollified solver so that distances between the two are
 low-variance.
 
 Convergence studies fix one noise realization per seed at the finest grid,
-Fourier-transform it once, mollify it at each epsilon of a dyadic list
-(each with renorm's constant for that epsilon and mollifier), and report
-pairwise distances in the exponentially weighted norm
+Fourier-transform it once per grid, mollify it at each epsilon of a dyadic
+list (each with renorm's constant for that epsilon and mollifier), and
+report pairwise distances in the exponentially weighted norm
 
     d(u, v) = max_snapshots || (u - v)(t, .) e^{-(t + ell)(1 + |x|)} ||_{L^2}.
 
 Space-time noise is one realisation per seed on the whole time line
 (_realisation): solve, converge and the Ito reference see the same noise for
 a seed whatever epsilons are listed, and it is mollified on [0, T) by the
-linear, not the circular, convolution in time.
+linear, not the circular, convolution in time.  A space-time study runs each
+epsilon on its own dyadic grid at one ratio eps/dx, from block means of the
+finest grid's noise, and compares the snapshots on the finest grid.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ class SolverConfig:
     seed: int = 0
     snapshots: int = 8
     snapshot_t0: float = None   # first snapshot time; defaults to T/snapshots
+    snapshot_dt: float = None   # if set, snapshot targets snap to its multiples in (0, T]
 
     def __post_init__(self):
         if self.equation not in EQUATIONS:
@@ -97,6 +100,8 @@ class SolverConfig:
             raise ValueError(f"snapshots must be at least 1, got {self.snapshots}")
         if self.snapshot_t0 is not None and not 0 < self.snapshot_t0 <= self.T:
             raise ValueError(f"snapshot_t0 = {self.snapshot_t0} is outside (0, T] = (0, {self.T}]")
+        if self.snapshot_dt is not None and not 0 < self.snapshot_dt <= self.T:
+            raise ValueError(f"snapshot_dt = {self.snapshot_dt} is outside (0, T] = (0, {self.T}]")
         distinct = min(self.n_steps, self.snapshot_steps.size)
         if distinct < self.snapshots:
             raise ValueError(f"T = {self.T} and dt = {self.dt:.6g} give {distinct} distinct "
@@ -128,10 +133,15 @@ class SolverConfig:
     @property
     def snapshot_steps(self) -> np.ndarray:
         """The distinct steps closest to the target times linspace(t0, T,
-        snapshots).  Every solver shares the targets, so trajectories from
-        solvers with different dt are comparable."""
+        snapshots), each first rounded to a multiple of snapshot_dt if that is
+        set.  Every solver shares the targets, so trajectories from solvers
+        with different dt are comparable, and read the same times when their
+        steps divide snapshot_dt."""
         t0 = self.T / self.snapshots if self.snapshot_t0 is None else self.snapshot_t0
         targets = np.linspace(t0, self.T, self.snapshots)
+        if self.snapshot_dt is not None:
+            last = int(self.T / self.snapshot_dt + 1e-9)
+            targets = np.clip(np.round(targets / self.snapshot_dt), 1, last) * self.snapshot_dt
         return np.unique(np.clip(np.round(targets / self.dt).astype(int), 1, self.n_steps))
 
 
@@ -219,40 +229,98 @@ def _fast_len(n: int) -> int:
         n += 1
 
 
-def _realisation(grid: Grid, kind: str, seed: int, eps_max: float):
-    """One seed's white noise on the box, [0, T) for space-time noise (the
-    values of sample_white_noise(grid, kind, seed)), and the map eps ->
-    rho_eps * noise on that box for eps <= eps_max, from one transform.
+def _coarsened(grid: Grid, f: int) -> Grid:
+    """The box with N/f cells per axis and M/f^2 time rows."""
+    return replace(grid, N=grid.N // f, M=grid.M // f ** 2)
 
-    Space-time rows continue stream (seed, 0) past T, and the row at time
-    -(j + 1) dt is row j of stream (seed, 1); the pad on each side exceeds
-    eps_max^2/dt rows, beyond which the mollifier's time factor vanishes.
-    The array is [forward rows | zero rows | past rows, latest last] at a
-    5-smooth length (the FFT is over twice as slow at lengths like 2*7*521):
-    a rotation of the line, so no [0, T) row's kernel reaches a zero row.
-    """
-    if kind == "spatial":
-        noise, dt, box = sample_white_noise(grid, kind, seed=seed).values, None, slice(None)
-    else:
-        pad, space = int(np.ceil(eps_max ** 2 / grid.dt)) + 1, grid.space_shape()
-        noise = np.zeros((_fast_len(grid.M + 2 * pad),) + space)
-        _generator(seed).standard_normal(out=noise[:grid.M + pad])
-        noise[-pad:] = _generator(seed, 1).standard_normal((pad,) + space)[::-1]
-        noise /= np.sqrt(grid.dx ** grid.d * grid.dt)
-        dt, box = grid.dt, slice(grid.M)
+
+def _block_mean(values: np.ndarray, blocks: tuple, out: np.ndarray) -> None:
+    """Writes to out the means of values over blocks of blocks[i]
+    consecutive entries along axis i (each divides the axis)."""
+    shape = [n for size, b in zip(values.shape, blocks) for n in (size // b, b)]
+    values.reshape(shape).mean(axis=tuple(range(1, len(shape), 2)), out=out)
+
+
+def _mollifier_map(noise: np.ndarray, grid: Grid, kind: str):
+    """eps -> rho_eps * noise on [0, T) of grid, from one transform of the
+    (padded, for space-time noise) array."""
     F, shape = np.fft.rfftn(noise), noise.shape
+    dt, box = (grid.dt, slice(grid.M)) if kind == "spacetime" else (None, slice(None))
 
     def mollified(eps: float) -> Field:
         xi = Mollifier(epsilon=eps).convolve(F, shape, grid.dx, dt)
         return Field(grid=grid, values=xi[box], kind=kind)
 
-    return noise[box], mollified
+    return mollified
+
+
+def _realisation(grid: Grid, kind: str, seed: int, eps_max: dict) -> dict:
+    """One seed's white noise, per coarsening f of eps_max (f -> the largest
+    eps to mollify on the box coarsened by f; f = 1 is the box itself, f > 1
+    needs space-time noise): f -> (the noise on [0, T) of that box, the map
+    eps -> rho_eps * noise there for eps <= eps_max[f], from one transform).
+    The f = 1 noise is sample_white_noise(grid, kind, seed).
+
+    Space-time rows continue stream (seed, 0) past T, and the row at time
+    -(j + 1) dt is row j of stream (seed, 1); the fine line is drawn once,
+    as far beyond each end as the widest box's pad reaches.  Each box's pad
+    on each side exceeds eps_max[f]^2 / dt_f of its rows, beyond which the
+    mollifier's time factor vanishes.  Its array is [forward rows | zero rows
+    | past rows, latest last] at a 5-smooth length (the FFT is over twice as
+    slow at lengths like 2*7*521): a rotation of the line, so no [0, T) row's
+    kernel reaches a zero row.
+
+    The value at node (t_i, x) is the mean of the noise over the cell
+    [t_i, t_i + dt) x [x, x + dx)^d that starts there (the left-point
+    convention of the steppers), so a coarse cell holds the mean of the
+    f^2 x f^d fine cells from its node on, pad rows included: exactly white
+    noise on the coarse cells, variance 1/(dx_f^d dt_f).  The half cell
+    between a cell's centre and its node scales with the box, so at one
+    ratio eps/dx every box mollifies by the same lattice scheme, rescaled.
+    """
+    if kind == "spatial":
+        noise = sample_white_noise(grid, kind, seed=seed).values
+        return {1: (Field(grid=grid, values=noise, kind=kind),
+                    _mollifier_map(noise, grid, kind))}
+    pads = {f: int(np.ceil(e ** 2 / (f * f * grid.dt))) + 1 for f, e in eps_max.items()}
+    reach = max(f * f * pad for f, pad in pads.items())   # fine rows beyond each end
+    space, M = grid.space_shape(), grid.M
+    line = _generator(seed).standard_normal((M + reach,) + space)
+    past = _generator(seed, 1).standard_normal((reach,) + space)
+    scale = np.sqrt(grid.dx ** grid.d * grid.dt)
+    out = {}
+    for f, pad in sorted(pads.items()):
+        g, blocks, rows = _coarsened(grid, f), (f * f,) + (f,) * grid.d, f * f * pad
+        noise = np.zeros((_fast_len(g.M + 2 * pad),) + g.space_shape())
+        _block_mean(line[:M + rows], blocks, noise[:g.M + pad])
+        _block_mean(past[:rows], blocks, noise[-pad:][::-1])
+        noise /= scale
+        out[f] = (Field(grid=g, values=noise[:g.M], kind=kind), _mollifier_map(noise, g, kind))
+    return out
 
 
 def mollified_noise(cfg: SolverConfig) -> Field:
     """The potential's noise: cfg.seed's realisation mollified at cfg.eps
     (by the spatial marginal mollifier for spatial noise)."""
-    return _realisation(cfg.grid, cfg.noise_kind, cfg.seed, cfg.eps)[1](cfg.eps)
+    _, mollified = _realisation(cfg.grid, cfg.noise_kind, cfg.seed, {1: cfg.eps})[1]
+    return mollified(cfg.eps)
+
+
+def _resample(u: np.ndarray, n: int) -> np.ndarray:
+    """The trigonometric interpolant of periodic samples u, sampled at n
+    points per axis (n and u's lengths m powers of two): along each axis the
+    rfft, zero-padded to n with the bin at m/2 split in half between +-m/2
+    (so that a real field stays real and u is reproduced at every (n/m)-th
+    point), or cut to n's band with the bins +-n/2 joined in one (so that a
+    field with no frequency above n/2 cells is subsampled, and the mean
+    kept).  Cutting inverts padding."""
+    for axis in range(u.ndim):
+        m = u.shape[axis]
+        if m != n:
+            U = np.fft.rfft(u, axis=axis)
+            U.swapaxes(0, axis)[min(m, n) // 2] *= 0.5 if n > m else 2.0
+            u = np.fft.irfft(U, n, axis=axis) * (n / m)
+    return u
 
 
 def solve_renormalised(cfg: SolverConfig, xi_eps: Field = None) -> Trajectory:
@@ -342,8 +410,12 @@ def weighted_distance(t1: Trajectory, t2: Trajectory, ell: float = 0.0) -> float
 
     The snapshot lists must line up: the same length, and times that differ
     by no more than the two solvers' rounding of shared target times to their
-    own steps, (dt1 + dt2) / 2.
+    own steps, (dt1 + dt2) / 2.  The two must share their space grid.
     """
+    g1, g2 = ((g.d, g.N, g.L) for g in (t1.grid, t2.grid))
+    if g1 != g2:
+        raise ValueError("the trajectories are on different space grids: (d, N, L) = "
+                         f"{g1} and {g2}")
     if len(t1.times) != len(t2.times):
         raise ValueError(f"snapshot lists differ in length: {len(t1.times)} != {len(t2.times)}")
     off = np.abs(np.asarray(t1.times) - np.asarray(t2.times))
@@ -352,6 +424,28 @@ def weighted_distance(t1: Trajectory, t2: Trajectory, ell: float = 0.0) -> float
                          f"the sum of the steps {t1.dt:.6g} and {t2.dt:.6g}")
     diffs = (f1 - f2 for f1, f2 in zip(t1.fields, t2.fields))
     return max([0.0] + list(_weighted_l2(t1.grid, t1.times, diffs, ell)))
+
+
+def _coarsening(grid: Grid, eps: float, eps_min: float) -> int:
+    """The largest power of two f with eps / (f dx) >= eps_min / dx, at least
+    2 cells on the box coarsened by f, and f^2 <= M (so f^2 divides M)."""
+    f = 1
+    while eps / (2 * f) >= eps_min * (1 - 1e-12) and 4 * f <= grid.N and 4 * f * f <= grid.M:
+        f *= 2
+    return f
+
+
+def _study_config(finest: SolverConfig, eps: float, f: int, coarsest: int) -> SolverConfig:
+    """The finest epsilon's config for eps on the box coarsened by f, at the
+    step f^2 dt, with an initial field cut to the coarse band (_resample:
+    the node values of a field the coarse grid resolves, the mean of any);
+    when the study coarsens, snapshot targets snap to the coarsest step
+    coarsest^2 dt."""
+    u0 = finest.u0
+    if isinstance(u0, np.ndarray):
+        u0 = _resample(u0, finest.grid.N // f)
+    return replace(finest, grid=_coarsened(finest.grid, f), eps=eps, dt=f * f * finest.dt,
+                   u0=u0, snapshot_dt=coarsest ** 2 * finest.dt if coarsest > 1 else None)
 
 
 def convergence_study(equation: str, grid: Grid, eps_list, T: float | None,
@@ -368,6 +462,17 @@ def convergence_study(equation: str, grid: Grid, eps_list, T: float | None,
     else is listed.  Reports pairwise weighted distances per seed and, for
     she1d with include_ito, the distance to the Ito reference.  T = None runs
     to grid.T.
+
+    With space-time noise each epsilon runs on its own dyadic grid: the
+    finest keeps grid and dt, and a coarser one takes the largest
+    power-of-two coarsening f (_coarsening) that keeps its ratio eps/dx at
+    or above the finest one's, N/f cells and M/f^2 noise rows of block-mean
+    noise (_realisation), stepped at f^2 dt.  f is capped until every config
+    is valid, so the study accepts whatever the uncoarsened one does.  Its
+    snapshots are upsampled spectrally to grid, and the snapshot targets sit
+    on multiples of the coarsest step, so that every epsilon and the Ito
+    reference (on grid, at the noise's own dt) read the same times.  Spatial
+    noise runs every epsilon on grid.
     """
     from .renorm import compute_constants
 
@@ -375,27 +480,44 @@ def convergence_study(equation: str, grid: Grid, eps_list, T: float | None,
         raise ValueError("a convergence study needs at least 1 seed")
     if include_ito and equation != "she1d":
         raise ValueError(f"the Ito reference is defined for she1d only, not {equation}")
+    kind = EQUATIONS[equation][1]
     # every config is checked before any constant is computed
-    cfgs = {e: SolverConfig(equation=equation, grid=grid, eps=e, u0=u0, T=T, snapshots=6,
-                            snapshot_t0=snapshot_t0, dt=dt) for e in eps_list}
+    finest = SolverConfig(equation=equation, grid=grid, eps=min(eps_list), u0=u0, T=T,
+                          snapshots=6, snapshot_t0=snapshot_t0, dt=dt)
+    wanted = {e: _coarsening(grid, e, finest.eps) if kind == "spacetime" else 1
+              for e in eps_list}
+    coarsest = max(wanted.values())
+    # at coarsest = 1 these are the one-grid configs, whose errors are the study's
+    while True:
+        try:
+            cfgs = {e: _study_config(finest, e, min(f, coarsest), coarsest)
+                    for e, f in wanted.items()}
+            ito_cfg = replace(cfgs[finest.eps], dt=grid.dt) if include_ito else None
+            break
+        except ValueError:
+            if coarsest == 1:
+                raise
+            coarsest //= 2
+    f_of = {e: grid.N // cfg.grid.N for e, cfg in cfgs.items()}
+    eps_max = {f: max(e for e in eps_list if f_of[e] == f) for f in set(f_of.values())}
     if constants is None:
         constants = {e: compute_constants(equation, e, n_samples=n_qmc, seed=1000,
                                           threads=threads).C_eps for e in eps_list}
-    kind = EQUATIONS[equation][1]
 
     def run_seed(seed):
-        noise, mollified = _realisation(grid, kind, seed, max(eps_list))
+        noise = _realisation(grid, kind, seed, eps_max)
         trajs = {}
         for e in eps_list:
             cfg = replace(cfgs[e], C_eps=constants[e], seed=seed)
-            trajs[e] = solve_renormalised(cfg, xi_eps=mollified(e))
+            _, mollified = noise[f_of[e]]
+            traj = solve_renormalised(cfg, xi_eps=mollified(e))
+            trajs[e] = replace(traj, grid=grid,
+                               fields=[_resample(u, grid.N) for u in traj.fields])
         dists = [weighted_distance(trajs[a], trajs[b], ell=ell)
                  for a, b in zip(eps_list, eps_list[1:])]
         out = {"pairwise": dists}
         if include_ito:
-            # the finest epsilon's config, stepped at the noise's own dt
-            ito = solve_ito_reference(replace(cfg, C_eps=0.0, dt=grid.dt),
-                                      noise=Field(grid=grid, values=noise, kind=kind))
+            ito = solve_ito_reference(replace(ito_cfg, seed=seed), noise=noise[1][0])
             out["to_ito"] = [weighted_distance(trajs[e], ito, ell=ell)
                              for e in eps_list]
         return out

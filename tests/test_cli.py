@@ -831,6 +831,26 @@ def test_besov_norm_sup_exponent(tmp_path):
     assert code == 0 and (out3 / "besov-norm.csv").read_text() == csv_text
 
 
+def test_besov_norm_weight_past_the_float_range(tmp_path):
+    # e^{300 (1 + r)} is inf past r ~ 1.37 on the L = 16 box; an infinite
+    # weight only zeroes its terms, so the norm is the one computed with the
+    # overflow ignored, and no RuntimeWarning (an error in this suite) escapes
+    from mshe import besov
+    from mshe.noise import read_field
+    from mshe.wavelet import analyze
+
+    _, sample = run_cli(["noise", "sample", "--d", "1", "--grid", "512,256,16,1"],
+                        tmp_path, "f")
+    code, out = run_cli(["besov", "norm", "--input", str(sample / "noise.shef"),
+                         "--alpha", "-1.7", "--weight", "exp:300"], tmp_path, "n")
+    assert code == 0
+    got = float((out / "besov-norm.csv").read_text().splitlines()[1].split(",")[-1])
+    pyr = analyze(read_field(sample / "noise.shef"), build_basis(2), 0, 3)
+    with np.errstate(over="ignore"):
+        want = besov.besov_norm(pyr, -1.7, p=2.0, weight=besov.exponential_weight(300.0))
+    assert 0 < got == want
+
+
 def test_equation_commands_import_no_scipy(tmp_path):
     # scipy is a test dependency only: importing it would put about 0.8 s of
     # set-up before every renorm, solve and converge run

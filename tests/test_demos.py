@@ -1,7 +1,7 @@
 """The demos run to the end, with every warning an error.
 
 Each demo runs as a script in its own process, as a reader would run it.
-demos/07_solver_convergence.py is left out: it takes about half a minute,
+demos/07_solver_convergence.py is left out: it takes about ten seconds,
 and the convergence it shows is checked by test_acceptance.py::test_09.
 """
 

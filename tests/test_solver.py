@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
 from mshe.kernel import heat_kernel
-from mshe.noise import Field, Grid, Mollifier, mollify, sample_white_noise
+from mshe.noise import Field, Grid, Mollifier, _generator, mollify, sample_white_noise
 from mshe.solver import (
     BlowUpError,
     SolverConfig,
@@ -19,7 +19,8 @@ from mshe.solver import (
     weighted_distance,
     weighted_norm_diag,
 )
-from mshe.solver import _fast_len, _heat_symbol
+from mshe.solver import _fast_len, _heat_symbol, _initial_field, _realisation, _resample
+from mshe.solver import _study_config
 
 
 def _zero_noise(grid, kind):
@@ -319,24 +320,47 @@ def test_convergence_study_pam3d_equals_direct_solves():
 
 
 def test_convergence_study_she_equals_direct_solves():
-    # the study mollifies one transform, padded for the largest eps at a fast
-    # length; solving each eps on its own (its own pad and length) and the Ito
-    # reference from its default draw gives the same distances up to
-    # round-off: one realisation, and the zero rows never reach [0, T)
+    # each eps runs on its own dyadic grid: f = 4, 2, 1 give N/f cells, M/f^2
+    # noise rows and the step f^2 dt, all at eps/dx = 2.  Its noise is the
+    # block means of the seed's fine noise on the whole time line (stream
+    # (seed, 0) from t = 0, (seed, 1) before it), mollified there by a linear
+    # convolution in time, and the snapshot targets sit on multiples of the
+    # coarsest step 16 dt.  Solving each eps so, upsampling its snapshots to
+    # the fine grid, and the Ito reference from its default draw on the fine
+    # grid give the study's distances up to round-off: the study pads each
+    # grid for its own eps at a fast length
     g = Grid(d=1, L=4.0, N=64, T=0.25, M=512)
-    eps = [0.4, 0.2, 0.125]
-    constants = {0.4: 0.498, 0.2: 0.996, 0.125: 1.59}
-    pad = int(np.ceil(2.0 * max(eps) ** 2 / g.dt)) + 1
-    rows = g.M + 2 * pad
-    assert next_fast_len(rows, real=True) != rows   # 1826 = 2*11*83
+    eps, fs = [0.5, 0.25, 0.125], [4, 2, 1]
+    constants = {0.5: 0.4, 0.25: 0.8, 0.125: 1.6}
+    dt = g.dx ** 2 / 4
+    # the study's padded lengths are 98, 194 and 578 rows, none 5-smooth, so
+    # each grid's pad to _fast_len is exercised
+    rows = [g.M // f ** 2 + 2 * (int(np.ceil(e ** 2 / (f * f * g.dt))) + 1)
+            for e, f in zip(eps, fs)]
+    assert [next_fast_len(n, real=True) != n for n in rows] == [True] * 3, rows
     res = convergence_study("she1d", g, eps, T=0.25, seeds=(0, 3), constants=constants,
                             include_ito=True, snapshot_t0=0.125)
+    pad = 1024   # fine rows beyond each end: past every kernel's reach, 64 * 16
     for seed, r in zip(res["seeds"], res["results"]):
-        cfgs = [SolverConfig(equation="she1d", grid=g, eps=e, C_eps=constants[e],
-                             u0=("const", 1.0), T=0.25, seed=seed, snapshots=6,
-                             snapshot_t0=0.125) for e in eps]
-        trajs = [solve_renormalised(cfg) for cfg in cfgs]
-        ito = solve_ito_reference(replace(cfgs[-1], C_eps=0.0, dt=g.dt))
+        line = np.concatenate([_generator(seed, 1).standard_normal((pad, g.N))[::-1],
+                               _generator(seed).standard_normal((g.M + pad, g.N))])
+        line /= np.sqrt(g.dx * g.dt)
+        trajs = []
+        for e, f in zip(eps, fs):
+            gf = Grid(d=1, L=g.L, N=g.N // f, T=g.T, M=g.M // f ** 2)
+            coarse = line.reshape(-1, f * f, gf.N, f).mean(axis=(1, 3))
+            xi = Mollifier(epsilon=e).convolve(np.fft.rfftn(coarse), coarse.shape,
+                                               gf.dx, gf.dt)
+            rows = slice(pad // f ** 2, pad // f ** 2 + gf.M)
+            cfg = SolverConfig(equation="she1d", grid=gf, eps=e, C_eps=constants[e],
+                               u0=("const", 1.0), T=0.25, seed=seed, snapshots=6,
+                               snapshot_t0=0.125, dt=f * f * dt, snapshot_dt=16 * dt)
+            traj = solve_renormalised(cfg, xi_eps=Field(grid=gf, values=xi[rows],
+                                                        kind="spacetime"))
+            trajs.append(replace(traj, grid=g,
+                                 fields=[_resample(u, g.N) for u in traj.fields]))
+        ito = solve_ito_reference(replace(cfg, C_eps=0.0, dt=g.dt))
+        assert np.array_equal(ito.times, trajs[0].times)
         want = [weighted_distance(a, b) for a, b in zip(trajs, trajs[1:])]
         want_ito = [weighted_distance(t, ito) for t in trajs]
         assert r["pairwise"] == pytest.approx(want, rel=1e-12, abs=0)
@@ -344,18 +368,147 @@ def test_convergence_study_she_equals_direct_solves():
 
 
 def test_convergence_study_she_independent_of_the_list():
-    # the largest eps listed sets only how much of the seed's whole-line
-    # realisation is mollified, so the pair both lists share and the
-    # distances to the Ito reference do not depend on it
+    # an eps's grid depends only on it and the finest eps, its pad only on the
+    # largest eps of that grid, and the snapshot times only on the coarsest
+    # grid: lists that share their finest and coarsest eps give the same
+    # distances for the eps they share.  0.3 joins the grid of 0.25 (f = 2)
+    # and widens its pad
     g = Grid(d=1, L=4.0, N=64, T=0.25, M=512)
-    constants = {0.4: 0.498, 0.2: 0.996, 0.125: 1.59}
+    constants = {0.5: 0.4, 0.3: 0.66, 0.25: 0.8, 0.125: 1.6}
     long, short = (convergence_study("she1d", g, eps, T=0.25, seeds=(0, 3),
                                      constants=constants, include_ito=True,
                                      snapshot_t0=0.125)["results"]
-                   for eps in ([0.4, 0.2, 0.125], [0.2, 0.125]))
+                   for eps in ([0.5, 0.3, 0.25, 0.125], [0.5, 0.25, 0.125]))
     for a, b in zip(long, short):
-        assert a["pairwise"][1:] == pytest.approx(b["pairwise"], rel=1e-12, abs=0)
-        assert a["to_ito"][1:] == pytest.approx(b["to_ito"], rel=1e-12, abs=0)
+        assert a["pairwise"][2:] == pytest.approx(b["pairwise"][1:], rel=1e-12, abs=0)
+        assert [a["to_ito"][i] for i in (0, 2, 3)] == pytest.approx(b["to_ito"],
+                                                                     rel=1e-12, abs=0)
+
+
+def test_coarse_noise_is_the_block_mean_of_the_fine_cells():
+    # each coarse cell (f^2 fine rows by f fine cells) holds the mean of the
+    # seed's fine cells it covers, so its variance is 1/(dx_f dt_f); over n
+    # cells the sample variance has relative standard deviation sqrt(2/n)
+    g = Grid(d=1, L=4.0, N=256, T=0.25, M=1024)
+    fine = sample_white_noise(g, "spacetime", seed=5).values
+    noise = _realisation(g, "spacetime", 5, {1: 0.0625, 2: 0.125, 4: 0.25})
+    assert np.array_equal(noise[1][0].values, fine)
+    for f in (2, 4):
+        coarse = noise[f][0]
+        assert coarse.grid == Grid(d=1, L=4.0, N=256 // f, T=0.25, M=1024 // f ** 2)
+        blocks = np.array([[fine[i * f * f:(i + 1) * f * f, j * f:(j + 1) * f].mean()
+                            for j in range(coarse.grid.N)] for i in range(coarse.grid.M)])
+        np.testing.assert_allclose(coarse.values, blocks, rtol=1e-12, atol=1e-12 * fine.std())
+        n = coarse.values.size
+        var = coarse.values.var() * coarse.grid.dx * coarse.grid.dt
+        assert abs(var - 1.0) < 5.0 * np.sqrt(2.0 / n), (f, n, var)
+
+
+def test_resample_is_the_trigonometric_interpolant():
+    rng = np.random.default_rng(0)
+    m, n = 16, 64
+    u = rng.standard_normal(m)
+    up = _resample(u, n)
+    assert np.abs(up[::n // m] - u).max() < 1e-14 * np.abs(u).max()
+    # cutting the interpolant back to m points gives u
+    assert np.abs(_resample(up, m) - u).max() < 1e-14 * np.abs(u).max()
+    # a band-limited field, with a cosine at the coarse Nyquist frequency, is
+    # reproduced at every fine point
+    x = lambda k: np.arange(k) / k
+
+    def field(k):
+        out = 0.7 * np.cos(np.pi * m * x(k))
+        for q in range(m // 2):
+            out = out + np.cos(2 * np.pi * q * x(k) + q) / (1 + q)
+        return out
+
+    assert np.abs(_resample(field(m), n) - field(n)).max() < 1e-13
+    # and per axis on a 2-d product
+    u2 = np.outer(field(m), field(m)[::-1])
+    assert np.abs(_resample(u2, n) - np.outer(field(n), _resample(field(m)[::-1], n))).max() \
+        < 1e-12
+    # cutting keeps the mean: the fine Dirac mass, cut to a coarse grid, is
+    # the coarse one but for its Nyquist mode, which the heat flow damps first
+    def dirac(N):
+        g = Grid(d=1, L=4.0, N=N, T=0.01, M=8)
+        return _initial_field(SolverConfig(equation="she1d", grid=g, eps=1.0, u0="dirac",
+                                           dt=1e-3, T=0.01, snapshots=1))
+
+    diff = np.fft.rfft(_resample(dirac(n), m) - dirac(m))
+    assert np.abs(diff[:-1]).max() < 1e-13 * dirac(m).max()
+
+
+@pytest.mark.parametrize("T, coarsest", [(0.02, 4), (12 * (4.0 / 256) ** 2 / 4, 1)])
+def test_convergence_study_near_the_cap(T, coarsest):
+    # eps = 0.4 would run at f = 8, stepping 64 dt; a short run has fewer than
+    # its 6 distinct snapshot steps there, so the coarsest f halves until every
+    # config is valid: to 4 at T = 0.02, to the one grid for a run of 12 fine
+    # steps (6 Ito steps).  Both runs are accepted, as on the one grid
+    g = Grid(d=1, L=4.0, N=256, T=0.25, M=2048)
+    dt = g.dx ** 2 / 4
+
+    def coarsest_config(f):
+        return SolverConfig(equation="she1d", eps=0.4, T=T, snapshots=6, dt=f * f * dt,
+                            grid=Grid(d=1, L=4.0, N=256 // f, T=0.25, M=2048 // f ** 2),
+                            snapshot_dt=f * f * dt)
+
+    with pytest.raises(ValueError):
+        coarsest_config(2 * coarsest)
+    assert coarsest_config(coarsest).snapshot_steps.size == 6
+    eps = [0.4, 0.2, 0.1, 0.05]
+    r = convergence_study("she1d", g, eps, T=T, seeds=(1,), include_ito=True,
+                          constants={e: 0.2 / e for e in eps})["results"][0]
+    assert len(r["pairwise"]) == 3 and len(r["to_ito"]) == 4
+    assert all(np.isfinite(v) and v > 0 for v in r["pairwise"] + r["to_ito"])
+
+
+def test_convergence_study_cuts_an_array_u0_to_the_coarse_band(monkeypatch):
+    # an array u0 reaches each coarse grid cut to that grid's band (_resample),
+    # so a band-limited u0 keeps its values at the coarse nodes.  Under one
+    # constant noise and one constant every eps then solves the same equation,
+    # exactly on each grid, and the upsampled coarse snapshots equal the fine
+    # ones to round-off; block means would shift u0 by (f - 1) dx / 2
+    g = Grid(d=1, L=4.0, N=64, T=0.25, M=512)
+    x = 2 * np.pi * g.xs / g.L
+    u0 = 1.0 + 0.5 * np.cos(x) + 0.3 * np.sin(3 * x + 1.0) + 0.2 * np.cos(7 * x)
+    finest = SolverConfig(equation="she1d", grid=g, eps=0.125, u0=u0, T=0.25, snapshots=6)
+    for f in (2, 4):
+        assert np.abs(_study_config(finest, 0.5, f, 4).u0 - u0[::f]).max() < 1e-14
+
+    def constant_noise(grid, kind, seed, eps_max):
+        out = {}
+        for f in eps_max:
+            xi = Field(grid=replace(grid, N=grid.N // f, M=grid.M // f ** 2), kind=kind,
+                       values=np.full((grid.M // f ** 2, grid.N // f), 0.7))
+            out[f] = (xi, lambda eps, xi=xi: xi)
+        return out
+
+    monkeypatch.setattr("mshe.solver._realisation", constant_noise)
+    eps = [0.5, 0.25, 0.125]
+    res = convergence_study("she1d", g, eps, T=0.25, u0=u0, constants=dict.fromkeys(eps, 1.2),
+                            snapshot_t0=0.125, include_ito=True)
+    r = res["results"][0]
+    assert max(r["pairwise"]) < 1e-13, r["pairwise"]
+    # the distances are those of solutions of size one
+    assert min(r["to_ito"]) > 0.01, r["to_ito"]
+
+
+def test_weighted_distance_needs_one_space_grid():
+    # a different N failed with a numpy broadcast error, a different L gave a
+    # silently wrong number: both are refused, naming both grids
+    def run(N, L):
+        g = Grid(d=1, L=L, N=N, T=0.1, M=256)
+        cfg = SolverConfig(equation="she1d", grid=g, eps=4 * 4.0 / 128, u0=("const", 1.0),
+                           T=0.1, snapshots=3, dt=1e-4)
+        return solve_renormalised(cfg, xi_eps=mollify(_zero_noise(g, "spacetime"),
+                                                      Mollifier(epsilon=cfg.eps)))
+
+    base = run(128, 4.0)
+    for other, want in ((run(256, 4.0), r"\(1, 256, 4.0\)"),
+                        (run(128, 8.0), r"\(1, 128, 8.0\)")):
+        with pytest.raises(ValueError, match=r"different space grids.*\(1, 128, 4.0\) and "
+                           + want):
+            weighted_distance(base, other)
 
 
 def test_mollified_noise_reaches_past_the_time_edges():
