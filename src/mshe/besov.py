@@ -112,11 +112,22 @@ def _aggregate(arr, n: int, d: int, p: float, wvals, reduce) -> float:
     2^{-nd}, with the weight wvals (None for 1) divided out, then reduced
     over the time rows: np.max for norms, np.mean of the p-th powers for
     estimators (unbiased for stationary fields).  The rows are summed
-    C-ordered, as row sums round by memory layout."""
+    C-ordered, as row sums round by memory layout.  When a row's sum of p-th
+    powers underflows to 0 or overflows while its largest entry is a
+    positive float (large p), the powers are taken relative to the array's
+    largest entry, which is multiplied back after the root."""
     scaled = np.abs(np.ascontiguousarray(arr)) / (1.0 if wvals is None else wvals)
     if math.isinf(p):
         return float(np.max(scaled))
-    agg_p = 2.0 ** (-n * d) * np.sum(scaled ** p, axis=tuple(range(arr.ndim - d, arr.ndim)))
+    axes = tuple(range(arr.ndim - d, arr.ndim))
+    agg_p = 2.0 ** (-n * d) * np.sum(scaled ** p, axis=axes)
+    lost = (agg_p == 0) | (agg_p == math.inf)
+    if np.any(lost):
+        top = np.max(scaled, axis=axes)
+        if np.any(lost & (top > 0) & (top < math.inf)):
+            m = np.max(top)
+            return float(m * reduce(2.0 ** (-n * d) * np.sum((scaled / m) ** p, axis=axes))
+                         ** (1.0 / p))
     return float(reduce(agg_p) ** (1.0 / p))
 
 

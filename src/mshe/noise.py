@@ -170,6 +170,88 @@ def _bb_cdf(profile: str):
     return gs, cdf
 
 
+class _IndexedInterp:
+    """np.interp(x, xp, fp) over fixed non-decreasing knots, bit for bit,
+    with the knot found by indexing instead of by binary search.
+
+    The range [xp[0], xp[-1]] is cut into equal buckets, and a guide table
+    gives the last knot at or below each bucket's end (Chen and Asau 1974;
+    Devroye 1986, III.2.4).  A query, clamped to the range as np.interp's
+    default ends are, takes its bucket's guide entry and steps down once if
+    that knot lies above it; a query in a bucket of two or more knots is
+    searched.  Knots are bucketed by the same arithmetic as queries, so one
+    step always suffices elsewhere.  Of a run of equal knots only the last is
+    kept, the one np.interp picks.  On a uniform table (the b and bb grids)
+    the guide is the identity and is skipped.  The value is slope[j]·(x −
+    xp[j]) + fp[j], as numpy computes it; the slopes must be finite.
+    """
+
+    def __init__(self, xp, fp, buckets):
+        j = np.flatnonzero(np.append(np.diff(xp) > 0, True))
+        jn = j[:-1]
+        self.slope = np.append((fp[jn + 1] - fp[jn]) / (xp[jn + 1] - xp[jn]), 0.0)
+        if not np.all(np.isfinite(self.slope)):
+            raise ValueError("interpolation table with an infinite slope")
+        self.x, self.f = xp[j], fp[j]
+        if j[0]:  # below a run of equal first knots np.interp gives fp[0]
+            self.x = np.append(np.nextafter(xp[0], -np.inf), self.x)
+            self.f, self.slope = np.append(fp[0], self.f), np.append(0.0, self.slope)
+        self.lo, self.hi = self.x[0], xp[-1]
+        self.origin, self.scale = xp[0], buckets / (xp[-1] - xp[0])
+        kk = self._bucket(self.x)
+        k = np.arange(kk[-1] + 1)
+        top = np.searchsorted(kk, k, "right") - 1
+        crowded = top - np.maximum(np.searchsorted(kk, k, "left") - 1, 0) > 1
+        self.guide = None if np.array_equal(top, k) else top
+        self.crowded = crowded if crowded.any() else None
+
+    def _bucket(self, xc):
+        t = xc - self.origin
+        t *= self.scale
+        np.fmax(t, 0.0, out=t)  # a NaN query goes to bucket 0 and stays NaN
+        return t.astype(np.intp)
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        xc = np.maximum(x.reshape(-1), self.lo)
+        np.minimum(xc, self.hi, out=xc)
+        i = self._bucket(xc)
+        searched = () if self.crowded is None else np.flatnonzero(self.crowded[i])
+        if self.guide is not None:
+            i = self.guide[i]
+        i -= xc < self.x[i]
+        if len(searched):
+            i[searched] = np.searchsorted(self.x, xc[searched], "right") - 1
+        out = xc - self.x[i]
+        out *= self.slope[i]
+        out += self.f[i]
+        return out.reshape(x.shape)[()]
+
+
+# The lookups of a profile's tables, built on first use.  b and bb vanish at
+# both ends of their grids, so the held end values are the 0 that np.interp
+# gave outside them; of the CDF's 2^16 buckets about 1% hold two or more
+# knots, in the flat tails.
+
+
+@functools.cache
+def _b_table(profile: str) -> _IndexedInterp:
+    gu, b, _, _ = bump_profile(profile)
+    return _IndexedInterp(gu, b, gu.size - 1)
+
+
+@functools.cache
+def _bb_table(profile: str) -> _IndexedInterp:
+    _, _, gs, bb = bump_profile(profile)
+    return _IndexedInterp(gs, bb, gs.size - 1)
+
+
+@functools.cache
+def _cdf_table(profile: str) -> _IndexedInterp:
+    gs, cdf = _bb_cdf(profile)
+    return _IndexedInterp(cdf, gs, 1 << 16)
+
+
 @dataclass(frozen=True)
 class Mollifier:
     """Product bump at scale eps over the shared 1-d tables of its profile."""
@@ -183,8 +265,7 @@ class Mollifier:
         bump_profile(self.profile)  # rejects an unknown profile
 
     def _b(self, u):
-        gu, b, _, _ = bump_profile(self.profile)
-        return np.interp(u, gu, b, left=0.0, right=0.0)
+        return _b_table(self.profile)(u)
 
     def rho(self, t, x):
         """Unit-scale rho(t, x...); x has shape (..., d)."""
@@ -197,12 +278,15 @@ class Mollifier:
 
     def bb(self, s):
         """1-d self-convolution (b*b)(s), unit scale."""
-        _, _, gs, bb = bump_profile(self.profile)
-        return np.interp(np.asarray(s, dtype=float), gs, bb, left=0.0, right=0.0)
+        return _bb_table(self.profile)(s)
 
     def bb_cdf(self):
         """The grid of the bb table and the trapezoid CDF of bb on it."""
         return _bb_cdf(self.profile)
+
+    def bb_quantile(self, p):
+        """The inverse of bb_cdf at p in [0, 1]: np.interp(p, cdf, grid)."""
+        return _cdf_table(self.profile)(p)
 
     def rho_sq_spatial(self, x):
         """Spatial marginal of rho_eps^{*2} (time integrated out); x has shape

@@ -33,11 +33,12 @@ its radial rule, and is exactly 1 on the support of rho2 once R_G/eps >=
 
 c11 and c12 are randomized-QMC means of one integrand each: the mollifier
 factors are importance sampled exactly through per-axis inverse CDFs of the
-self-convolved bump, one Green factor per integral is importance sampled
-(radially with density ~ 1/|x| in the 3-d case; with the heat kernel's own
-density, uniform in t and Gaussian in x, in the space-time case), and the
-remaining factors are plain weights.  c12 is the mean over w = z1+z2+z3 and
-z3 ~ rho2 and z1 ~ q of
+self-convolved bump (``Mollifier.bb_quantile``, a guide-table lookup that
+gives np.interp's bits on the CDF table), one Green factor per integral is
+importance sampled (radially with density ~ 1/|x| in the 3-d case; with the
+heat kernel's own density, uniform in t and Gaussian in x, in the space-time
+case), and the remaining factors are plain weights.  c12 is the mean over
+w = z1+z2+z3 and z3 ~ rho2 and z1 ~ q of
 
     (G/q)(z1) G(z3) [G(w - z1 - z3) - G(w - z1)]:
 
@@ -180,10 +181,9 @@ GREENS = {"pam3d": pam_green, "she1d": she_green}
 def _sample_rho2(moll: Mollifier, green: GreenFn, U: np.ndarray) -> np.ndarray:
     """Inverse-CDF samples of rho_eps^{*2} per axis: (eps^2-time, eps-space)
     for she1d, (eps-space)^3 for pam3d."""
-    gs, cdf = moll.bb_cdf()
     e = moll.epsilon
     scales = (e, e, e) if green.equation == "pam3d" else (e ** 2, e)
-    return np.stack([s * np.interp(U[:, i], cdf, gs) for i, s in enumerate(scales)], axis=-1)
+    return np.stack([s * moll.bb_quantile(U[:, i]) for i, s in enumerate(scales)], axis=-1)
 
 
 # -- c_eps: deterministic quadrature ----------------------------------------
@@ -261,10 +261,9 @@ def _c_eps_she(moll: Mollifier, n: int) -> float:
     dxi = xi[1] - xi[0]
     gauss = np.exp(-xi ** 2 / 4.0)
     total = 0.0
-    for tv, twt in zip(tau, tauw):
+    for tv, twt, bt in zip(tau, tauw, moll.bb(tau ** 2 / e ** 2)):
         inner = np.sum(gauss * moll.bb(tv * xi / e) / e) * dxi
-        total += twt * 2.0 * tv * (4.0 * np.pi) ** -0.5 \
-            * moll.bb(tv ** 2 / e ** 2) / e ** 2 * inner
+        total += twt * 2.0 * tv * (4.0 * np.pi) ** -0.5 * bt / e ** 2 * inner
     return total
 
 

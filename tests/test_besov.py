@@ -131,3 +131,28 @@ def test_dirac_norm_growth_matches_criterion(basis):
     ratio_n = non[-1] / non[0]
     assert ratio_m < 1.3
     assert ratio_n > 1.5
+
+
+@pytest.mark.parametrize("p", [1000.0, 5000.0])
+@pytest.mark.parametrize("c", [0.3, 3.0])
+def test_level_norm_at_large_p_closed_form(c, p):
+    # a constant c on 64 cells at level n has the norm
+    # c (cells 2^{-nd})^{1/p} / 2^{-n|s|/2 - n alpha}; c^p underflows (0.3)
+    # or overflows (3.0) at these p, so the powers are taken relative to c
+    n, alpha = 3, 0.5
+    want = c * (64 * 2.0 ** -n) ** (1.0 / p) / 2.0 ** (-n * 0.5 - n * alpha)
+    assert besov.level_norm(np.full(64, c), n, alpha, p, False, None) == \
+        pytest.approx(want, rel=1e-12)
+    # space-time: the sup over time rows, one row at c and one at c / 2
+    rows = np.stack([np.full(64, c / 2), np.full(64, c)])
+    want_st = c * (64 * 2.0 ** -n) ** (1.0 / p) / 2.0 ** (-n * 1.5 - n * alpha)
+    assert besov.level_norm(rows, n, alpha, p, True, None) == pytest.approx(want_st, rel=1e-12)
+
+
+def test_level_norm_keeps_its_bits_in_range():
+    # a row whose p-th powers stay in range is computed as before, root of
+    # the max of the row aggregates, bit for bit
+    a = np.random.default_rng(3).standard_normal((8, 64))
+    for p in (1.0, 2.0, 7.5, 60.0):
+        want = float(np.max(2.0 ** -3 * np.sum(np.abs(a) ** p, axis=1)) ** (1.0 / p))
+        assert besov.level_norm(a, 3, 0.5, p, True, None) * 2.0 ** -6 == want

@@ -757,19 +757,18 @@ def test_internal_key_error_is_not_a_validation_error(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, level", [
-    (["besov", "norm", "--alpha", "-1.7", "--p", "1000"], 0),
     (["besov", "norm", "--alpha", "-1.7", "--weight", "exp:-300"], 0),
     (["besov", "norm", "--alpha", "-1.7", "--weight", "poly:-400"], 0),
     (["besov", "norm", "--alpha", "400"], 3),
     (["besov", "norm", "--alpha", "-400"], 3),
     (["reconstruct", "--alpha", "400", "--nmin", "1", "--nmax", "4"], 3),
     (["reconstruct", "--alpha", "-400", "--nmin", "1", "--nmax", "4"], 3),
-], ids=["besov-p-1000", "besov-weight-exp", "besov-weight-poly", "besov-alpha-400",
+], ids=["besov-weight-exp", "besov-weight-poly", "besov-alpha-400",
         "besov-alpha-minus-400", "reconstruct-alpha-400", "reconstruct-alpha-minus-400"])
 def test_level_norm_out_of_range_is_a_numerical_failure(tmp_path, capsys, argv, level):
     # a level norm outside the floating-point range exits 2 naming its level,
-    # where it wrote inf (p = 1000, a weight that underflows on the L = 16
-    # box, reconstruct at alpha = 400) or raised a ZeroDivisionError or
+    # where it wrote inf (a weight that underflows on the L = 16 box,
+    # reconstruct at alpha = 400) or raised a ZeroDivisionError or
     # OverflowError (alpha = -400, and besov norm at alpha = 400): the
     # normaliser 2^{-n|s|/2 - n alpha} leaves the range at level 3
     _, sample = run_cli(["noise", "sample", "--d", "1", "--grid", "512,256,16,1"],
@@ -784,6 +783,33 @@ def test_level_norm_out_of_range_is_a_numerical_failure(tmp_path, capsys, argv, 
     assert f"numerical failure: the level-{level} norm at alpha = {alpha}" in err
     assert not any(re.search(r"\b(inf|nan)\b", path.read_text())
                    for path in out.glob("*.csv"))
+
+
+def test_besov_norm_at_large_p_is_the_rescaled_norm(tmp_path):
+    # at p = 1000 the p-th powers of the level-0 coefficients on the L = 16
+    # box overflow, yet the norm is finite: here each row's l^p sum is
+    # recomputed relative to the row's largest coefficient
+    from mshe.noise import read_field
+    from mshe.wavelet import analyze
+
+    _, sample = run_cli(["noise", "sample", "--d", "1", "--grid", "512,256,16,1"],
+                        tmp_path, "f")
+    code, out = run_cli(["besov", "norm", "--input", str(sample / "noise.shef"),
+                         "--alpha", "-1.7", "--p", "1000"], tmp_path, "n")
+    assert code == 0
+    got = float((out / "besov-norm.csv").read_text().splitlines()[1].split(",")[-1])
+    pyr = analyze(read_field(sample / "noise.shef"), build_basis(2), 0, 3)
+    p, alpha = 1000.0, -1.7
+
+    def norm(n, arr):
+        a = np.abs(arr)
+        top = a.max(axis=1)
+        rows = top * (2.0 ** -n * np.sum((a / top[:, None]) ** p, axis=1)) ** (1.0 / p)
+        return rows.max() / 2.0 ** (-n * 1.5 - n * alpha)
+
+    terms = [(n, arr) for n in pyr.levels for arr in pyr.levels[n].values()]
+    want = max(norm(n, arr) for n, arr in terms + [(pyr.n_min, pyr.phi_level)])
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def _float_options(parser, path=()):

@@ -8,6 +8,11 @@ from mshe.noise import (
     Field,
     Grid,
     Mollifier,
+    _b_table,
+    _bb_cdf,
+    _bb_table,
+    _cdf_table,
+    bump_profile,
     mollify,
     read_field,
     sample_white_noise,
@@ -318,3 +323,40 @@ def test_convolve_explicit_circular_sum(shape, dx, dt, eps):
         want += k[tuple(j)] * np.roll(f, shift, axis=tuple(range(len(shape))))
     got = m.convolve(np.fft.rfftn(f), shape, dx, dt)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _interp_tables(profile):
+    # table -> its lookup and the arguments of the np.interp call it replaced
+    u, b, s, bb = bump_profile(profile)
+    gs, cdf = _bb_cdf(profile)
+    return {"b": (_b_table(profile), u, b, 0.0, 0.0),
+            "bb": (_bb_table(profile), s, bb, 0.0, 0.0),
+            "cdf": (_cdf_table(profile), cdf, gs, None, None)}
+
+
+@pytest.mark.parametrize("table", ["b", "bb", "cdf"])
+@pytest.mark.parametrize("profile", ["exp", "poly4"])
+def test_indexed_lookup_is_np_interp_bit_for_bit(profile, table):
+    lookup, xp, fp, left, right = _interp_tables(profile)[table]
+
+    def interp(x):
+        return np.interp(x, xp, fp, left=left, right=right)
+
+    lo, hi = xp[0], xp[-1]
+    rng = np.random.default_rng(17)
+    tails = 10.0 ** rng.uniform(-320.0, -2.0, 1 << 12)  # where the CDF is flat
+    x = np.concatenate([
+        rng.uniform(lo, hi, 1 << 20),
+        xp, np.nextafter(xp, -np.inf), np.nextafter(xp, np.inf),
+        tails, 1.0 - tails, lo + tails, hi - tails,
+        [0.0, -0.0, 2.0 ** -30, 1.0 - 2.0 ** -30, 1.0, -1.0, 2.0, -2.0],
+        rng.uniform(lo - 4.0 * (hi - lo), hi + 4.0 * (hi - lo), 1 << 12),
+        [-1e300, 1e300, -np.inf, np.inf, np.nan]])
+    assert lookup(x).tobytes() == interp(x).tobytes()
+    # any shape, and a 0-d query gives numpy's scalar
+    assert lookup(x[:12].reshape(3, 4)).tobytes() == interp(x[:12].reshape(3, 4)).tobytes()
+    one = lookup(np.float64(0.3))
+    assert type(one) is type(interp(np.float64(0.3))) and one == interp(0.3)
+    # the uniform grids index directly; the CDF searches its crowded tails
+    assert (lookup.guide is None) == (table != "cdf")
+    assert (lookup.crowded is None) == (table != "cdf")

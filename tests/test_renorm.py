@@ -302,3 +302,44 @@ def test_qmc_blocks_leave_the_mean_unchanged(monkeypatch):
     monkeypatch.setattr("mshe.renorm._BLOCK", 1 << 20)
     assert c11_eps(m, green, n_samples=1 << 15, seed=4) == a
     assert c12_eps(m, she_green(), n_samples=1 << 15, seed=4) == b
+
+
+def test_constants_unchanged_with_np_interp_lookups(monkeypatch):
+    # the three table lookups put back to the np.interp calls they replaced
+    # give c, c11 and c12 bit for bit, at one pam3d ratio and for she1d; the
+    # constants never read b itself, so the mollifier's kernel factors are
+    # compared too
+    from mshe import noise
+
+    def values():
+        _quadrature.cache_clear()
+        _pam_shells.cache_clear()
+        out = []
+        for moll, green in ((_moll(0.25), pam_green()), (_moll(0.1), she_green())):
+            out.append(c_eps(moll, green).hex())
+            for integral in (c11_eps, c12_eps):
+                r = integral(moll, green, n_samples=1 << 12, seed=5)
+                out += [r["value"].hex(), r["stderr"].hex()]
+        return out + [b.tobytes() for b in _moll(0.1).kernel((96, 64), 1 / 32, 1 / 512)]
+
+    indexed = values()
+    calls = set()
+
+    def interp(name, xp, fp, left, right):
+        def lookup(x):
+            calls.add(name)
+            return np.interp(x, xp, fp, left=left, right=right)
+        return lookup
+
+    monkeypatch.setattr(noise, "_b_table",
+                        lambda p: interp("b", *noise.bump_profile(p)[:2], 0.0, 0.0))
+    monkeypatch.setattr(noise, "_bb_table",
+                        lambda p: interp("bb", *noise.bump_profile(p)[2:], 0.0, 0.0))
+    monkeypatch.setattr(noise, "_cdf_table",
+                        lambda p: interp("cdf", *noise._bb_cdf(p)[::-1], None, None))
+    try:
+        assert values() == indexed
+    finally:
+        _quadrature.cache_clear()
+        _pam_shells.cache_clear()
+    assert calls == {"b", "bb", "cdf"}
