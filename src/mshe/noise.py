@@ -280,12 +280,9 @@ class Mollifier:
         """1-d self-convolution (b*b)(s), unit scale."""
         return _bb_table(self.profile)(s)
 
-    def bb_cdf(self):
-        """The grid of the bb table and the trapezoid CDF of bb on it."""
-        return _bb_cdf(self.profile)
-
     def bb_quantile(self, p):
-        """The inverse of bb_cdf at p in [0, 1]: np.interp(p, cdf, grid)."""
+        """The inverse at p in [0, 1] of the trapezoid CDF of bb on the grid
+        of the bb table: np.interp(p, cdf, grid)."""
         return _cdf_table(self.profile)(p)
 
     def rho_sq_spatial(self, x):

@@ -57,6 +57,11 @@ __all__ = [
 ]
 
 _GUARD = 1e12
+# the largest N at which per-axis GEMMs apply the heat multiplier on a 2-d or
+# 3-d grid no slower than an FFT pair (ms, FFT -> GEMM, on one BLAS thread of
+# an x86_64 VM: 3-d 0.45 -> 0.12 at N = 32, 37 -> 29 at 128; 2-d 0.15 -> 0.14
+# at 128, 0.56 -> 1.06 at 256)
+_GEMM_MAX_N = 128
 
 
 class BlowUpError(RuntimeError):
@@ -187,17 +192,40 @@ def _split_step(cfg: SolverConfig, u: np.ndarray, react, symbol: np.ndarray) -> 
 
     stopped by the overflow guard.  Snapshots are taken at
     cfg.snapshot_steps.  u is the loop's own buffer, which react may
-    overwrite: each step transforms into one spectrum buffer and back into u,
-    in the axis order of numpy's irfftn."""
+    overwrite.
+
+    Every symbol passed is separable, the product of one even factor per
+    axis (the heat symbol is; the Ito symbol is 1-d), so the multiplier is
+    one N x N real circulant H applied along each axis, H e_j = irfft(s
+    rfft(e_j)) for the symbol's line s along the last axis at wavenumber 0 on
+    the other axes.  On a grid of d >= 2 axes of N <= _GEMM_MAX_N points
+    each step applies H by one matmul per axis, ping-ponging between u and
+    one buffer; otherwise it transforms into one spectrum buffer and back
+    into u, in the axis order of numpy's irfftn."""
     snaps = cfg.snapshot_steps
-    spec = np.empty(symbol.shape, dtype=complex)
+    n = u.shape[-1]
+    if u.ndim >= 2 and n <= _GEMM_MAX_N:
+        s = symbol[(0,) * (u.ndim - 1)]
+        H = np.fft.irfft(s[:, None] * np.fft.rfft(np.eye(n), axis=0), n=n, axis=0)
+        other = np.empty_like(u)
+    else:
+        H, spec = None, np.empty(symbol.shape, dtype=complex)
     times, fields = [], []
     for k in range(cfg.n_steps):
-        np.fft.rfftn(react(k, u), out=spec)
-        np.multiply(spec, symbol, out=spec)
-        for axis in range(u.ndim - 1):
-            np.fft.ifft(spec, axis=axis, out=spec)
-        np.fft.irfft(spec, n=u.shape[-1], out=u)
+        v = react(k, u)
+        if H is None:
+            np.fft.rfftn(v, out=spec)
+            np.multiply(spec, symbol, out=spec)
+            for axis in range(u.ndim - 1):
+                np.fft.ifft(spec, axis=axis, out=spec)
+            np.fft.irfft(spec, n=n, out=u)
+        else:
+            # last axis, then axes d-2, ..., 0, each a (stacked) GEMM
+            np.matmul(v.reshape(-1, n), H, out=other.reshape(-1, n))
+            u, other = other, u
+            for axis in range(u.ndim - 2, -1, -1):
+                np.matmul(H, u.reshape(n ** axis, n, -1), out=other.reshape(n ** axis, n, -1))
+                u, other = other, u
         # |u| < _GUARD everywhere, and False for a NaN, without an |u| array
         if not (u.max() < _GUARD and u.min() > -_GUARD):
             raise BlowUpError((k + 1) * cfg.dt)

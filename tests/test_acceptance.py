@@ -390,8 +390,10 @@ def test_10_determinism_across_threads(tmp_path):
     package_parent = str(Path(mshe.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [package_parent,
                                                os.environ.get("PYTHONPATH")]))
-    for threads in (1, 4):
-        env = dict(os.environ, SHE_THREADS=str(threads), PYTHONPATH=pythonpath)
+    # the threads-4 child also runs BLAS on two threads (pam3d's GEMM steps)
+    for threads, blas in ((1, "1"), (4, "2")):
+        env = dict(os.environ, SHE_THREADS=str(threads), OPENBLAS_NUM_THREADS=blas,
+                   PYTHONPATH=pythonpath)
         out = tmp_path / f"t{threads}"
         cmds = [
             ["renorm", "--equation", "pam3d", "--eps", "0.1", "0.05",
@@ -399,6 +401,8 @@ def test_10_determinism_across_threads(tmp_path):
             ["structure", "table", "--kappa", "0.01", "--d", "3"],
             ["converge", "--equation", "she1d", "--eps-list", "0.4", "0.2",
              "--grid", "256,2048,4,0.25", "--seeds", "2", "--samples", "4096"],
+            ["converge", "--equation", "pam3d", "--eps-list", "1", "0.5", "0.25",
+             "--grid", "16,0,2,0.1", "--seeds", "2", "--samples", "4096"],
         ]
         for i, cmd in enumerate(cmds):
             sub = out / str(i)
@@ -408,7 +412,7 @@ def test_10_determinism_across_threads(tmp_path):
             assert proc.returncode == 0, proc.stderr
         outputs[threads] = out
     identical = True
-    for i in range(3):
+    for i in range(len(cmds)):
         for f1 in sorted((outputs[1] / str(i)).glob("*.csv")):
             f4 = outputs[4] / str(i) / f1.name
             if f1.read_bytes() != f4.read_bytes():
@@ -416,5 +420,6 @@ def test_10_determinism_across_threads(tmp_path):
     elapsed = time.time() - t0
     ok = identical and elapsed < 300
     assert _report("determinism", ok,
-                   f"all CSVs byte-identical across SHE_THREADS in {{1,4}}, "
+                   f"all CSVs byte-identical across SHE_THREADS in {{1,4}} "
+                   f"and OPENBLAS_NUM_THREADS in {{1,2}}, "
                    f"{elapsed:.0f}s")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mshe.noise import Mollifier
+from mshe.noise import Mollifier, _bb_cdf
 from mshe.renorm import (
     c11_eps,
     c12_eps,
@@ -117,8 +117,12 @@ def test_c_eps_pam_cutoff_against_monte_carlo(eps):
     # rho2: c is still E G(z), z ~ rho2, here by plain Monte Carlo with
     # per-axis inverse-CDF draws and G evaluated pointwise
     m = _moll(eps)
-    gs, cdf = m.bb_cdf()
-    z = eps * np.interp(np.random.default_rng(5).random((1 << 20, 3)), cdf, gs)
+    p = np.random.default_rng(5).random((1 << 20, 3))
+    q = m.bb_quantile(p)
+    # the sample np.interp draws on the same table, bit for bit
+    gs, cdf = _bb_cdf(m.profile)
+    assert np.array_equal(q, np.interp(p, cdf, gs))
+    z = eps * q
     g = pam_green()(z)
     stderr = g.std(ddof=1) / np.sqrt(g.size)
     assert abs(c_eps(m, pam_green()) - g.mean()) <= 4 * stderr

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
+from mshe import solver
 from mshe.kernel import heat_kernel
 from mshe.noise import Field, Grid, Mollifier, _generator, mollify, sample_white_noise
 from mshe.solver import (
@@ -162,6 +163,13 @@ def test_blowup_detected_by_every_solver():
                        T=0.1, snapshots=2, dt=g.dt)
     with pytest.raises(BlowUpError):
         solve_ito_reference(cfg, noise=_zero_noise(g, "spacetime"))
+    with pytest.raises(BlowUpError):  # the FFT step
+        solve_renormalised(cfg, xi_eps=_zero_noise(g, "spacetime"))
+    g3 = Grid(d=3, L=2.0, N=16)
+    cfg3 = SolverConfig(equation="pam3d", grid=g3, eps=4 * g3.dx, u0=("const", 1e13),
+                        T=0.01, snapshots=2)
+    with pytest.raises(BlowUpError):  # the GEMM step
+        solve_renormalised(cfg3, xi_eps=_zero_noise(g3, "spatial"))
     g2 = Grid(d=2, L=2.0, N=32)
     cfg2 = SolverConfig(equation="pam2d", grid=g2, eps=4 * g2.dx, u0=("const", 1e13),
                         T=0.01, snapshots=2)
@@ -531,24 +539,85 @@ def test_fast_len_matches_scipy():
         assert _fast_len(n) == next_fast_len(n, real=True), n
 
 
+def _irfftn_step(u, symbol):
+    return np.fft.irfftn(np.fft.rfftn(u) * symbol, s=u.shape, axes=tuple(range(u.ndim)))
+
+
+def _gemm_step(u, symbol):
+    # the axis circulant of the symbol's last-axis line, applied along the
+    # last axis, then along axes d - 2, ..., 0
+    n = u.shape[-1]
+    s = symbol[(0,) * (u.ndim - 1)]
+    H = np.fft.irfft(s[:, None] * np.fft.rfft(np.eye(n), axis=0), n=n, axis=0)
+    v = u.reshape(-1, n) @ H
+    if u.ndim == 3:
+        v = H @ v.reshape(n, n, n)
+    return (H @ v.reshape(n, -1)).reshape(u.shape)
+
+
 @pytest.mark.parametrize("equation,grid", [
     ("pam3d", Grid(d=3, L=2.0, N=16)),
     ("she1d", Grid(d=1, L=4.0, N=128, T=0.05, M=256)),
+    ("pam2d", Grid(d=2, L=4.0, N=256)),
 ])
 def test_step_loop_matches_numpy_irfftn(equation, grid):
     # the step that reuses its buffers is, bit for bit, the one that
-    # allocates: u <- irfftn(rfftn(u e^{dt (xi - C)}) * symbol)
+    # allocates: u <- irfftn(rfftn(u e^{dt (xi - C)}) * symbol) on the FFT
+    # side of the selection, the same sequence of per-axis matmuls on the
+    # GEMM side (N <= 128 on d >= 2 axes), which is irfftn's step to round-off
+    gemm = grid.d >= 2 and grid.N <= 128
     cfg = SolverConfig(equation=equation, grid=grid, eps=4 * grid.dx, C_eps=0.3,
-                       u0="dirac", T=0.02, snapshots=1, seed=2)
+                       u0="dirac", T=0.002 if grid.d == 2 else 0.02, snapshots=1, seed=2)
     xi = mollified_noise(cfg)
     u = np.zeros(grid.space_shape())
     u[(grid.N // 2,) * grid.d] = grid.dx ** -grid.d
+    ref = u
     symbol = _heat_symbol(grid, cfg.dt)
     for k in range(cfg.n_steps):
         row = xi.values if xi.kind == "spatial" else xi.values[int(k * (cfg.dt / grid.dt) + 1e-9)]
-        u = np.fft.irfftn(np.fft.rfftn(u * np.exp(cfg.dt * (row - cfg.C_eps))) * symbol,
-                          s=u.shape, axes=tuple(range(grid.d)))
-    assert np.array_equal(solve_renormalised(cfg, xi_eps=xi).fields[-1], u)
+        factor = np.exp(cfg.dt * (row - cfg.C_eps))
+        u = (_gemm_step if gemm else _irfftn_step)(u * factor, symbol)
+        ref = _irfftn_step(ref * factor, symbol)
+    out = solve_renormalised(cfg, xi_eps=xi).fields[-1]
+    assert np.array_equal(out, u)
+    assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [4, 8, 16, 32, 64, 128])
+def test_gemm_step_is_the_fft_step_to_round_off(monkeypatch, d, n):
+    # on the GEMM side of the selection (even N, so the Nyquist bin is in
+    # play) the direct and the change-of-unknown solves agree with the FFT
+    # loop, forced by a GEMM limit below N, to Higham's dot-product bound:
+    # one unit round-off per term of length-N sums, per axis and step
+    g = Grid(d=d, L=2.0, N=n)
+    u0 = np.random.default_rng(n).random(g.space_shape()) + 0.5
+    cfg = SolverConfig(equation=f"pam{d}d", grid=g, eps=4 * g.dx, C_eps=0.3, u0=u0,
+                       T=g.dx ** 2, snapshots=1, seed=1)
+    xi = mollified_noise(cfg)
+
+    def solves():
+        return (solve_renormalised(cfg, xi_eps=xi).fields[-1],
+                solve_pam_transformed(cfg, xi.values, 0.3).fields[-1])
+
+    gemm = solves()
+    monkeypatch.setattr(solver, "_GEMM_MAX_N", n - 1)
+    fft = solves()
+    for a, b in zip(gemm, fft):
+        assert not np.array_equal(a, b)
+        assert np.abs(a - b).max() <= cfg.n_steps * d * n * 2.0 ** -52 * np.abs(b).max()
+
+
+def test_one_axis_grids_keep_the_fft_step_at_any_limit(monkeypatch):
+    # the FFT loop's bits on a 1-d grid whatever the GEMM limit (a 2-d grid
+    # of N = 256 keeps them at the default limit: test_step_loop_matches_numpy_irfftn)
+    g = Grid(d=1, L=4.0, N=128, T=0.05, M=256)
+    cfg = SolverConfig(equation="she1d", grid=g, eps=4 * g.dx, u0=("const", 1.0),
+                       T=0.002, snapshots=1, seed=4)
+    xi = mollified_noise(cfg)
+    default = solve_renormalised(cfg, xi_eps=xi).fields[-1]
+    monkeypatch.setattr(solver, "_GEMM_MAX_N", 1 << 30)
+    assert np.array_equal(solve_renormalised(cfg, xi_eps=xi).fields[-1], default)
 
 
 def test_solve_leaves_u0_alone_and_snapshots_are_copies():
