@@ -35,10 +35,10 @@ c11 and c12 are randomized-QMC means of one integrand each: the mollifier
 factors are importance sampled exactly through per-axis inverse CDFs of the
 self-convolved bump (``Mollifier.bb_quantile``, a guide-table lookup that
 gives np.interp's bits on the CDF table), one Green factor per integral is
-importance sampled (radially with density ~ 1/|x| in the 3-d case; with the
-heat kernel's own density, uniform in t and Gaussian in x, in the space-time
-case), and the remaining factors are plain weights.  c12 is the mean over
-w = z1+z2+z3 and z3 ~ rho2 and z1 ~ q of
+importance sampled from three uniforms (radially with density ~ 1/|x| in the
+3-d case; with the heat kernel's own density, uniform in t and Gaussian in x
+by Box-Muller, in the space-time case), and the remaining factors are plain
+weights.  c12 is the mean over w = z1+z2+z3 and z3 ~ rho2 and z1 ~ q of
 
     (G/q)(z1) G(z3) [G(w - z1 - z3) - G(w - z1)]:
 
@@ -91,12 +91,13 @@ class GreenFn:
             return g * _smoothstep(r / self.R_G)
         return heat_kernel(z[..., 0], z[..., 1:], 1)
 
-    def sample_factor(self, U: np.ndarray, tmax: float = None):
-        """Map uniforms U (shape (n, dim)) to points z and weights G(z)/q(z).
+    def sample_factor(self, U: np.ndarray, tmax: float):
+        """Map three uniforms per row of U to points z and weights G(z)/q(z).
 
         pam3d: radius R_G sqrt(U) with density ~ 1/r (cancels the Green
         singularity exactly inside the plateau); she1d: the heat kernel's own
-        normalized density on (0, tmax) (weight tmax).  Only she1d reads tmax.
+        normalized density on (0, tmax) (weight tmax), t uniform and x the
+        Box-Muller normal of variance 2t.  Only she1d reads tmax.
         """
         if self.equation == "pam3d":
             r = self.R_G * np.sqrt(U[:, 0])
@@ -109,61 +110,8 @@ class GreenFn:
             w = _smoothstep(r / self.R_G) * self.R_G ** 2 / 2.0
             return z, w
         t = U[:, 0] * tmax
-        x = np.sqrt(2.0 * t) * _ndtri(np.clip(U[:, 1], 1e-15, 1 - 1e-15))
+        x = np.sqrt(-4.0 * t * np.log1p(-U[:, 1])) * np.cos(2.0 * np.pi * U[:, 2])
         return np.stack([t, x], axis=-1), np.full(t.shape, tmax)
-
-
-# cephes ndtri, the inverse of the standard normal CDF: a rational function of
-# y - 1/2 for exp(-2) < y < 1 - exp(-2), else of 1/x with x = sqrt(-2 log y)
-# for y in the nearer tail, one form below x = 8 and one above (Horner order,
-# leading coefficient first; the Q forms are monic)
-_NDTRI_MID = ((-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
-               1.39312609387279679503e1, -1.23916583867381258016e0),
-              (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
-               -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
-               1.59056225126211695515e1, -1.18331621121330003142e0))
-_NDTRI_NEAR = ((4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
-                4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
-                -1.40256079171354495875e-1, -3.50424626827848203418e-2,
-                -8.57456785154685413611e-4),
-               (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
-                1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
-                -3.80806407691578277194e-2, -9.33259480895457427372e-4))
-_NDTRI_FAR = ((3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
-               1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
-               3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9),
-              (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
-               2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
-               2.89247864745380683936e-6, 6.79019408009981274425e-9))
-_EXP_M2 = 0.13533528323661269189
-
-
-def _rational(pq, x, w):
-    """w P(x) / Q(x) for a (P, Q) pair of coefficient tuples, by Horner."""
-    p, q = (functools.reduce(lambda acc, c: acc * x + c, cs[1:], np.full_like(x, cs[0]))
-            for cs in pq)
-    return w * p / q
-
-
-def _log(a):
-    # libm's log, not numpy's: the tail must round as cephes does
-    return np.fromiter(map(math.log, a.tolist()), float, a.size)
-
-
-def _ndtri(p: np.ndarray) -> np.ndarray:
-    """The standard normal quantile of p in (0, 1), as cephes computes it."""
-    upper = p > 1.0 - _EXP_M2
-    y = np.where(upper, 1.0 - p, p)
-    out = np.empty_like(y)
-    mid = y > _EXP_M2
-    c = y[mid] - 0.5
-    out[mid] = (c + c * _rational(_NDTRI_MID, c * c, c * c)) * 2.50662827463100050242
-    x = np.sqrt(-2.0 * _log(y[~mid]))
-    z = 1.0 / x
-    x1 = np.where(x < 8.0, _rational(_NDTRI_NEAR, z, z), _rational(_NDTRI_FAR, z, z))
-    x0 = x - _log(x) / x
-    out[~mid] = np.where(upper[~mid], x0 - x1, x1 - x0)
-    return out
 
 
 def pam_green(R_G: float = 1.0) -> GreenFn:
@@ -370,7 +318,7 @@ def c11_eps(moll: Mollifier, green: GreenFn, n_samples: int = 1 << 17,
         z2, w = green.sample_factor(U[:, 2 * dz:], tmax=4.0 * e ** 2)
         return w * green(u - z2) * green(v - z2)
 
-    mean, err = _qmc_mean(fn, 3 * dz, n_samples, seed, threads)
+    mean, err = _qmc_mean(fn, 2 * dz + 3, n_samples, seed, threads)
     return {"value": mean, "stderr": err}
 
 
@@ -386,7 +334,7 @@ def c12_eps(moll: Mollifier, green: GreenFn, n_samples: int = 1 << 17,
         z1, wt = green.sample_factor(U[:, 2 * dz:], tmax=8.0 * e ** 2)
         return wt * green(z3) * (green(w - z1 - z3) - green(w - z1))
 
-    mean, err = _qmc_mean(fn, 3 * dz, n_samples, seed, threads)
+    mean, err = _qmc_mean(fn, 2 * dz + 3, n_samples, seed, threads)
     return {"value": mean, "stderr": err}
 
 

@@ -387,18 +387,18 @@ def solve_ito_reference(cfg: SolverConfig, noise: Field = None) -> Trajectory:
                        1.0 / (1.0 + cfg.dt * lam))
 
 
-def solve_pam_transformed(cfg: SolverConfig, xi_eps: np.ndarray, C: float) -> Trajectory:
+def solve_pam_transformed(cfg: SolverConfig, xi_eps: Field = None) -> Trajectory:
     """Change-of-unknown benchmark for the 2-d equation with fixed smooth
-    noise: with Lap w = xi_eps - C (periodic, zero-mean right side), v =
-    u e^{w} solves
+    noise (xi_eps if supplied, else mollified_noise(cfg)): with periodic
+    Lap w = xi_eps - mean(xi_eps), v = u e^{w} solves
 
-        dv/dt = Lap v - 2 grad w . grad v + v |grad w|^2,
+        dv/dt = Lap v - 2 grad w . grad v + v (|grad w|^2 + mean(xi_eps) - C_eps),
 
     which has no singular product; stepping it and mapping back u = v e^{-w}
     gives an independent benchmark for the direct renormalised solve."""
     g = cfg.grid
-    rhs = xi_eps - C
-    rhs = rhs - rhs.mean()
+    xi = (xi_eps if xi_eps is not None else mollified_noise(cfg)).values
+    rhs = xi - xi.mean()
     mesh = _spectral_mesh(g)
     k2 = sum(mm ** 2 for mm in mesh)
     k2flat = k2.copy()
@@ -408,12 +408,12 @@ def solve_pam_transformed(cfg: SolverConfig, xi_eps: np.ndarray, C: float) -> Tr
     axes = tuple(range(g.d))
     w = np.fft.irfftn(w_hat, s=rhs.shape, axes=axes)
     grads = [np.fft.irfftn(1j * mesh[i] * w_hat, s=rhs.shape, axes=axes) for i in range(g.d)]
-    grad2 = sum(gr ** 2 for gr in grads)
+    potential = sum(gr ** 2 for gr in grads) + (xi.mean() - cfg.C_eps)
 
     def drift_step(k, v):
         v_hat = np.fft.rfftn(v)
         gv = [np.fft.irfftn(1j * mesh[i] * v_hat, s=v.shape, axes=axes) for i in range(g.d)]
-        drift = -2.0 * sum(gw * gvi for gw, gvi in zip(grads, gv)) + v * grad2
+        drift = -2.0 * sum(gw * gvi for gw, gvi in zip(grads, gv)) + v * potential
         return v + cfg.dt * drift
 
     vt = _split_step(cfg, _initial_field(cfg) * np.exp(w), drift_step, _heat_symbol(g, cfg.dt))

@@ -2,12 +2,13 @@
 
 The 1-d scaling function phi is generated from its refinement filter by the
 cascade iteration on dyadic grids (exact at dyadic rationals, linear
-interpolation in between).  Quantities that must hold to near machine
-precision -- inner products of integer translates, moments, refinement
-residuals -- are evaluated through the two-scale algebra rather than by grid
-quadrature, since grid quadrature of a C^alpha scaling function cannot reach
-1e-9.  ``analyze`` projects a field onto one level on its grid and descends
-with the refinement filter (the Mallat pyramid).
+interpolation in between, by the indexed lookup of ``noise``); psi is not
+tabulated.  Quantities that must hold to near machine precision -- inner
+products of integer translates, moments, refinement residuals -- are
+evaluated through the two-scale algebra rather than by grid quadrature, since
+grid quadrature of a C^alpha scaling function cannot reach 1e-9.
+``analyze`` projects a field onto one level on its grid and descends with the
+refinement filter (the Mallat pyramid).
 
 Space-time rescaling is parabolic: the time factor of phi^n_{(t,x)} is
 2^n phi(2^{2n}(s-t)) and each space factor 2^{n/2} phi(2^n(y_i-x_i)), which
@@ -23,6 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from .noise import _IndexedInterp
 
 __all__ = [
     "daubechies_coefficients",
@@ -95,6 +98,7 @@ def _cascade(c: np.ndarray, depth: int) -> np.ndarray:
     phi_int = np.real(v[:, idx])
     phi_int = np.concatenate([[0.0], phi_int, [0.0]])
     phi_int /= phi_int.sum()  # partition of unity at the integers
+    phi_int[[0, -1]] = 0.0  # not -0.0, which a negative eigenvector's sum leaves
 
     vals = phi_int
     for j in range(1, depth + 1):
@@ -115,39 +119,13 @@ def _cascade(c: np.ndarray, depth: int) -> np.ndarray:
 
 
 @dataclass
-class _Table:
-    """Function tabulated on a uniform grid [lo, lo + n*step], zero outside."""
-
-    values: np.ndarray
-    lo: float
-    depth: int
-
-    @property
-    def step(self) -> float:
-        return 2.0 ** -self.depth
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        pos = (x - self.lo) / self.step
-        i0 = np.floor(pos).astype(np.int64)
-        frac = pos - i0
-        out = np.zeros_like(x, dtype=float)
-        valid = (i0 >= 0) & (i0 < self.values.size - 1)
-        iv = i0[valid]
-        out[valid] = self.values[iv] * (1 - frac[valid]) + self.values[iv + 1] * frac[valid]
-        return out[0] if scalar else out
-
-
-@dataclass
 class WaveletBasis:
-    """1-d orthonormal pair (phi, psi) plus the exact two-scale algebra."""
+    """1-d orthonormal scaling function phi plus the exact two-scale algebra."""
 
     N: int                      # vanishing moments of psi
     refine_coeffs: np.ndarray   # c_k, sum = 2
-    phi: _Table
-    psi: _Table
+    phi: _IndexedInterp         # the cascade values on k 2^-depth, zero outside
+    depth: int
 
     @property
     def support(self) -> int:
@@ -208,7 +186,8 @@ class WaveletBasis:
         S = self.support
         x = np.arange(257) * (S / 256)
         # snap to the tabulation grid so both sides are exact lookups
-        x = np.round(x / self.phi.step / 2) * 2 * self.phi.step
+        step = 2.0 ** -self.depth
+        x = np.round(x / step / 2) * 2 * step
         lhs = self.phi(x)
         rhs = np.zeros_like(lhs)
         for k, ck in enumerate(self.refine_coeffs):
@@ -238,16 +217,9 @@ def build_family(N: int) -> WaveletBasis:
         raise ValueError(f"no Daubechies-{N} family: need N in 2..14")
     c = daubechies_coefficients(N)
     depth = 12
-    phi = _Table(_cascade(c, depth), lo=0.0, depth=depth)
-    S = c.size - 1
-    lo = (1 - S) / 2.0
-    xs = lo + np.arange(S * 2 ** depth + 1) * 2.0 ** -depth
-    psi_vals = np.zeros_like(xs)
-    for k in range(1 - S, 2):
-        dk = (-1) ** k * c[1 - k]
-        psi_vals += dk * phi(2 * xs - k)
-    psi = _Table(psi_vals, lo=lo, depth=depth)
-    return WaveletBasis(N=N, refine_coeffs=c, phi=phi, psi=psi)
+    vals = _cascade(c, depth)
+    phi = _IndexedInterp(np.arange(vals.size) * 2.0 ** -depth, vals, vals.size - 1)
+    return WaveletBasis(N=N, refine_coeffs=c, phi=phi, depth=depth)
 
 
 # -- parabolic rescalings ---------------------------------------------------
@@ -265,11 +237,16 @@ def rescale_psi(basis: WaveletBasis, n: int, center, combo, d: int = 1):
     t0 = center[0]
     x0 = np.asarray(center[1:], dtype=float)
     kind, extra, off_half, amp_pow = _TIME_CODES[combo[0]]
-    tfac = basis.phi if kind == "phi" else basis.psi
+    c = basis.refine_coeffs
+
+    def psi(x):  # sum_k (-1)^k c_{1-k} phi(2x - k), k = 1-S..1
+        return sum((-1) ** k * c[1 - k] * basis.phi(2 * x - k) for k in range(1 - basis.support, 2))
+
+    tfac = basis.phi if kind == "phi" else psi
     tscale = 2.0 ** (2 * n + extra)
     tamp = 2.0 ** (n + amp_pow)
     tshift = off_half * 2.0 ** -(2 * n + 1)
-    xfac = [basis.phi if c == "phi" else basis.psi for c in combo[1:]]
+    xfac = [basis.phi if code == "phi" else psi for code in combo[1:]]
 
     def _eval(s, y):
         s = np.asarray(s, dtype=float)
@@ -407,7 +384,7 @@ class LevelTransform:
     def _stride(self, v: float, axis: str) -> int:
         """The lattice step in grid steps, which ``_axis_taps`` samples phi at:
         a whole number no greater than the table's points per unit."""
-        s, depth = int(round(v)), self.basis.phi.depth
+        s, depth = int(round(v)), self.basis.depth
         if abs(v - s) > 1e-9 or s < 1:
             raise ValueError(f"{axis} stride {v} not a positive integer; use dyadic box sizes")
         if s > 2 ** depth:

@@ -339,7 +339,7 @@ def test_08_solver_oracles():
     cfg2 = SolverConfig(equation="pam2d", grid=g2, eps=8 * g2.dx, C_eps=C,
                         u0=("const", 1.0), T=0.05, snapshots=2)
     direct = solve_renormalised(cfg2, xi_eps=Field(grid=g2, values=xi2, kind="spatial"))
-    oracle = solve_pam_transformed(cfg2, xi2, C)
+    oracle = solve_pam_transformed(cfg2, Field(grid=g2, values=xi2, kind="spatial"))
     pam_rel = max(float(np.abs(f1 - f2).max() / np.abs(f2).max())
                   for f1, f2 in zip(direct.fields, oracle.fields))
     elapsed = time.time() - t0

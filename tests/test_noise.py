@@ -18,7 +18,7 @@ from mshe.noise import (
     sample_white_noise,
     write_field,
 )
-from mshe.wavelet import build_basis
+from mshe.wavelet import _cascade, build_basis, build_family
 
 
 @pytest.fixture(scope="module")
@@ -327,6 +327,11 @@ def test_convolve_explicit_circular_sum(shape, dx, dt, eps):
 
 def _interp_tables(profile):
     # table -> its lookup and the arguments of the np.interp call it replaced
+    # (for a Daubechies family, the interpolant of its phi knots)
+    if profile.startswith("db"):
+        basis = build_family(int(profile[2:]))
+        phi = _cascade(basis.refine_coeffs, basis.depth)
+        return {"phi": (basis.phi, np.arange(phi.size) * 2.0 ** -basis.depth, phi, 0.0, 0.0)}
     u, b, s, bb = bump_profile(profile)
     gs, cdf = _bb_cdf(profile)
     return {"b": (_b_table(profile), u, b, 0.0, 0.0),
@@ -334,8 +339,9 @@ def _interp_tables(profile):
             "cdf": (_cdf_table(profile), cdf, gs, None, None)}
 
 
-@pytest.mark.parametrize("table", ["b", "bb", "cdf"])
-@pytest.mark.parametrize("profile", ["exp", "poly4"])
+@pytest.mark.parametrize("profile, table", [(p, t) for p in ("exp", "poly4")
+                                            for t in ("b", "bb", "cdf")]
+                         + [("db2", "phi"), ("db6", "phi")])
 def test_indexed_lookup_is_np_interp_bit_for_bit(profile, table):
     lookup, xp, fp, left, right = _interp_tables(profile)[table]
 
@@ -357,6 +363,7 @@ def test_indexed_lookup_is_np_interp_bit_for_bit(profile, table):
     assert lookup(x[:12].reshape(3, 4)).tobytes() == interp(x[:12].reshape(3, 4)).tobytes()
     one = lookup(np.float64(0.3))
     assert type(one) is type(interp(np.float64(0.3))) and one == interp(0.3)
-    # the uniform grids index directly; the CDF searches its crowded tails
+    # the uniform grids (b, bb and phi) index directly; the CDF searches its
+    # crowded tails
     assert (lookup.guide is None) == (table != "cdf")
     assert (lookup.crowded is None) == (table != "cdf")

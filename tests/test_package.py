@@ -13,8 +13,9 @@ def test_all_names_resolve(module):
 
 
 def test_no_module_calls_np_interp():
-    # every table read goes through noise._IndexedInterp, which gives
-    # np.interp's bits without its binary search
+    # every table read (the mollifier's b, bb and CDF tables and the
+    # wavelet phi) goes through noise._IndexedInterp, which gives np.interp's
+    # bits without its binary search
     import ast
     from pathlib import Path
 

@@ -6,7 +6,7 @@ from scipy import ndimage
 
 import mshe.reconstruct as rec
 from mshe.kernel import decompose
-from mshe.noise import Grid, Mollifier, mollify, sample_white_noise
+from mshe.noise import Grid, Mollifier, _IndexedInterp, mollify, sample_white_noise
 from mshe.reconstruct import (
     SYMBOLS,
     Model,
@@ -18,8 +18,7 @@ from mshe.reconstruct import (
     time_shift_cells,
     write_modelled,
 )
-from mshe.wavelet import (LevelTransform, _cascade, _Table, build_family, rescale_psi,
-                          step_filters)
+from mshe.wavelet import LevelTransform, _cascade, build_family, rescale_psi, step_filters
 
 
 @pytest.fixture(scope="module")
@@ -466,8 +465,9 @@ def test_coarse_levels_against_a_deep_table(setup):
                   phi_field=rng.standard_normal((g.M, g.N)))
     f = ModelledDistribution(grid=g, coeffs={s: rng.standard_normal((g.M, g.N))
                                              for s in SYMBOLS})
-    deep = dataclasses.replace(basis, phi=_Table(_cascade(basis.refine_coeffs, 16),
-                                                 lo=0.0, depth=16))
+    vals = _cascade(basis.refine_coeffs, 16)
+    deep = dataclasses.replace(basis, depth=16, phi=_IndexedInterp(
+        np.arange(vals.size) * 2.0 ** -16, vals, vals.size - 1))
     want = reconstruct(f, model, deep, 0, 0)
     got = reconstruct(f, model, basis, 0, 1)
     for key in ("levels", "outputs"):

@@ -130,17 +130,20 @@ def test_pam_kernel_symmetry_2d():
     assert worst < 5e-3
 
 
-def test_pam2d_transformed_oracle():
-    # direct renormalised solve vs change-of-unknown benchmark, fixed noise
+@pytest.mark.parametrize("offset", [0.0, 5.0, -3.0])
+def test_pam2d_transformed_oracle(offset):
+    # direct renormalised solve vs change-of-unknown benchmark, fixed noise;
+    # a constant away from mean(xi) scales u by e^{(mean - C) t}, which the
+    # benchmark must carry in its potential
     g = Grid(d=2, L=2.0, N=64)
     noise = sample_white_noise(g, "spatial", seed=13)
-    xi = mollify(noise, Mollifier(epsilon=8 * g.dx)).values
-    C = float(xi.mean())  # zero-mean potential: periodic Poisson solvable
+    xi = mollify(noise, Mollifier(epsilon=8 * g.dx))
     T = 0.05
-    cfg = SolverConfig(equation="pam2d", grid=g, eps=8 * g.dx, C_eps=C,
+    cfg = SolverConfig(equation="pam2d", grid=g, eps=8 * g.dx,
+                       C_eps=float(xi.values.mean()) + offset,
                        u0=("const", 1.0), T=T, snapshots=2)
-    direct = solve_renormalised(cfg, xi_eps=Field(grid=g, values=xi, kind="spatial"))
-    oracle = solve_pam_transformed(cfg, xi, C)
+    direct = solve_renormalised(cfg, xi_eps=xi)
+    oracle = solve_pam_transformed(cfg, xi)
     for f1, f2 in zip(direct.fields, oracle.fields):
         rel = np.abs(f1 - f2).max() / np.abs(f2).max()
         assert rel < 5e-3
@@ -174,7 +177,7 @@ def test_blowup_detected_by_every_solver():
     cfg2 = SolverConfig(equation="pam2d", grid=g2, eps=4 * g2.dx, u0=("const", 1e13),
                         T=0.01, snapshots=2)
     with pytest.raises(BlowUpError):
-        solve_pam_transformed(cfg2, np.zeros(g2.space_shape()), 0.0)
+        solve_pam_transformed(cfg2, _zero_noise(g2, "spatial"))
 
 
 def test_ito_mean_preservation():
@@ -598,7 +601,7 @@ def test_gemm_step_is_the_fft_step_to_round_off(monkeypatch, d, n):
 
     def solves():
         return (solve_renormalised(cfg, xi_eps=xi).fields[-1],
-                solve_pam_transformed(cfg, xi.values, 0.3).fields[-1])
+                solve_pam_transformed(cfg, xi).fields[-1])
 
     gemm = solves()
     monkeypatch.setattr(solver, "_GEMM_MAX_N", n - 1)

@@ -7,6 +7,7 @@ from mshe.noise import Field, Grid, sample_white_noise
 from mshe.wavelet import (
     LevelTransform,
     _adjoint_axis,
+    _cascade,
     analyze,
     build_basis,
     build_family,
@@ -321,6 +322,28 @@ def test_level_transform_refuses_strides_past_the_phi_table(basis2):
             LevelTransform(basis2, 0, dx, dt)
     eng = LevelTransform(basis2, 0, 2.0 ** -12, 2.0 ** -12)
     assert (eng.stride_t, eng.stride_x) == (4096, 4096)
+
+
+@pytest.mark.parametrize("N", [2, 6])
+@pytest.mark.parametrize("dx, dt", [(2.0 ** -7, 2.0 ** -12), (2.0 ** -7, 2.0 ** -13)],
+                         ids=["noise-regularity", "reconstruct"])
+def test_level_transform_reads_phi_at_its_knots(N, dx, dt):
+    # every tap of the time, space and disp factors is amp * phi(j / stride)
+    # at a whole table index: the cascade value itself, bit for bit, which is
+    # why the transforms keep their bits whatever interpolates between knots
+    basis = build_family(N)
+    vals = _cascade(basis.refine_coeffs, basis.depth)
+    for n in range(1, 7):
+        eng = LevelTransform(basis, n, dx, dt)
+        for axis, code, amp in [(0, "phi", 2.0 ** n), (1, "phi", 2.0 ** (n / 2.0)),
+                                (1, "disp", 2.0 ** (n / 2.0))]:
+            taps, offs, stride = eng._factor(axis, code)
+            idx = offs * (2 ** basis.depth // stride)
+            assert 2 ** basis.depth % stride == 0 and idx[-1] < vals.size
+            want = amp * vals[idx]
+            if code == "disp":
+                want = want * (offs * dx)
+            assert taps.tobytes() == want.tobytes(), (n, axis, code)
 
 
 @settings(max_examples=60)
