@@ -235,12 +235,8 @@ def check_assumption_w(kappa: float, c: float = None, ell: float = 0.0,
     r = np.concatenate([np.linspace(0, 10, 64), np.geomspace(10.5, 1e3, 64)])
     times = np.linspace(0.0, T, 6)
     rng = np.random.default_rng(7)
-    pairs = []
-    for _ in range(16):
-        s, t = np.sort(rng.uniform(-1.0, T, size=2))
-        if t - s < 1e-3:
-            t = min(T, s + 0.1)
-        pairs.append((s, t))
+    # times s < t, at least 0.024 (T + 1) apart at this seed
+    pairs = [tuple(np.sort(rng.uniform(-1.0, T, size=2))) for _ in range(16)]
 
     report = {"interpretation": interpretation, "c": c, "kappa": kappa,
               "ell": ell, "T": T, "conditions": {}}

@@ -130,11 +130,10 @@ def cmd_structure_table(args, outdir: Path):
     rs = build_structure(StructureParams(kappa=args.kappa, d=args.d))
     rows = [(sym, str(q), m, val) for _, sym, q, m, val in rs.table()]
     _write_csv(outdir / "structure-table.csv", ["symbol", "q", "m", "value"], rows)
-    return EXIT_OK
 
 
 def cmd_kernel_check(args, outdir: Path):
-    from .kernel import decompose, heat_kernel
+    from .kernel import _moment_indices, decompose, heat_kernel
 
     n = args.points
     if n < 1:
@@ -148,13 +147,9 @@ def cmd_kernel_check(args, outdir: Path):
     got = dec.reassemble(tt, xx, n_max=12)
     denom = np.maximum(np.abs(ref), 1e-30)
     rows = [("reassembly_max_rel", float(np.max(np.abs(got - ref) / denom)))]
-    for k0 in range(args.r // 2 + 1):
-        for k1 in range(args.r + 1):
-            if 2 * k0 + k1 <= args.r:
-                k = (k0,) + (k1,) + (0,) * (args.d - 1)
-                rows.append((f"moment_{k0}_{k1}", dec.moment_residual(k)))
+    rows += [(f"moment_{k[0]}_{k[1]}", dec.moment_residual(k))
+             for k in _moment_indices(args.d, args.r) if not any(k[2:])]
     _write_csv(outdir / "kernel-check.csv", ["quantity", "value"], rows)
-    return EXIT_OK
 
 
 def cmd_wavelet_selftest(args, outdir: Path):
@@ -171,7 +166,6 @@ def cmd_wavelet_selftest(args, outdir: Path):
         ("refine_coeff_sum", float(b.refine_coeffs.sum())),
     ]
     _write_csv(outdir / "wavelet-selftest.csv", ["quantity", "value"], rows)
-    return EXIT_OK
 
 
 def cmd_besov_norm(args, outdir: Path):
@@ -191,7 +185,6 @@ def cmd_besov_norm(args, outdir: Path):
     _write_csv(outdir / "besov-norm.csv",
                ["alpha", "p", "weight", "norm"],
                [(args.alpha, args.p, args.weight or "none", val)])
-    return EXIT_OK
 
 
 def cmd_besov_check_w(args, outdir: Path):
@@ -205,7 +198,6 @@ def cmd_besov_check_w(args, outdir: Path):
         rows.append((name, int(sub["ok"]), margin))
     rows.append(("overall", int(rep["ok"]), rep["interpretation"]))
     _write_csv(outdir / "besov-checkw.csv", ["condition", "ok", "margin_or_k"], rows)
-    return EXIT_OK
 
 
 def cmd_noise_sample(args, outdir: Path):
@@ -216,7 +208,6 @@ def cmd_noise_sample(args, outdir: Path):
     _write_csv(outdir / "noise-sample.csv",
                ["kind", "seed", "cells", "sum"],
                [(args.kind, args.seed, fld.values.size, float(fld.values.sum()))])
-    return EXIT_OK
 
 
 def cmd_noise_mollify(args, outdir: Path):
@@ -229,7 +220,6 @@ def cmd_noise_mollify(args, outdir: Path):
                ["eps", "sup_before", "sup_after"],
                [(args.eps, float(np.abs(fld.values).max()),
                  float(np.abs(out.values).max()))])
-    return EXIT_OK
 
 
 def cmd_noise_regularity(args, outdir: Path):
@@ -243,7 +233,6 @@ def cmd_noise_regularity(args, outdir: Path):
     _write_csv(outdir / "noise-regularity.csv",
                ["kind", "seeds", "alpha_hat", "ci_halfwidth"],
                [(args.kind, args.seeds, res["alpha_hat"], res["ci_halfwidth"])])
-    return EXIT_OK
 
 
 def cmd_renorm(args, outdir: Path):
@@ -257,7 +246,6 @@ def cmd_renorm(args, outdir: Path):
                      rc.C_eps))
     _write_csv(outdir / "renorm.csv",
                ["eps", "c", "c11", "c11_err", "c12", "c12_err", "C"], rows)
-    return EXIT_OK
 
 
 def cmd_reconstruct(args, outdir: Path):
@@ -285,7 +273,6 @@ def cmd_reconstruct(args, outdir: Path):
             sorted(rep["A_norms"])]
     rows.append(("rate", rep["rate"], ""))
     _write_csv(outdir / "reconstruct.csv", ["level", "A_norm", "delta_norm"], rows)
-    return EXIT_OK
 
 
 def cmd_solve(args, outdir: Path):
@@ -311,7 +298,6 @@ def cmd_solve(args, outdir: Path):
     rows = list(zip(traj.times, traj.diagnostics["max"], traj.diagnostics["mass"],
                     weighted_norm_diag(traj, ell=args.ell)))
     _write_csv(outdir / "solve-diag.csv", ["t", "sup", "mass", "weighted_l2"], rows)
-    return EXIT_OK
 
 
 def cmd_converge(args, outdir: Path):
@@ -333,7 +319,6 @@ def cmd_converge(args, outdir: Path):
             rows.append((seed, res["eps_list"][i], 0.0, dval, "ito"))
     _write_csv(outdir / "converge.csv",
                ["seed", "eps_from", "eps_to", "distance", "kind"], rows)
-    return EXIT_OK
 
 
 # -- parser --------------------------------------------------------------------
@@ -512,7 +497,7 @@ def main(argv=None) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
-        code = args.func(args, outdir)
+        args.func(args, outdir)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -520,7 +505,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     _write_resolved(outdir, args)
-    return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -157,16 +157,12 @@ class KernelDecomposition:
 
     def pminus(self, t, x):
         """P (1 - chi(N)) + Q: smooth, bounded with all derivatives."""
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
         return (heat_kernel(t, x, self.d) * (1.0 - _smoothstep(_gauge(t, x)))
                 + self._Q(t, x))
 
     def reassemble(self, t, x, n_max: int = 12):
         """sum_{n <= n_max} P_n + P_-; equals P off the origin once n_max
         exceeds the dyadic depth of the evaluation point."""
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
         out = self.pminus(t, x)
         for n in range(n_max + 1):
             out = out + self.pn(n, t, x)

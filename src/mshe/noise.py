@@ -183,10 +183,13 @@ class _IndexedInterp:
     step always suffices elsewhere.  Of a run of equal knots only the last is
     kept, the one np.interp picks.  On a uniform table (the b and bb grids)
     the guide is the identity and is skipped.  The value is slope[j]·(x −
-    xp[j]) + fp[j], as numpy computes it; the slopes must be finite.
+    xp[j]) + fp[j], as numpy computes it; the slopes must be finite, and no
+    value may be -0.0, which numpy returns at its knot and this sum as +0.0.
     """
 
     def __init__(self, xp, fp, buckets):
+        if np.any(np.signbit(fp) & (fp == 0.0)):
+            raise ValueError("interpolation table with a -0.0 value")
         j = np.flatnonzero(np.append(np.diff(xp) > 0, True))
         jn = j[:-1]
         self.slope = np.append((fp[jn + 1] - fp[jn]) / (xp[jn + 1] - xp[jn]), 0.0)
@@ -228,28 +231,16 @@ class _IndexedInterp:
         return out.reshape(x.shape)[()]
 
 
-# The lookups of a profile's tables, built on first use.  b and bb vanish at
-# both ends of their grids, so the held end values are the 0 that np.interp
-# gave outside them; of the CDF's 2^16 buckets about 1% hold two or more
-# knots, in the flat tails.
-
-
+# The lookups of a profile's b, bb and CDF tables, built on first use.  b and
+# bb vanish at both ends of their grids, so the held end values are the 0
+# that np.interp gave outside them; of the CDF's 2^16 buckets about 1% hold
+# two or more knots, in the flat tails.
 @functools.cache
-def _b_table(profile: str) -> _IndexedInterp:
-    gu, b, _, _ = bump_profile(profile)
-    return _IndexedInterp(gu, b, gu.size - 1)
-
-
-@functools.cache
-def _bb_table(profile: str) -> _IndexedInterp:
-    _, _, gs, bb = bump_profile(profile)
-    return _IndexedInterp(gs, bb, gs.size - 1)
-
-
-@functools.cache
-def _cdf_table(profile: str) -> _IndexedInterp:
-    gs, cdf = _bb_cdf(profile)
-    return _IndexedInterp(cdf, gs, 1 << 16)
+def _lookups(profile: str) -> tuple:
+    gu, b, gs, bb = bump_profile(profile)
+    _, cdf = _bb_cdf(profile)
+    return (_IndexedInterp(gu, b, gu.size - 1), _IndexedInterp(gs, bb, gs.size - 1),
+            _IndexedInterp(cdf, gs, 1 << 16))
 
 
 @dataclass(frozen=True)
@@ -265,7 +256,7 @@ class Mollifier:
         bump_profile(self.profile)  # rejects an unknown profile
 
     def _b(self, u):
-        return _b_table(self.profile)(u)
+        return _lookups(self.profile)[0](u)
 
     def rho(self, t, x):
         """Unit-scale rho(t, x...); x has shape (..., d)."""
@@ -278,12 +269,12 @@ class Mollifier:
 
     def bb(self, s):
         """1-d self-convolution (b*b)(s), unit scale."""
-        return _bb_table(self.profile)(s)
+        return _lookups(self.profile)[1](s)
 
     def bb_quantile(self, p):
         """The inverse at p in [0, 1] of the trapezoid CDF of bb on the grid
         of the bb table: np.interp(p, cdf, grid)."""
-        return _cdf_table(self.profile)(p)
+        return _lookups(self.profile)[2](p)
 
     def rho_sq_spatial(self, x):
         """Spatial marginal of rho_eps^{*2} (time integrated out); x has shape

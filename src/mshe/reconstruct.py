@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .noise import Field, Grid, exp_bump
+from .noise import Field, Grid, exp_bump, read_field, write_field
 from .besov import level_norm
 from .kernel import decompose
 from .wavelet import (LevelTransform, WaveletBasis, _adjoint_axis, check_lattices,
@@ -280,8 +280,6 @@ def write_modelled(path, f: ModelledDistribution) -> None:
     along time) plus a JSON sidecar naming the symbols.  The channels are
     padded with zero blocks to a power of two, as the field format's time
     axis must be; read_modelled reads the named ones only."""
-    from .noise import write_field
-
     syms = [s for s in SYMBOLS if s in f.coeffs]
     g = f.grid
     blocks = 1 << (len(syms) - 1).bit_length()
@@ -297,8 +295,6 @@ def write_modelled(path, f: ModelledDistribution) -> None:
 
 
 def read_modelled(path) -> ModelledDistribution:
-    from .noise import read_field
-
     carrier = read_field(path)
     with open(str(path) + ".json") as fh:
         sidecar = json.load(fh)

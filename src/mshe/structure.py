@@ -48,14 +48,6 @@ class Homogeneity:
         """Exact comparison q + m*kappa < q' + m'*kappa for rational kappa."""
         return self.q + self.m * kappa < other.q + other.m * kappa
 
-    def __str__(self) -> str:
-        if self.m == 0:
-            return str(self.q)
-        sign = "+" if self.m > 0 else "-"
-        mult = abs(self.m)
-        head = "" if mult == 1 else str(mult)
-        return f"{self.q}{sign}{head}k"
-
 
 #: equation -> (space dimension d, kind of its driving white noise); one
 #: equation per d
@@ -90,12 +82,6 @@ class Symbol:
         if self.kind == "product":
             return f"Xi*{self.child}"
         raise ValueError(self.kind)
-
-    def __hash__(self):
-        return hash(str(self))
-
-    def __eq__(self, other):
-        return isinstance(other, Symbol) and str(self) == str(other)
 
 
 def _monomial(k: tuple, scaling: tuple) -> Symbol:

@@ -383,13 +383,16 @@ class LevelTransform:
 
     def _stride(self, v: float, axis: str) -> int:
         """The lattice step in grid steps, which ``_axis_taps`` samples phi at:
-        a whole number no greater than the table's points per unit."""
+        a whole number that divides the table's points per unit, so that
+        every tap is a knot."""
         s, depth = int(round(v)), self.basis.depth
         if abs(v - s) > 1e-9 or s < 1:
             raise ValueError(f"{axis} stride {v} not a positive integer; use dyadic box sizes")
-        if s > 2 ** depth:
-            raise ValueError(f"the level-{self.n} {axis} stride {s} exceeds the 2^{depth} "
-                             "points per unit of the phi table; use a finer level")
+        if (1 << depth) % s:
+            why = "exceeds" if s > 1 << depth else "does not divide"
+            raise ValueError(f"the level-{self.n} {axis} stride {s} {why} the 2^{depth} "
+                             "points per unit of the phi table; use a finer level and "
+                             "dyadic box sizes")
         return s
 
     def _factor(self, axis: int, code: str):

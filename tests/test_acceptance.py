@@ -226,7 +226,7 @@ def test_06c_she_constants_cauchy():
                   c12_eps(m, green, n_samples=1 << 16, seed=40 + i))
     es = sorted(res, reverse=True)
     ok = True
-    worst = 0.0
+    worst = -np.inf
     for a, b in zip(es, es[1:]):
         for j in (0, 1):
             inc = abs(res[b][j]["value"] - res[a][j]["value"])

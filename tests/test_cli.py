@@ -44,6 +44,23 @@ def test_structure_table(tmp_path):
     assert (out / "resolved-config.txt").exists()
 
 
+@pytest.mark.parametrize("d, r, moments", [
+    (1, 3, ["0_0", "0_1", "0_2", "0_3", "1_0", "1_1"]),
+    (3, 2, ["0_0", "0_1", "0_2", "1_0"]),
+], ids=["d1-r3", "d3-r2"])
+def test_kernel_check_rows(tmp_path, d, r, moments):
+    # the reassembly error, then the moments of P_0 of scaled degree <= r
+    # along the time axis and the first space axis, each below 1e-8
+    code, out = run_cli(["kernel", "check", "--d", str(d), "--r", str(r), "--points", "50"],
+                        tmp_path, "k")
+    assert code == 0
+    lines = (out / "kernel-check.csv").read_text().splitlines()
+    assert lines[0] == "quantity,value"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [q for q, _ in rows] == ["reassembly_max_rel"] + [f"moment_{k}" for k in moments]
+    assert all(float(v) < 1e-8 for _, v in rows[1:])
+
+
 def test_renorm_csv_shape(tmp_path):
     code, out = run_cli(["renorm", "--equation", "she1d", "--eps", "0.1",
                          "--samples", "4096", "--seed", "7"], tmp_path, "b")

@@ -8,10 +8,9 @@ from mshe.noise import (
     Field,
     Grid,
     Mollifier,
-    _b_table,
     _bb_cdf,
-    _bb_table,
-    _cdf_table,
+    _IndexedInterp,
+    _lookups,
     bump_profile,
     mollify,
     read_field,
@@ -334,9 +333,19 @@ def _interp_tables(profile):
         return {"phi": (basis.phi, np.arange(phi.size) * 2.0 ** -basis.depth, phi, 0.0, 0.0)}
     u, b, s, bb = bump_profile(profile)
     gs, cdf = _bb_cdf(profile)
-    return {"b": (_b_table(profile), u, b, 0.0, 0.0),
-            "bb": (_bb_table(profile), s, bb, 0.0, 0.0),
-            "cdf": (_cdf_table(profile), cdf, gs, None, None)}
+    b_lookup, bb_lookup, cdf_lookup = _lookups(profile)
+    return {"b": (b_lookup, u, b, 0.0, 0.0),
+            "bb": (bb_lookup, s, bb, 0.0, 0.0),
+            "cdf": (cdf_lookup, cdf, gs, None, None)}
+
+
+def test_indexed_lookup_refuses_a_negative_zero_value():
+    # np.interp gives -0.0 at such a knot, slope * 0 + (-0.0) gives +0.0
+    xp = np.array([0.0, 1.0, 2.0])
+    assert np.interp(1.0, xp, [1.0, -0.0, 1.0]).hex() == "-0x0.0p+0"
+    with pytest.raises(ValueError, match="-0.0 value"):
+        _IndexedInterp(xp, np.array([1.0, -0.0, 1.0]), 2)
+    assert _IndexedInterp(xp, np.array([1.0, 0.0, 1.0]), 2)(1.0).hex() == "0x0.0p+0"
 
 
 @pytest.mark.parametrize("profile, table", [(p, t) for p in ("exp", "poly4")

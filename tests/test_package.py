@@ -43,8 +43,8 @@ def test_importing_builds_no_lookup_table():
     script = ("import mshe.cli, mshe.kernel, mshe.noise, mshe.renorm, mshe.solver\n"
               "from mshe import noise\n"
               "print([f.cache_info().currsize for f in (noise.bump_profile, noise._bb_cdf,"
-              " noise._b_table, noise._bb_table, noise._cdf_table)])")
+              " noise._lookups)])")
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[0, 0, 0, 0, 0]"
+    assert proc.stdout.strip() == "[0, 0, 0]"

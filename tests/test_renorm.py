@@ -336,12 +336,10 @@ def test_constants_unchanged_with_np_interp_lookups(monkeypatch):
             return np.interp(x, xp, fp, left=left, right=right)
         return lookup
 
-    monkeypatch.setattr(noise, "_b_table",
-                        lambda p: interp("b", *noise.bump_profile(p)[:2], 0.0, 0.0))
-    monkeypatch.setattr(noise, "_bb_table",
-                        lambda p: interp("bb", *noise.bump_profile(p)[2:], 0.0, 0.0))
-    monkeypatch.setattr(noise, "_cdf_table",
-                        lambda p: interp("cdf", *noise._bb_cdf(p)[::-1], None, None))
+    monkeypatch.setattr(noise, "_lookups",
+                        lambda p: (interp("b", *noise.bump_profile(p)[:2], 0.0, 0.0),
+                                   interp("bb", *noise.bump_profile(p)[2:], 0.0, 0.0),
+                                   interp("cdf", *noise._bb_cdf(p)[::-1], None, None)))
     try:
         assert values() == indexed
     finally:

@@ -324,6 +324,13 @@ def test_level_transform_refuses_strides_past_the_phi_table(basis2):
     assert (eng.stride_t, eng.stride_x) == (4096, 4096)
 
 
+def test_level_transform_refuses_a_stride_that_does_not_divide_the_phi_table():
+    # a lattice step of 3 grid steps would read phi at j/3, between knots
+    with pytest.raises(ValueError, match="the level-0 space stride 3 does not divide the "
+                                         "2\\^12 points per unit of the phi table"):
+        LevelTransform(build_family(2), 0, 1 / 3)
+
+
 @pytest.mark.parametrize("N", [2, 6])
 @pytest.mark.parametrize("dx, dt", [(2.0 ** -7, 2.0 ** -12), (2.0 ** -7, 2.0 ** -13)],
                          ids=["noise-regularity", "reconstruct"])
