@@ -28,7 +28,7 @@ print("\npam3d c11(eps): log divergence")
 green = pam_green()
 vals = {}
 for e in (0.2, 0.1, 0.05, 0.025):
-    r = c11_eps(Mollifier(epsilon=e), green, n_samples=1 << 16, seed=3)
+    r = c11_eps(Mollifier(epsilon=e), [green], n_samples=1 << 16, seed=3)[0]
     vals[e] = r["value"]
     print(f"  eps={e:5}: c11 = {r['value']:.6f} +- {r['stderr']:.6f}")
 es = sorted(vals, reverse=True)
@@ -41,7 +41,7 @@ green = she_green()
 for e in (0.2, 0.05):
     m = Mollifier(epsilon=e)
     c = c_eps(m, green)
-    r11 = c11_eps(m, green, n_samples=1 << 15, seed=1)
-    r12 = c12_eps(m, green, n_samples=1 << 15, seed=2)
+    r11 = c11_eps(m, [green], n_samples=1 << 15, seed=1)[0]
+    r12 = c12_eps(m, [green], n_samples=1 << 15, seed=2)[0]
     print(f"  eps={e:5}: c = {c:8.4f}  c11 = {r11['value']:.6f}  "
           f"c12 = {r12['value']:.6f}")

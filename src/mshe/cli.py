@@ -238,12 +238,10 @@ def cmd_noise_regularity(args, outdir: Path):
 def cmd_renorm(args, outdir: Path):
     from .renorm import compute_constants
 
-    rows = []
-    for e in args.eps:
-        rc = compute_constants(args.equation, e, n_samples=args.samples, seed=args.seed,
-                               threads=_threads(args))
-        rows.append((e, rc.c_eps, rc.c11_eps, rc.c11_err, rc.c12_eps, rc.c12_err,
-                     rc.C_eps))
+    rows = [(e, rc.c_eps, rc.c11_eps, rc.c11_err, rc.c12_eps, rc.c12_err, rc.C_eps)
+            for e, rc in zip(args.eps, compute_constants(args.equation, args.eps,
+                                                         n_samples=args.samples, seed=args.seed,
+                                                         threads=_threads(args)))]
     _write_csv(outdir / "renorm.csv",
                ["eps", "c", "c11", "c11_err", "c12", "c12_err", "C"], rows)
 
@@ -289,8 +287,8 @@ def cmd_solve(args, outdir: Path):
         from .renorm import compute_constants
 
         # the constant of renorm --eps at the same --seed and --samples
-        cfg.C_eps = compute_constants(args.equation, args.eps, n_samples=args.samples,
-                                      seed=args.seed, threads=_threads(args)).C_eps
+        cfg.C_eps = compute_constants(args.equation, [args.eps], n_samples=args.samples,
+                                      seed=args.seed, threads=_threads(args))[0].C_eps
     traj = solve_renormalised(cfg)
     for i, fld in enumerate(traj.fields):
         write_field(outdir / f"snapshot-{i:03d}.shef",

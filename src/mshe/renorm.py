@@ -45,6 +45,12 @@ weights.  c12 is the mean over w = z1+z2+z3 and z3 ~ rho2 and z1 ~ q of
 the first term is the product part, and the second is unbiased for the delta
 part because E_{z3 ~ rho2} G(z3) = c exactly, so the two cancel sample by
 sample.  The standard error comes from independent scrambled replicates.
+
+The Sobol points and the mollifier samples do not depend on the truncation
+ratio; only the Green factor and G do.  So one QMC pass per integral serves
+every ratio of a request: each block of points is mapped once to the
+mollifier samples, then to one row of integrand values per ratio, and each
+row is averaged on its own, giving every ratio the bits of a pass of its own.
 """
 
 from __future__ import annotations
@@ -168,32 +174,40 @@ def _quadrature(moll: Mollifier, green: GreenFn, tol: float) -> float:
 
 
 @functools.cache
-def _pam_shells(moll: Mollifier, n_r: int) -> tuple:
+def _pam_shells(moll: Mollifier, n_r: int) -> np.ndarray:
     """Gauss-Legendre radii r over the support of rho2, each with its weight
-    and the sphere integral int_{S^2} rho2(r w) dw.
+    and the sphere integral int_{S^2} rho2(r w) dw: the (n_r, 3) rows
+    (r, weight, sphere).
 
     rho2 is a product of per-axis bb tables, so its support is the cube
-    [-2 eps, 2 eps]^3: the radii run to its corners at 2 sqrt(3) eps.  G does
-    not enter, so c_eps computes them once per profile and n_r, at eps = 1.
+    [-2 eps, 2 eps]^3: the radii run to its corners at 2 sqrt(3) eps.  The
+    z factor depends on the polar node alone, so it is looked up once per
+    node and broadcast over the azimuths.  G does not enter, so c_eps
+    computes them once per profile and n_r, at eps = 1.
     """
     rn, rw = np.polynomial.legendre.leggauss(n_r)
-    half = math.sqrt(3.0) * moll.epsilon
+    e = moll.epsilon
+    half = math.sqrt(3.0) * e
     n_c, n_p = 64, 128
     cn, cw = np.polynomial.legendre.leggauss(n_c)
     phi = (np.arange(n_p) + 0.5) * 2.0 * np.pi / n_p
     st = np.sqrt(1.0 - cn ** 2)
-    dirs = np.stack([np.outer(st, np.cos(phi)),
-                     np.outer(st, np.sin(phi)),
-                     np.tile(cn[:, None], (1, n_p))], axis=-1)  # (n_c, n_p, 3)
-    return tuple((rv, rwt, np.sum(moll.rho_sq_spatial(rv * dirs) * cw[:, None])
-                  * (2.0 * np.pi / n_p)) for rv, rwt in zip(half * (rn + 1.0), half * rw))
+    dx, dy = np.outer(st, np.cos(phi)), np.outer(st, np.sin(phi))  # (n_c, n_p)
+    rv, rwt = half * (rn + 1.0), half * rw
+    # the per-axis product (bx by) bz of Mollifier.rho_sq_spatial
+    sphere = [np.sum(moll.bb(r * dx / e) / e * moll.bb(r * dy / e) / e
+                     * moll.bb(r * cn / e)[:, None] / e * cw[:, None]) * (2.0 * np.pi / n_p)
+              for r in rv]
+    shells = np.stack([rv, rwt, sphere], axis=-1)
+    shells.flags.writeable = False   # shared by every caller of the cache
+    return shells
 
 
 def _c_eps_pam(moll: Mollifier, n_r: int, R: float) -> float:
     # (1/4pi) int_0^{2 sqrt(3) eps} r chi(r/R) [int_{S^2} rho2(r w) dw] dr
-    # for G = chi(r/R) / (4 pi r)
-    return sum(rwt * rv * sphere * _smoothstep(rv / R)
-               for rv, rwt, sphere in _pam_shells(moll, n_r)) / (4.0 * np.pi)
+    # for G = chi(r/R) / (4 pi r), summed shell by shell from the centre
+    rv, rwt, sphere = _pam_shells(moll, n_r).T
+    return sum((rwt * rv * sphere * _smoothstep(rv / R)).tolist()) / (4.0 * np.pi)
 
 
 def _c_eps_she(moll: Mollifier, n: int) -> float:
@@ -274,13 +288,15 @@ def _sobol(d: int, m: int, seed: int) -> np.ndarray:
     return q * 2.0 ** -_SOBOL_BITS
 
 
-def _qmc_mean(fn, dim: int, n_samples: int, seed: int, threads: int = 1):
-    """Randomized-QMC mean of fn(U) with scrambled Sobol replicates.
+def _qmc_mean(fn, dim: int, n_samples: int, seed: int, threads: int = 1) -> list:
+    """Randomized-QMC means of the rows of fn(U) with scrambled Sobol replicates.
 
-    fn maps an (n, dim) uniform block to one value per row.  Returns
-    (mean, stderr).  Per-replicate seeds come from a spawned SeedSequence, so
-    the result is independent of the thread count.  n_samples is the count
-    run: a power of two, at least 2^6 Sobol points per replicate.
+    fn maps an (n, dim) uniform block to a (k, n) block: one row per
+    integrand, one value per point.  Returns (mean, stderr) per integrand, so
+    k integrands share one set of points.  Per-replicate seeds come from a
+    spawned SeedSequence, so the result is independent of the thread count.
+    n_samples is the count run: a power of two, at least 2^6 Sobol points per
+    replicate.
     """
     if n_samples < _REPLICATES << 6 or n_samples & (n_samples - 1):
         raise ValueError(f"QMC samples must be a power of two >= {_REPLICATES << 6}, "
@@ -291,51 +307,62 @@ def _qmc_mean(fn, dim: int, n_samples: int, seed: int, threads: int = 1):
     def one(rep_seed):
         U = _sobol(dim, m, rep_seed)
         # row blocks keep fn's temporaries small enough for malloc to reuse
-        return float(np.mean(np.concatenate([fn(U[i:i + _BLOCK])
-                                             for i in range(0, len(U), _BLOCK)])))
+        vals = np.concatenate([fn(U[i:i + _BLOCK]) for i in range(0, len(U), _BLOCK)], axis=1)
+        return [float(np.mean(row)) for row in vals]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            means = list(ex.map(one, seeds))
+            per_rep = list(ex.map(one, seeds))
     else:
-        means = [one(s) for s in seeds]
-    means = np.asarray(means)
-    return float(means.mean()), float(means.std(ddof=1) / np.sqrt(_REPLICATES))
+        per_rep = [one(s) for s in seeds]
+    # each integrand's replicate means as a 1-d array of their own
+    return [(float(means.mean()), float(means.std(ddof=1) / np.sqrt(_REPLICATES)))
+            for means in map(np.asarray, zip(*per_rep))]
 
 
-def c11_eps(moll: Mollifier, green: GreenFn, n_samples: int = 1 << 17,
-            seed: int = 0, threads: int = 1):
-    """The three-Green two-mollifier integral, with u = z1+z2, v = z2+z3.
+def c11_eps(moll: Mollifier, greens, n_samples: int = 1 << 17,
+            seed: int = 0, threads: int = 1) -> list:
+    """The three-Green two-mollifier integral, with u = z1+z2, v = z2+z3,
+    for each of greens (Green's functions of one equation):
 
     c11 = E_{u,v ~ rho2} E_{z2 ~ q} [ (G/q)(z2) G(u - z2) G(v - z2) ].
+
+    Every G shares the points and u, v; one {"value", "stderr"} per G.
     """
-    dz = green.dim
+    dz = greens[0].dim
     e = moll.epsilon
 
     def fn(U):
-        u = _sample_rho2(moll, green, U[:, :dz])
-        v = _sample_rho2(moll, green, U[:, dz:2 * dz])
-        z2, w = green.sample_factor(U[:, 2 * dz:], tmax=4.0 * e ** 2)
-        return w * green(u - z2) * green(v - z2)
+        u = _sample_rho2(moll, greens[0], U[:, :dz])
+        v = _sample_rho2(moll, greens[0], U[:, dz:2 * dz])
+        rows = []
+        for green in greens:
+            z2, w = green.sample_factor(U[:, 2 * dz:], tmax=4.0 * e ** 2)
+            rows.append(w * green(u - z2) * green(v - z2))
+        return np.stack(rows)
 
-    mean, err = _qmc_mean(fn, 2 * dz + 3, n_samples, seed, threads)
-    return {"value": mean, "stderr": err}
+    return [{"value": mean, "stderr": err}
+            for mean, err in _qmc_mean(fn, 2 * dz + 3, n_samples, seed, threads)]
 
 
-def c12_eps(moll: Mollifier, green: GreenFn, n_samples: int = 1 << 17,
-            seed: int = 1, threads: int = 1):
-    """The delta-subtracted integral as one mean (module docstring)."""
-    dz = green.dim
+def c12_eps(moll: Mollifier, greens, n_samples: int = 1 << 17,
+            seed: int = 1, threads: int = 1) -> list:
+    """The delta-subtracted integral as one mean (module docstring), for each
+    of greens as in c11_eps."""
+    dz = greens[0].dim
     e = moll.epsilon
 
     def fn(U):
-        w = _sample_rho2(moll, green, U[:, :dz])
-        z3 = _sample_rho2(moll, green, U[:, dz:2 * dz])
-        z1, wt = green.sample_factor(U[:, 2 * dz:], tmax=8.0 * e ** 2)
-        return wt * green(z3) * (green(w - z1 - z3) - green(w - z1))
+        w = _sample_rho2(moll, greens[0], U[:, :dz])
+        z3 = _sample_rho2(moll, greens[0], U[:, dz:2 * dz])
+        rows = []
+        for green in greens:
+            z1, wt = green.sample_factor(U[:, 2 * dz:], tmax=8.0 * e ** 2)
+            rows.append(wt * green(z3) * (green(w - z1 - z3) - green(w - z1)))
+        return np.stack(rows)
 
-    mean, err = _qmc_mean(fn, 2 * dz + 3, n_samples, seed, threads)
-    return {"value": mean, "stderr": err}
+    return [{"value": mean, "stderr": err}
+            for mean, err in _qmc_mean(fn, 2 * dz + 3, n_samples, seed, threads)]
 
 
 @dataclass
@@ -351,29 +378,23 @@ class RenormConstants:
         return self.c_eps + self.c11_eps + self.c12_eps
 
 
-#: (c11, c12) results per (mollifier and G at unit scale, samples, seed); the
-#: thread count never changes a result, so it is not in the key
-_FINITE_PARTS = {}
-
-
-def compute_constants(equation: str, eps: float,
-                      n_samples: int = 1 << 16, seed: int = 0,
-                      threads: int = 1) -> RenormConstants:
-    """All constants for one epsilon of an equation in GREENS: 'pam3d' (G
-    truncated at R_G = 1) or 'she1d'.  c11 and c12 are computed at eps = 1
-    (module docstring), once per process per truncation ratio, samples, seed.
+def compute_constants(equation: str, eps_list, n_samples: int = 1 << 16, seed: int = 0,
+                      threads: int = 1) -> list:
+    """All constants of an equation in GREENS, 'pam3d' (G truncated at
+    R_G = 1) or 'she1d', for each eps of eps_list in order.  c11 and c12 are
+    computed at eps = 1 (module docstring): one QMC pass per integral serves
+    every distinct truncation ratio R_G/eps of the list.
     """
     if equation not in GREENS:
         raise ValueError(f"no renormalisation constant is computed for {equation}"
                          if equation in EQUATIONS else f"unknown equation {equation!r}")
     green = GREENS[equation]()
-    moll = Mollifier(epsilon=eps)
-    unit = _unit_scale(moll, green)
-    key = unit + (n_samples, seed)
-    if key not in _FINITE_PARTS:
-        _FINITE_PARTS[key] = (c11_eps(*unit, n_samples, seed, threads),
-                              c12_eps(*unit, n_samples, seed + 7919, threads))
-    r11, r12 = _FINITE_PARTS[key]
-    return RenormConstants(c_eps=c_eps(moll, green), c11_eps=r11["value"],
-                           c11_err=r11["stderr"], c12_eps=r12["value"],
-                           c12_err=r12["stderr"])
+    molls = [Mollifier(epsilon=e) for e in eps_list]
+    ratio_of = [_unit_scale(m, green)[1] for m in molls]
+    ratios = list(dict.fromkeys(ratio_of))
+    unit = Mollifier(epsilon=1.0)
+    finite = dict(zip(ratios, zip(c11_eps(unit, ratios, n_samples, seed, threads),
+                                  c12_eps(unit, ratios, n_samples, seed + 7919, threads))))
+    return [RenormConstants(c_eps=c_eps(m, green), c11_eps=r11["value"], c11_err=r11["stderr"],
+                            c12_eps=r12["value"], c12_err=r12["stderr"])
+            for m, (r11, r12) in zip(molls, map(finite.get, ratio_of))]

@@ -529,8 +529,9 @@ def convergence_study(equation: str, grid: Grid, eps_list, T: float | None,
     f_of = {e: grid.N // cfg.grid.N for e, cfg in cfgs.items()}
     eps_max = {f: max(e for e in eps_list if f_of[e] == f) for f in set(f_of.values())}
     if constants is None:
-        constants = {e: compute_constants(equation, e, n_samples=n_qmc, seed=1000,
-                                          threads=threads).C_eps for e in eps_list}
+        constants = {e: rc.C_eps for e, rc in zip(
+            eps_list, compute_constants(equation, eps_list, n_samples=n_qmc, seed=1000,
+                                        threads=threads))}
 
     def run_seed(seed):
         noise = _realisation(grid, kind, seed, eps_max)

@@ -197,8 +197,8 @@ def test_06b_pam_c11_log_slope():
     green = pam_green()
     vals = {}
     for e in (0.2, 0.1, 0.05, 0.025):
-        vals[e] = c11_eps(Mollifier(epsilon=e), green,
-                          n_samples=1 << 17, seed=3)
+        vals[e] = c11_eps(Mollifier(epsilon=e), [green],
+                          n_samples=1 << 17, seed=3)[0]
     es = sorted(vals, reverse=True)
     slopes = [(vals[b]["value"] - vals[a]["value"]) / (np.log(b) - np.log(a))
               for a, b in zip(es, es[1:])]
@@ -222,8 +222,8 @@ def test_06c_she_constants_cauchy():
     res = {}
     for i, e in enumerate((0.2, 0.1, 0.05, 0.025)):
         m = Mollifier(epsilon=e)
-        res[e] = (c11_eps(m, green, n_samples=1 << 16, seed=20 + i),
-                  c12_eps(m, green, n_samples=1 << 16, seed=40 + i))
+        res[e] = (c11_eps(m, [green], n_samples=1 << 16, seed=20 + i)[0],
+                  c12_eps(m, [green], n_samples=1 << 16, seed=40 + i)[0])
     es = sorted(res, reverse=True)
     ok = True
     worst = -np.inf
@@ -247,8 +247,8 @@ def test_06d_pam_c12_bounded():
     out11, out12 = {}, {}
     for e in (0.05, 0.025):
         m = Mollifier(epsilon=e)
-        out11[e] = c11_eps(m, green, n_samples=1 << 17, seed=6)
-        out12[e] = c12_eps(m, green, n_samples=1 << 17, seed=5)
+        out11[e] = c11_eps(m, [green], n_samples=1 << 17, seed=6)[0]
+        out12[e] = c12_eps(m, [green], n_samples=1 << 17, seed=5)[0]
     inc11 = abs(out11[0.025]["value"] - out11[0.05]["value"])
     inc12 = abs(out12[0.025]["value"] - out12[0.05]["value"])
     elapsed = time.time() - t0

@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
+from mshe import renorm
+from mshe.kernel import _smoothstep
 from mshe.noise import Mollifier, _bb_cdf
 from mshe.renorm import (
     c11_eps,
@@ -10,7 +14,8 @@ from mshe.renorm import (
     pam_green,
     she_green,
 )
-from mshe.renorm import _pam_shells, _qmc_mean, _quadrature, _sample_rho2, _sobol
+from mshe.renorm import (_c_eps_pam, _pam_shells, _qmc_mean, _quadrature, _sample_rho2,
+                         _sobol)
 
 
 def _moll(eps):
@@ -111,6 +116,30 @@ def test_pam_shells_cover_the_support_cube(profile):
         assert mass == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("profile", ["exp", "poly4"])
+def test_pam_rule_matches_the_scalar_shell_sum(profile):
+    # the shells with rho2 evaluated at every tiled direction by
+    # rho_sq_spatial, and the cutoff applied shell by shell in a generator:
+    # the array forms give the same bits
+    moll = Mollifier(epsilon=1.0, profile=profile)
+    n_c, n_p = 64, 128
+    cn, cw = np.polynomial.legendre.leggauss(n_c)
+    phi = (np.arange(n_p) + 0.5) * 2.0 * np.pi / n_p
+    st = np.sqrt(1.0 - cn ** 2)
+    dirs = np.stack([np.outer(st, np.cos(phi)), np.outer(st, np.sin(phi)),
+                     np.tile(cn[:, None], (1, n_p))], axis=-1)
+    for n_r in (128, 256):
+        rn, rw = np.polynomial.legendre.leggauss(n_r)
+        half = math.sqrt(3.0)
+        shells = [(rv, rwt, np.sum(moll.rho_sq_spatial(rv * dirs) * cw[:, None])
+                   * (2.0 * np.pi / n_p)) for rv, rwt in zip(half * (rn + 1.0), half * rw)]
+        assert np.array_equal(_pam_shells(moll, n_r), np.array(shells))
+        for R in (1, 2, 4, 8, 10, 20, 40, 80):
+            want = sum(rwt * rv * sphere * _smoothstep(rv / R)
+                       for rv, rwt, sphere in shells) / (4.0 * np.pi)
+            assert _c_eps_pam(moll, n_r, R) == want, (n_r, R)
+
+
 @pytest.mark.parametrize("eps", [1.0, 0.5, 0.25])
 def test_c_eps_pam_cutoff_against_monte_carlo(eps):
     # at eps > R_G / (4 sqrt 3) the cutoff of G reaches into the support of
@@ -133,7 +162,7 @@ def test_c11_pam_log_slope():
     green = pam_green()
     vals = {}
     for e in (0.2, 0.1, 0.05, 0.025):
-        vals[e] = c11_eps(_moll(e), green, n_samples=1 << 17, seed=11)
+        vals[e] = c11_eps(_moll(e), [green], n_samples=1 << 17, seed=11)[0]
     es = sorted(vals, reverse=True)
     slopes = [(vals[b]["value"] - vals[a]["value"]) / (np.log(b) - np.log(a))
               for a, b in zip(es, es[1:])]
@@ -144,8 +173,8 @@ def test_c11_pam_log_slope():
 def test_c11_pam_depends_on_the_ratio_only():
     # every sample scales exactly by a power of two: eps = 1/8 under R_G = 1
     # is eps = 1 under R_G = 8, bit for bit
-    a = c11_eps(_moll(0.125), pam_green(1.0), n_samples=1 << 14, seed=1000)
-    b = c11_eps(_moll(1.0), pam_green(8.0), n_samples=1 << 14, seed=1000)
+    a = c11_eps(_moll(0.125), [pam_green(1.0)], n_samples=1 << 14, seed=1000)[0]
+    b = c11_eps(_moll(1.0), [pam_green(8.0)], n_samples=1 << 14, seed=1000)[0]
     assert a == b
 
 
@@ -156,8 +185,8 @@ def test_she_constants_equal_at_every_eps():
     vals = []
     for e in (0.4, 0.2, 0.1, 0.05):
         m = _moll(e)
-        vals.append((c11_eps(m, green, n_samples=1 << 13, seed=8),
-                     c12_eps(m, green, n_samples=1 << 13, seed=9)))
+        vals.append((c11_eps(m, [green], n_samples=1 << 13, seed=8)[0],
+                     c12_eps(m, [green], n_samples=1 << 13, seed=9)[0]))
     assert all(v == vals[0] for v in vals)
 
 
@@ -169,8 +198,8 @@ def test_she_constants_scale_invariant():
     res = {}
     for i, e in enumerate((0.2, 0.1, 0.05)):
         m = _moll(e)
-        res[e] = (c11_eps(m, green, n_samples=1 << 15, seed=20 + i),
-                  c12_eps(m, green, n_samples=1 << 15, seed=40 + i))
+        res[e] = (c11_eps(m, [green], n_samples=1 << 15, seed=20 + i)[0],
+                  c12_eps(m, [green], n_samples=1 << 15, seed=40 + i)[0])
     es = sorted(res, reverse=True)
     for a, b in zip(es, es[1:]):
         d11 = abs(res[b][0]["value"] - res[a][0]["value"])
@@ -185,8 +214,8 @@ def test_c12_pam_bounded():
     green = pam_green()
     out = {}
     for e in (0.05, 0.025):
-        out[e] = c12_eps(_moll(e), green, n_samples=1 << 16, seed=5)
-    c11s = {e: c11_eps(_moll(e), green, n_samples=1 << 16, seed=6)
+        out[e] = c12_eps(_moll(e), [green], n_samples=1 << 16, seed=5)[0]
+    c11s = {e: c11_eps(_moll(e), [green], n_samples=1 << 16, seed=6)[0]
             for e in (0.05, 0.025)}
     inc12 = abs(out[0.025]["value"] - out[0.05]["value"])
     inc11 = abs(c11s[0.025]["value"] - c11s[0.05]["value"])
@@ -212,11 +241,11 @@ def test_c12_one_integral_matches_the_pieces(equation, eps):
         z1, wt = green.sample_factor(U[:, dz:], tmax=4.0 * eps ** 2)
         return wt * green(_sample_rho2(m, green, U[:, :dz]) - z1)
 
-    a, a_err = _qmc_mean(fn_a, 2 * dz + 3, n, seed=1)
-    b, b_err = _qmc_mean(fn_b, dz + 3, n, seed=2)
+    a, a_err = _qmc_mean(lambda U: fn_a(U)[None], 2 * dz + 3, n, seed=1)[0]
+    b, b_err = _qmc_mean(lambda U: fn_b(U)[None], dz + 3, n, seed=2)[0]
     c = c_eps(m, green)
     pieces, pieces_err = a - c * b, np.hypot(a_err, c * b_err)
-    one = c12_eps(m, green, n_samples=n, seed=3)
+    one = c12_eps(m, [green], n_samples=n, seed=3)[0]
     assert abs(one["value"] - pieces) <= 4 * np.hypot(one["stderr"], pieces_err)
     if eps == 0.0125:
         assert one["stderr"] < pieces_err
@@ -231,25 +260,45 @@ def test_qmc_rate_on_smooth_integrand():
     errs = []
     ns = [1 << 12, 1 << 14, 1 << 16]
     for n in ns:
-        errs.append(_qmc_mean(fn, 6, n, seed=2)[1])
+        errs.append(_qmc_mean(lambda U: fn(U)[None], 6, n, seed=2)[0][1])
     rate = np.polyfit(np.log(ns), np.log(errs), 1)[0]
     assert rate < -0.7
 
 
 def test_compute_constants_consistency():
-    rc = compute_constants("she1d", 0.1, n_samples=1 << 13, seed=1)
+    rc = compute_constants("she1d", [0.1], n_samples=1 << 13, seed=1)[0]
     assert rc.C_eps == rc.c_eps + rc.c11_eps + rc.c12_eps
     assert rc.c11_err >= 0 and rc.c12_err >= 0
     with pytest.raises(ValueError, match="unknown equation"):
-        compute_constants("kpz", 0.1)
+        compute_constants("kpz", [0.1])
 
 
 def test_determinism_across_threads():
     m = _moll(0.1)
-    green = pam_green()
-    a = c11_eps(m, green, n_samples=1 << 13, seed=4, threads=1)
-    b = c11_eps(m, green, n_samples=1 << 13, seed=4, threads=4)
-    assert a["value"] == b["value"] and a["stderr"] == b["stderr"]
+    greens = [pam_green(), pam_green(2.0)]
+    a = c11_eps(m, greens, n_samples=1 << 13, seed=4, threads=1)
+    b = c11_eps(m, greens, n_samples=1 << 13, seed=4, threads=4)
+    assert [(r["value"], r["stderr"]) for r in a] == [(r["value"], r["stderr"]) for r in b]
+
+
+def test_one_qmc_pass_serves_every_eps(monkeypatch):
+    # the constants of an eps list are those of its eps one at a time, bit
+    # for bit, in any order and with repeats; the Sobol replicates are drawn
+    # once per integral for the whole list
+    eps = [0.1, 0.05, 0.025, 0.0125]
+    together = compute_constants("pam3d", eps, 1 << 13, seed=3)
+    assert together == [compute_constants("pam3d", [e], 1 << 13, seed=3)[0] for e in eps]
+    assert compute_constants("pam3d", eps[::-1], 1 << 13, seed=3) == together[::-1]
+    assert (compute_constants("pam3d", eps + [0.05], 1 << 13, seed=3)
+            == together + [together[1]])
+    draws = []
+    sobol = renorm._sobol
+    monkeypatch.setattr(renorm, "_sobol", lambda *a: draws.append(a) or sobol(*a))
+    compute_constants("pam3d", eps, 1 << 13, seed=3)
+    assert len(draws) == 2 * 16
+    draws.clear()
+    compute_constants("she1d", [0.4, 0.2, 0.1], 1 << 13, seed=3)
+    assert len(draws) == 2 * 16
 
 
 def test_constants_only_for_their_equations():
@@ -260,9 +309,9 @@ def test_constants_only_for_their_equations():
 
     assert set(GREENS) == {"pam3d", "she1d"} and set(GREENS) <= set(EQUATIONS)
     with pytest.raises(ValueError, match="no renormalisation constant is computed for pam2d"):
-        compute_constants("pam2d", 0.1)
+        compute_constants("pam2d", [0.1])
     with pytest.raises(ValueError, match="unknown equation"):
-        compute_constants("kpz", 0.1)
+        compute_constants("kpz", [0.1])
 
 
 @pytest.mark.parametrize("d", [1, 6, 7, 9])
@@ -292,7 +341,7 @@ def test_she_green_factor_has_the_heat_kernel_law(tmax):
         ts.append(z[:, 0])
         return w * np.exp(-z[:, 1] ** 2)
 
-    mean, err = _qmc_mean(fn, 3, 1 << 16, seed=11)
+    mean, err = _qmc_mean(lambda U: fn(U)[None], 3, 1 << 16, seed=11)[0]
     assert abs(mean - (np.sqrt(1.0 + 4.0 * tmax) - 1.0) / 2.0) <= 4 * err
     t = np.concatenate(ts)
     assert t.min() >= 0.0 and t.max() < tmax
@@ -302,11 +351,11 @@ def test_qmc_blocks_leave_the_mean_unchanged(monkeypatch):
     # fn maps rows independently, so mapping a replicate's points in row
     # blocks gives the mean of one call on all of them, bit for bit
     m, green = _moll(0.1), pam_green()
-    a = c11_eps(m, green, n_samples=1 << 15, seed=4)
-    b = c12_eps(m, she_green(), n_samples=1 << 15, seed=4)
+    a = c11_eps(m, [green], n_samples=1 << 15, seed=4)[0]
+    b = c12_eps(m, [she_green()], n_samples=1 << 15, seed=4)[0]
     monkeypatch.setattr("mshe.renorm._BLOCK", 1 << 20)
-    assert c11_eps(m, green, n_samples=1 << 15, seed=4) == a
-    assert c12_eps(m, she_green(), n_samples=1 << 15, seed=4) == b
+    assert c11_eps(m, [green], n_samples=1 << 15, seed=4)[0] == a
+    assert c12_eps(m, [she_green()], n_samples=1 << 15, seed=4)[0] == b
 
 
 def test_constants_unchanged_with_np_interp_lookups(monkeypatch):
@@ -323,7 +372,7 @@ def test_constants_unchanged_with_np_interp_lookups(monkeypatch):
         for moll, green in ((_moll(0.25), pam_green()), (_moll(0.1), she_green())):
             out.append(c_eps(moll, green).hex())
             for integral in (c11_eps, c12_eps):
-                r = integral(moll, green, n_samples=1 << 12, seed=5)
+                r = integral(moll, [green], n_samples=1 << 12, seed=5)[0]
                 out += [r["value"].hex(), r["stderr"].hex()]
         return out + [b.tobytes() for b in _moll(0.1).kernel((96, 64), 1 / 32, 1 / 512)]
 
